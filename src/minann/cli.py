@@ -329,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="circle quadrature / tracing nodes (default %(default)s)",
     )
     parser.add_argument(
-        "--tol", type=float, default=None, help="override validation tolerance"
-    )
-    parser.add_argument(
         "--seed", type=int, default=None, help="seed for randomized scenarios"
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .weierstrass import (
 )
 
 DEFAULT_THETA_NODES = 4096
-LEVEL_SOLVE_TOL = 1e-12
+LEVEL_SOLVE_TOL = 1e-12  # Newton step in log r below which a ray is converged
+LEVEL_SOLVE_MAX_STEPS = 64  # covers pure bisection of any window down to round-off
 LEVEL_HEIGHT_TOL = 1e-9
 CROSSING_MERGE_TOL = 1e-9
 
@@ -176,8 +177,12 @@ def level_radii(
 ) -> np.ndarray:
     """Radii r(theta) with height(r e^{i theta}) = h, one per ray.
 
-    Bisection in log r brackets the root; a few Newton steps polish it to
-    rel_tol.  Raises if the height is not attained or a ray is not monotone.
+    Bracket-safeguarded Newton in t = log r: every ray starts from the
+    window's bracket at the secant point of its end heights, keeps the
+    bracket around the root, and bisects whenever a Newton step would leave
+    it.  A ray is frozen after a step below rel_tol * max(1, |t|); Newton
+    converges quadratically, so that step leaves the ray at round-off.
+    Raises if the height is not attained or a ray is not monotone.
     """
     if not math.isfinite(h):
         raise DomainError("level height must be finite")
@@ -185,29 +190,35 @@ def level_radii(
     imm = _immersion(data)
     sign = _monotone_direction(data, thetas)
     lo, hi = data.window.log_span()
-    e_in = np.exp(lo + 1j * thetas)
-    e_out = np.exp(hi + 1j * thetas)
-    f_in = sign * (imm.height(e_in) - h)
-    f_out = sign * (imm.height(e_out) - h)
+    phase = np.exp(1j * thetas)
+    f_in = sign * (imm.height(math.exp(lo) * phase) - h)
+    f_out = sign * (imm.height(math.exp(hi) * phase) - h)
     if np.any(f_in > 0) or np.any(f_out < 0):
         raise HeightRangeError(f"height {h!r} is not attained on every ray")
-    tlo = np.full(thetas.shape, lo)
-    thi = np.full(thetas.shape, hi)
-    for _ in range(48):
-        mid = 0.5 * (tlo + thi)
-        fm = sign * (imm.height(np.exp(mid + 1j * thetas)) - h)
-        takes_hi = fm > 0
-        thi = np.where(takes_hi, mid, thi)
-        tlo = np.where(takes_hi, tlo, mid)
-    r = np.exp(0.5 * (tlo + thi))
-    for _ in range(4):
-        z = r * np.exp(1j * thetas)
+    t = lo + (hi - lo) * f_in / (f_in - f_out)
+    tlo = np.full(t.shape, lo)
+    thi = np.full(t.shape, hi)
+    active = np.arange(t.size)
+    for _ in range(LEVEL_SOLVE_MAX_STEPS):
+        ta = t[active]
+        z = np.exp(ta) * phase[active]
         resid = imm.height(z) - h
-        slope = imm.height_slope(z)
-        step = resid / slope
-        r = np.clip(r - step, data.window.r_inner, data.window.r_outer)
-    z = r * np.exp(1j * thetas)
-    if np.max(np.abs(imm.height(z) - h)) > LEVEL_HEIGHT_TOL * max(1.0, abs(h)):
+        above = sign * resid > 0
+        a_lo = np.where(above, tlo[active], ta)
+        a_hi = np.where(above, ta, thi[active])
+        tlo[active], thi[active] = a_lo, a_hi
+        step = resid / (np.abs(z) * imm.height_slope(z))  # d(height)/dt = r d(height)/dr
+        t_new = ta - step
+        newton = (t_new >= a_lo) & (t_new <= a_hi)
+        t[active] = np.where(newton, t_new, 0.5 * (a_lo + a_hi))
+        scale = np.maximum(1.0, np.abs(ta))
+        done = newton & (np.abs(step) <= rel_tol * scale)
+        done |= a_hi - a_lo <= 4.0 * np.spacing(scale)
+        active = active[~done]
+        if active.size == 0:
+            break
+    r = np.exp(t)
+    if np.max(np.abs(imm.height(r * phase) - h)) > LEVEL_HEIGHT_TOL * max(1.0, abs(h)):
         raise NumericalError("level solve failed to reach its height tolerance")
     return r
 
@@ -234,6 +245,8 @@ class LevelCurve:
     ``multiplicity`` is the number of identical traversals the node sequence
     makes; crossings are counted on one traversal, so a k-fold cover of an
     embedded circle reports multiplicity k and zero self-intersections.
+    Multiplicity and crossings are computed on first access and cached, so
+    callers that read only ``length`` never pay for the crossing test.
     """
 
     h: float
@@ -241,9 +254,24 @@ class LevelCurve:
     r: np.ndarray
     points: np.ndarray  # shape (n, 3)
     length: float
-    self_intersections: int
-    crossing_points: tuple[tuple[float, float], ...]
-    multiplicity: int = 1
+
+    @cached_property
+    def multiplicity(self) -> int:
+        return traversal_multiplicity(self.points)
+
+    @cached_property
+    def _crossings(self) -> tuple[int, tuple[tuple[float, float], ...]]:
+        one_traversal = self.points[: len(self.points) // self.multiplicity, :2]
+        count, pts2d = planar_self_intersections(one_traversal)
+        return count, tuple(pts2d)
+
+    @property
+    def self_intersections(self) -> int:
+        return self._crossings[0]
+
+    @property
+    def crossing_points(self) -> tuple[tuple[float, float], ...]:
+        return self._crossings[1]
 
     @property
     def nodes(self) -> list[tuple[float, float, float, float, float]]:
@@ -258,7 +286,8 @@ def trace_level(data: WeierstrassData, h: float, n_theta: int = 512) -> LevelCur
 
     The curve length integrates the conformal factor against the exact
     parameter speed sqrt(r'^2 + r^2); r' comes from spectral differentiation
-    of the solved radii.  Planar self-crossings are counted transversally.
+    of the solved radii.  Planar self-crossings are counted transversally
+    when the returned curve is first asked for them.
     """
     n_theta = int(n_theta)
     if n_theta < 16:
@@ -273,18 +302,7 @@ def trace_level(data: WeierstrassData, h: float, n_theta: int = 512) -> LevelCur
     speed = np.sqrt(dr**2 + radii**2)
     lam = metric_lambda_samples(data, z)
     length = float(trapezoid_circle(lam * speed).real)
-    mult = traversal_multiplicity(pts)
-    count, pts2d = planar_self_intersections(pts[: len(pts) // mult, :2])
-    return LevelCurve(
-        h=float(h),
-        theta=thetas,
-        r=radii,
-        points=pts,
-        length=length,
-        self_intersections=count,
-        crossing_points=tuple(pts2d),
-        multiplicity=mult,
-    )
+    return LevelCurve(h=float(h), theta=thetas, r=radii, points=pts, length=length)
 
 
 def planar_self_intersections(
@@ -292,41 +310,56 @@ def planar_self_intersections(
 ) -> tuple[int, list[tuple[float, float]]]:
     """Count transversal self-crossings of a closed polyline.
 
-    Non-adjacent segment pairs are prefiltered by bounding boxes, tested with
-    strict orientation signs, and the crossing points are merged within
-    merge_tol so a crossing shared by neighbouring segment pairs counts once.
+    Candidate segment pairs come from a sort-and-sweep over x (Shamos & Hoey
+    1976): with segments sorted by their lower x, the segments whose x-range
+    overlaps one segment's are a contiguous run after it, found by binary
+    search.  The y-overlap, adjacency and strict orientation tests then run
+    on the candidates only, so the cost is O(n log n + k) for k candidates
+    instead of O(n^2).  Crossings are visited in (i, j) order of their
+    segment indices and merged within merge_tol, so a crossing shared by
+    neighbouring segment pairs counts once.
     """
     p = np.asarray(xy, dtype=float)
     n = len(p)
     q = np.roll(p, -1, axis=0)
     lo = np.minimum(p, q)
     hi = np.maximum(p, q)
-    i_idx, j_idx = np.triu_indices(n, k=2)
-    keep = ~((i_idx == 0) & (j_idx == n - 1))  # wrap-around adjacency
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo_x = lo[order, 0]
+    # Sorted position k overlaps in x every later position m < end[k]; the
+    # reverse condition lo_x[k] <= hi_x[m] holds because lo_x is sorted.
+    end = np.searchsorted(lo_x, hi[order, 0] + merge_tol, side="right")
+    run = end - np.arange(n) - 1
+    first = np.repeat(np.arange(n), run)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(run) - run, run)
+    i_idx = np.minimum(order[first], order[second])
+    j_idx = np.maximum(order[first], order[second])
+    keep = (j_idx - i_idx >= 2) & ~((i_idx == 0) & (j_idx == n - 1))  # adjacency
+    keep &= lo[i_idx, 1] <= hi[j_idx, 1] + merge_tol
+    keep &= lo[j_idx, 1] <= hi[i_idx, 1] + merge_tol
     i_idx, j_idx = i_idx[keep], j_idx[keep]
-    overlap = np.all(
-        (lo[i_idx] <= hi[j_idx] + merge_tol) & (lo[j_idx] <= hi[i_idx] + merge_tol), axis=1
-    )
-    i_idx, j_idx = i_idx[overlap], j_idx[overlap]
-    def cross2(u, v):
-        return u[0] * v[1] - u[1] * v[0]
 
-    points: list[tuple[float, float]] = []
-    for i, j in zip(i_idx, j_idx):
-        a, b, c, d = p[i], q[i], p[j], q[j]
-        ab = b - a
-        cd = d - c
-        d1 = cross2(ab, c - a)
-        d2 = cross2(ab, d - a)
-        d3 = cross2(cd, a - c)
-        d4 = cross2(cd, b - c)
-        if d1 * d2 < 0 and d3 * d4 < 0:
-            s = d1 / (d1 - d2)
-            points.append((c[0] + s * cd[0], c[1] + s * cd[1]))
+    a, b, c, d = p[i_idx], q[i_idx], p[j_idx], q[j_idx]
+    ab = b - a
+    cd = d - c
+
+    def cross2(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+    d1 = cross2(ab, c - a)
+    d2 = cross2(ab, d - a)
+    d3 = cross2(cd, a - c)
+    d4 = cross2(cd, b - c)
+    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+    rank = np.lexsort((j_idx[hit], i_idx[hit]))
+    d1, d2, c, cd = d1[hit][rank], d2[hit][rank], c[hit][rank], cd[hit][rank]
+    s = d1 / (d1 - d2)
+    xs = c[:, 0] + s * cd[:, 0]
+    ys = c[:, 1] + s * cd[:, 1]
     merged: list[tuple[float, float]] = []
-    for pt in points:
+    for pt in zip(xs.tolist(), ys.tolist()):
         if all(math.hypot(pt[0] - m[0], pt[1] - m[1]) > merge_tol for m in merged):
-            merged.append((float(pt[0]), float(pt[1])))
+            merged.append(pt)
     return len(merged), merged
 
 

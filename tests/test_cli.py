@@ -96,6 +96,12 @@ class TestGen:
             main(["gen", "--family", "helicoid"])
         assert excinfo.value.code == 2
 
+    def test_tol_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--tol=1e-6"] + FIG8_ARGS)
+        assert excinfo.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_passing_data(self, fig8_path, capsys):

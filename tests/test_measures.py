@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from minann import measures
 from minann.errors import DomainError, HeightRangeError
+from minann.experiments import classify_levels, compare_lengths, run_scenario
 from minann.families import (
     attained_height_range,
     catenoid_cover,
@@ -28,13 +31,14 @@ from minann.measures import (
     level_radius,
     marginal_waist_ratio,
     marginally_stable_waist,
+    planar_self_intersections,
     profile_radii,
     slab_area,
     total_curvature,
     trace_level,
     waist_height,
 )
-from minann.weierstrass import Slab, flux, height, metric_lambda_samples
+from minann.weierstrass import Slab, _immersion, flux, height, metric_lambda_samples
 
 
 class TestCircleLength:
@@ -274,3 +278,162 @@ class TestWaistSearch:
         h0, length = waist_height(data, Slab(-0.3, 0.3))
         assert abs(h0) <= 1e-6
         assert length == pytest.approx(flux(data).f3, rel=1e-6)
+
+
+def _all_pairs_crossings(xy, merge_tol=measures.CROSSING_MERGE_TOL):
+    """Reference crossing count: every non-adjacent segment pair in (i, j) order.
+
+    Each row i keeps the pairs (i, j), j >= i + 2, whose bounding boxes
+    overlap within merge_tol, then tests them one by one with strict
+    orientation signs and merges the points within merge_tol.
+    """
+    p = np.asarray(xy, dtype=float)
+    n = len(p)
+    q = np.roll(p, -1, axis=0)
+    lo = np.minimum(p, q)
+    hi = np.maximum(p, q)
+
+    def cross2(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    points = []
+    for i in range(n):
+        j_row = np.arange(i + 2, n - 1 if i == 0 else n)
+        overlap = np.all(
+            (lo[i] <= hi[j_row] + merge_tol) & (lo[j_row] <= hi[i] + merge_tol), axis=1
+        )
+        for j in j_row[overlap]:
+            a, b, c, d = p[i], q[i], p[j], q[j]
+            ab = b - a
+            cd = d - c
+            d1 = cross2(ab, c - a)
+            d2 = cross2(ab, d - a)
+            d3 = cross2(cd, a - c)
+            d4 = cross2(cd, b - c)
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                s = d1 / (d1 - d2)
+                points.append((c[0] + s * cd[0], c[1] + s * cd[1]))
+    merged = []
+    for pt in points:
+        if all(math.hypot(pt[0] - m[0], pt[1] - m[1]) > merge_tol for m in merged):
+            merged.append((float(pt[0]), float(pt[1])))
+    return len(merged), merged
+
+
+# Small integer grids give many crossings, repeated points, and collinear or
+# touching segments; the scaled variant moves them off exact binary values.
+_grid_polylines = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=4, max_size=64
+)
+_polylines = st.one_of(
+    _grid_polylines,
+    st.tuples(_grid_polylines, st.floats(0.01, 100.0)).map(
+        lambda ps: [(x * ps[1], y * ps[1]) for x, y in ps[0]]
+    ),
+    st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=4, max_size=64
+    ),
+)
+
+
+class TestCrossingKernel:
+    @given(_polylines)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs_reference(self, polyline):
+        xy = np.array(polyline, dtype=float)
+        assert planar_self_intersections(xy) == _all_pairs_crossings(xy)
+
+    @pytest.mark.parametrize("n_theta", [512, 4096])
+    def test_matches_reference_on_figure_eight_traces(self, n_theta):
+        data = figure_eight(1.0, 1.0)
+        for h in (-0.2, 0.15):
+            xy = trace_level(data, h, n_theta).points[:, :2]
+            count, points = planar_self_intersections(xy)
+            assert count == 1
+            assert (count, points) == _all_pairs_crossings(xy)
+
+
+class TestLazyCrossings:
+    def test_length_only_callers_never_test_crossings(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("crossings computed for a length-only caller")
+
+        monkeypatch.setattr(measures, "planar_self_intersections", refuse)
+        monkeypatch.setattr(measures, "traversal_multiplicity", refuse)
+        data = figure_eight(1.0, 1.0)
+        slab = Slab(-0.2, 0.2)
+        cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=1)
+        assert compare_lengths(data, cat, slab, 5, expect="above", n_theta=128).all_pass
+        assert abs(waist_height(data, slab, n_theta=128)[0]) <= 1e-6
+        assert run_scenario("theorem_4_3").all_pass
+
+    def test_crossings_computed_once_on_first_access(self, monkeypatch):
+        calls = {"planar_self_intersections": 0, "traversal_multiplicity": 0}
+
+        def counted(name):
+            original = getattr(measures, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(measures, name, wrapper)
+
+        counted("planar_self_intersections")
+        counted("traversal_multiplicity")
+        report = classify_levels(figure_eight(1.0, 1.0), Slab(-0.2, 0.2), 3, 1, 128)
+        assert report.all_pass
+        assert calls == {"planar_self_intersections": 3, "traversal_multiplicity": 3}
+
+        curve = trace_level(catenoid_cover(2, TWO_PI)[0], 0.1, 256)
+        assert calls == {"planar_self_intersections": 3, "traversal_multiplicity": 3}
+        assert curve.multiplicity == 2
+        assert curve.self_intersections == 0
+        assert curve.crossing_points == ()
+        assert curve.multiplicity == 2 and curve.self_intersections == 0
+        assert calls == {"planar_self_intersections": 4, "traversal_multiplicity": 4}
+
+
+def _bisection_radii(data, h, thetas, steps=60):
+    imm = _immersion(data)
+    lo, hi = data.window.log_span()
+    phase = np.exp(1j * thetas)
+    sign = np.sign(imm.height(math.exp(hi) * phase) - imm.height(math.exp(lo) * phase))
+    tlo = np.full(thetas.shape, lo)
+    thi = np.full(thetas.shape, hi)
+    for _ in range(steps):
+        mid = 0.5 * (tlo + thi)
+        above = sign * (imm.height(np.exp(mid) * phase) - h) > 0
+        thi = np.where(above, mid, thi)
+        tlo = np.where(above, tlo, mid)
+    return np.exp(0.5 * (tlo + thi))
+
+
+class TestLevelSolve:
+    @pytest.mark.parametrize(
+        "data",
+        [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, TWO_PI)[0]],
+        ids=["figure_eight", "perturbed_two_cover", "catenoid_2_cover"],
+    )
+    def test_near_range_ends_matches_bisection_within_budget(self, data, monkeypatch):
+        thetas = TWO_PI * np.arange(512) / 512
+        lo, hi = attained_height_range(data)
+        heights = (lo + 1e-3, lo + 1e-7, hi - 1e-7, hi - 1e-3)
+        imm = _immersion(data)
+        original = imm.height
+        evaluations = []
+
+        def counting(z):
+            evaluations[-1] += 1
+            return original(z)
+
+        monkeypatch.setattr(imm, "height", counting)
+        solved = []
+        for h in heights:
+            evaluations.append(0)
+            solved.append(level_radii(data, h, thetas))
+        monkeypatch.undo()
+        assert max(evaluations) <= 12
+        for h, r in zip(heights, solved):
+            reference = _bisection_radii(data, h, thetas)
+            assert np.max(np.abs(r - reference) / reference) <= 1e-12
