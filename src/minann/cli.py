@@ -212,7 +212,7 @@ def cmd_measure(args) -> int:
             raise ValidationError("measure length requires --r")
         doc["r"] = args.r
         doc["t"] = math.log(args.r)
-        doc["length"] = circle_length(data, args.r, args.theta_nodes)
+        doc["length"] = circle_length(data, args.r)
         doc["length_dd"] = circle_length_dd(data, args.r)
     elif args.kind == "area":
         slab = _slab_from_args(data, args)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta-nodes",
         type=int,
         default=DEFAULT_THETA_NODES,
-        help="circle quadrature / tracing nodes (default %(default)s)",
+        help="tracing, area and curvature nodes (default %(default)s)",
     )
     parser.add_argument(
         "--seed", type=int, default=None, help="seed for randomized scenarios"

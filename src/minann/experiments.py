@@ -140,25 +140,20 @@ def random_even_vertical_flux(
     the factor's square has zero circle mean.  Draws that leave no admissible
     annulus are rejected and retried.
     """
+
+    def factor() -> LaurentPoly:
+        coeffs = {}
+        for n in range(1, max_exponent + 1):
+            for sign in (1, -1):
+                re, im = rng.standard_normal(2)
+                coeffs[sign * n] = complex(re, im)
+        cross = sum(coeffs[n] * coeffs[-n] for n in range(1, max_exponent + 1))
+        coeffs[0] = 1j * np.sqrt(complex(2.0 * cross))
+        return LaurentPoly(coeffs)
+
     for _ in range(64):
-        coeffs = {}
-        for n in range(1, max_exponent + 1):
-            for sign in (1, -1):
-                re, im = rng.standard_normal(2)
-                coeffs[sign * n] = complex(re, im)
-        cross = sum(coeffs[n] * coeffs[-n] for n in range(1, max_exponent + 1))
-        coeffs[0] = 1j * np.sqrt(complex(2.0 * cross))
-        g_minus = LaurentPoly(coeffs)
-
-        coeffs = {}
-        for n in range(1, max_exponent + 1):
-            for sign in (1, -1):
-                re, im = rng.standard_normal(2)
-                coeffs[sign * n] = complex(re, im)
-        cross = sum(coeffs[n] * coeffs[-n] for n in range(1, max_exponent + 1))
-        coeffs[0] = 1j * np.sqrt(complex(2.0 * cross))
-        g_plus = LaurentPoly(coeffs)
-
+        g_minus = factor()
+        g_plus = factor()
         try:
             window = admissible_annulus(g_minus, g_plus, margin)
             data = from_g_pair(g_minus, g_plus, Parity.EVEN, window)

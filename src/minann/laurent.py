@@ -27,8 +27,11 @@ PRUNE_EPS = 1e-300
 # Relative tolerance for coefficient-level predicates (exact division,
 # square roots, symmetry, vanishing constant terms).
 COEFF_REL_TOL = 1e-12
-# Aberth residual target, relative backward error.
+# Aberth residual target (relative backward error), sweep cap per start, and
+# the seed of the restart perturbations.
 ROOT_RESIDUAL_TOL = 1e-12
+ROOT_MAX_ITER = 500
+ROOT_SEED = 0
 # winding_on_circle refuses circles closer than this (relative) to a root.
 CIRCLE_ROOT_TOL = 1e-9
 
@@ -207,6 +210,21 @@ class LaurentPoly:
 
     __call__ = evaluate
 
+    # -- roots ----------------------------------------------------------------------
+
+    @cached_property
+    def _roots(self) -> tuple[complex, ...]:
+        # One Aberth solve per object; roots() copies it out on every call.
+        if self.is_zero:
+            raise DomainError("the zero expression has no root set")
+        deg = self.highest - self.lowest
+        if deg == 0:
+            return ()
+        c = np.zeros(deg + 1, complex)
+        for n, coeff in self.terms:
+            c[n - self.lowest] = coeff
+        return tuple(_aberth(c))
+
     # -- exact division and square root -------------------------------------------
 
     def divide_exact(self, den: "LaurentPoly", rel_tol: float = COEFF_REL_TOL) -> "LaurentPoly":
@@ -372,30 +390,17 @@ def trapezoid_circle(values: np.ndarray) -> complex:
     return values.mean() * TWO_PI
 
 
-def roots(
-    p: LaurentPoly,
-    *,
-    tol: float = ROOT_RESIDUAL_TOL,
-    max_iter: int = 500,
-    seed: int = 0,
-) -> list[complex]:
+def roots(p: LaurentPoly) -> list[complex]:
     """All highest-lowest roots of p in the punctured plane, multiplicity
 
     included, via the Aberth simultaneous iteration on the shifted ordinary
-    polynomial.  Deterministic for a fixed seed.
+    polynomial.  Deterministic; solved once per polynomial object and
+    returned as a fresh list.
     """
-    if p.is_zero:
-        raise DomainError("the zero expression has no root set")
-    deg = p.highest - p.lowest
-    if deg == 0:
-        return []
-    c = np.zeros(deg + 1, complex)
-    for n, coeff in p.terms:
-        c[n - p.lowest] = coeff
-    return _aberth(c, tol=tol, max_iter=max_iter, seed=seed)
+    return list(p._roots)
 
 
-def _aberth(c: np.ndarray, *, tol: float, max_iter: int, seed: int) -> list[complex]:
+def _aberth(c: np.ndarray) -> list[complex]:
     deg = len(c) - 1
     dc = c[1:] * np.arange(1, deg + 1)
     lead = abs(c[-1])
@@ -403,12 +408,12 @@ def _aberth(c: np.ndarray, *, tol: float, max_iter: int, seed: int) -> list[comp
     upper = 1.0 + max(abs(c[:-1])) / lead
     lower = abs(c[0]) / (abs(c[0]) + max(abs(c[1:])))
     radius = math.sqrt(upper * lower)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ROOT_SEED)
     angles = TWO_PI * (np.arange(deg) + 0.372) / deg
     z = radius * np.exp(1j * angles)
     for _ in range(8):
-        z = _aberth_sweep(c, dc, z, max_iter)
-        if _roots_accepted(c, z, tol):
+        z = _aberth_sweep(c, dc, z, ROOT_MAX_ITER)
+        if _roots_accepted(c, z, ROOT_RESIDUAL_TOL):
             order = np.lexsort((z.imag, z.real, np.abs(z)))
             return [complex(v) for v in z[order]]
         # random perturbation restart on a dilated circle
@@ -417,12 +422,18 @@ def _aberth(c: np.ndarray, *, tol: float, max_iter: int, seed: int) -> list[comp
     raise ConvergenceError("root iteration exhausted its restart budget")
 
 
+def _horner(z, c):
+    # numpy's polyval, same operation order, without its argument handling.
+    out = c[-1] + z * 0
+    for ci in c[-2::-1]:
+        out = ci + out * z
+    return out
+
+
 def _aberth_sweep(c, dc, z, max_iter):
-    deg = len(z)
-    poly = np.polynomial.polynomial.polyval
     for _ in range(max_iter):
-        pv = poly(z, c)
-        dpv = poly(z, dc)
+        pv = _horner(z, c)
+        dpv = _horner(z, dc)
         # Nudge exact critical points off zero to keep the correction finite.
         bad = dpv == 0
         if np.any(bad):
@@ -442,8 +453,7 @@ def _aberth_sweep(c, dc, z, max_iter):
 def _roots_accepted(c, z, tol) -> bool:
     if not np.all(np.isfinite(z)):
         return False
-    poly = np.polynomial.polynomial.polyval
-    pv = np.abs(poly(z, c))
+    pv = np.abs(_horner(z, c))
     powers = np.abs(z[:, None]) ** np.arange(len(c))[None, :]
     scale = powers @ np.abs(c)
     return bool(np.all(pv <= tol * scale))

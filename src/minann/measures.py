@@ -40,49 +40,62 @@ CROSSING_MERGE_TOL = 1e-9
 # -- circle length and its convexity -------------------------------------------
 
 
+def _length_terms(data: WeierstrassData) -> list[tuple[int, float]]:
+    """Pairs (e, |c|^2) with L(r) = pi * sum |c|^2 r^e over both factors.
+
+    |f| = |g|^2 r^(0 or 1) on |z| = r, and by Parseval the circle mean of
+    |g|^2 is sum |c_n|^2 r^(2n), so e = 2n (even) or 2n + 1 (odd).
+    """
+    shift = 0 if data.parity is Parity.EVEN else 1
+    return [(2 * n + shift, abs(c) ** 2) for g in (data.g_minus, data.g_plus) for n, c in g.terms]
+
+
 def circle_length(data: WeierstrassData, r: float, n_theta: int = DEFAULT_THETA_NODES) -> float:
     """Length of the image of |z| = r: half the circle integral of
 
-    |f_minus| + |f_plus|, by periodic trapezoid quadrature (spectrally exact
-    here since both integrands are trigonometric polynomials).
+    |f_minus| + |f_plus|, in closed form (Parseval) from the factor
+    coefficients.  ``n_theta`` is ignored; it stays in the signature because
+    span tracers read it by name as this layer's node count.
     """
     if not data.window.contains(r):
         raise DomainError(f"radius {r!r} outside the data window")
-    theta = TWO_PI * np.arange(int(n_theta)) / int(n_theta)
-    z = r * np.exp(1j * theta)
-    vals = np.abs(data.f_minus.evaluate(z)) + np.abs(data.f_plus.evaluate(z))
-    return float(trapezoid_circle(vals).real) * 0.5
-
-
-def _dd_rate(n: int, parity: Parity) -> float:
-    # d^2/dt^2 of r^(2n) (even) or r^(2n+1) (odd) at t = ln r.
-    return float((2 * n) ** 2) if parity is Parity.EVEN else float((2 * n + 1) ** 2)
+    return math.pi * sum(w * r**e for e, w in _length_terms(data))
 
 
 def circle_length_dd(data: WeierstrassData, r: float) -> float:
     """Closed-form second derivative of circle_length in t = ln r.
 
-    Term-by-term: each squared coefficient rides a pure power of r, so the
-    log-derivative just multiplies it by the squared exponent.
+    Term-by-term: each squared coefficient rides a pure power r^e, so the
+    log-derivative just multiplies it by e^2.
     """
     if not data.window.contains(r):
         raise DomainError(f"radius {r!r} outside the data window")
-    total = 0.0
-    for g in (data.g_minus, data.g_plus):
-        for n, c in g.terms:
-            weight = r ** (2 * n) if data.parity is Parity.EVEN else r ** (2 * n + 1)
-            total += _dd_rate(n, data.parity) * abs(c) ** 2 * weight
-    return math.pi * total
+    return math.pi * sum(float(e * e) * w * r**e for e, w in _length_terms(data))
 
 
 def circle_length_dd_fd(
     data: WeierstrassData, r: float, step: float = 1e-3, n_theta: int = DEFAULT_THETA_NODES
 ) -> float:
-    """Central finite-difference cross-check of circle_length_dd."""
+    """Central finite-difference cross-check of circle_length_dd.
+
+    The lengths come from periodic trapezoid quadrature of |f_minus| +
+    |f_plus| on n_theta nodes, not from the closed form, so the check
+    compares two independent routes.
+    """
+    theta = TWO_PI * np.arange(int(n_theta)) / int(n_theta)
+    phase = np.exp(1j * theta)
+
+    def length(rr: float) -> float:
+        if not data.window.contains(rr):
+            raise DomainError(f"radius {rr!r} outside the data window")
+        z = rr * phase
+        vals = np.abs(data.f_minus.evaluate(z)) + np.abs(data.f_plus.evaluate(z))
+        return float(trapezoid_circle(vals).real) * 0.5
+
     t = math.log(r)
-    lm = circle_length(data, math.exp(t - step), n_theta)
-    l0 = circle_length(data, r, n_theta)
-    lp = circle_length(data, math.exp(t + step), n_theta)
+    lm = length(math.exp(t - step))
+    l0 = length(r)
+    lp = length(math.exp(t + step))
     return (lp - 2.0 * l0 + lm) / step**2
 
 
@@ -112,13 +125,11 @@ def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.
     return np.exp(np.linspace(lo + inset * span, hi - inset * span, int(n_grid)))
 
 
-def length_profile(
-    data: WeierstrassData, radii=None, n_grid: int = 32, n_theta: int = DEFAULT_THETA_NODES
-) -> CircleLengthProfile:
+def length_profile(data: WeierstrassData, radii=None, n_grid: int = 32) -> CircleLengthProfile:
     if radii is None:
         radii = profile_radii(data.window, n_grid, inset=1e-3)
     samples = tuple(
-        (math.log(r), circle_length(data, r, n_theta), circle_length_dd(data, r))
+        (math.log(r), circle_length(data, r), circle_length_dd(data, r))
         for r in radii
     )
     return CircleLengthProfile(samples)
@@ -137,11 +148,9 @@ class ConvexityReport:
         return self.defect_min[key], self.defect_max[key]
 
 
-def convexity_report(
-    data: WeierstrassData, radii=None, n_grid: int = 32, n_theta: int = DEFAULT_THETA_NODES
-) -> ConvexityReport:
+def convexity_report(data: WeierstrassData, radii=None, n_grid: int = 32) -> ConvexityReport:
     k = winding_class(data)
-    profile = length_profile(data, radii=radii, n_grid=n_grid, n_theta=n_theta)
+    profile = length_profile(data, radii=radii, n_grid=n_grid)
     factors = {"ksq": float(k * k), "2": 2.0, "4": 4.0}
     dmin, dmax = {}, {}
     for key, c in factors.items():

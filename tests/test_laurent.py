@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minann import laurent
 from minann.errors import (
     DegenerateContourError,
     DomainError,
     SchemaError,
     UnsupportedDataError,
 )
+from minann.families import figure_eight
 from minann.laurent import (
     TWO_PI,
     AnnulusWindow,
@@ -203,8 +205,42 @@ class TestRoots:
         assert abs(got[0] - 0.5) < 1e-10
         assert abs(got[1] - 2.0) < 1e-10
 
+    def test_root_solver_horner_is_numpy_polyval(self):
+        # The solver's Horner loop keeps polyval's operation order, so the
+        # values, and therefore the roots, are bit-identical to it.
+        rng = np.random.default_rng(3)
+        for deg in range(9):
+            c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            z = 2.0 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
+            want = np.polynomial.polynomial.polyval(z, c)
+            assert np.array_equal(laurent._horner(z, c), want)
+
     def test_constant_span_has_empty_root_set(self):
         assert roots(LaurentPoly({3: 2.0})) == []
+
+
+class TestRootMemo:
+    def test_one_solve_per_polynomial_object(self, monkeypatch):
+        solves = []
+        aberth = laurent._aberth
+
+        def counting(c):
+            solves.append(len(c) - 1)
+            return aberth(c)
+
+        monkeypatch.setattr(laurent, "_aberth", counting)
+        data = figure_eight(1.0, 1.0)
+        assert len(solves) == 2  # one per factor, shared by every check
+        first = roots(data.g_minus)
+        assert len(solves) == 2
+        first[0] = 0j
+        first.append(1.0)
+        assert roots(data.g_minus) != first
+        assert len(roots(data.g_minus)) == 2
+        twin = LaurentPoly(data.g_minus.terms)
+        assert twin == data.g_minus and twin is not data.g_minus
+        assert roots(twin) == roots(data.g_minus)
+        assert len(solves) == 3
 
 
 class TestWindings:

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from minann import measures
 from minann.errors import DomainError, HeightRangeError
-from minann.experiments import classify_levels, compare_lengths, run_scenario
+from minann.experiments import (
+    classify_levels,
+    compare_lengths,
+    random_even_vertical_flux,
+    random_three_term_pair,
+    run_scenario,
+)
 from minann.families import (
     attained_height_range,
     catenoid_cover,
@@ -16,7 +22,7 @@ from minann.families import (
     figure_eight,
     perturbed_two_cover,
 )
-from minann.laurent import TWO_PI, AnnulusWindow
+from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly
 from minann.measures import (
     CatenoidParams,
     CircleLengthProfile,
@@ -88,6 +94,31 @@ class TestCircleLength:
             CircleLengthProfile(((0.0, 1.0, 1.0), (0.0, 1.0, 1.0)))
         with pytest.raises(DomainError):
             CircleLengthProfile(((0.0, -1.0, 1.0),))
+
+    def test_closed_form_matches_quadrature_oracle(self, monkeypatch):
+        # Reference: 4096-node trapezoid rule on |f_minus| + |f_plus|, exact
+        # up to round-off on these trigonometric polynomials.
+        def quadrature_length(data, r, n=4096):
+            z = r * np.exp(1j * TWO_PI * np.arange(n) / n)
+            vals = np.abs(data.f_minus.evaluate(z)) + np.abs(data.f_plus.evaluate(z))
+            return float(vals.mean()) * math.pi
+
+        rng = np.random.default_rng(11)
+        cases = [catenoid_cover(k, 4.0)[0] for k in (1, 2, 3)]
+        cases += [perturbed_two_cover(1.0, 0.05), figure_eight(1.0, 1.0)]
+        cases += [random_even_vertical_flux(rng) for _ in range(30)]
+        cases += [random_three_term_pair(rng) for _ in range(30)]
+        grid = [(d, float(r)) for d in cases for r in profile_radii(d.window, 16, inset=1e-3)]
+        reference = [quadrature_length(d, r) for d, r in grid]
+
+        def no_evaluation(self, z):
+            raise AssertionError("circle lengths must not evaluate the data")
+
+        monkeypatch.setattr(LaurentPoly, "evaluate", no_evaluation)
+        monkeypatch.setattr(LaurentPoly, "__call__", no_evaluation)
+        worst = max(abs(circle_length(d, r) - ref) / ref for (d, r), ref in zip(grid, reference))
+        assert worst <= 1e-13
+        assert all(math.isfinite(circle_length_dd(d, r)) for d, r in grid)
 
     def test_convexity_report_shape(self):
         rep = convexity_report(figure_eight(1.0, 1.0), n_grid=16)
