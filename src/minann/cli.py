@@ -45,7 +45,7 @@ from .measures import (
     length_profile,
     slab_area,
     total_curvature,
-    trace_level,
+    trace_levels,
 )
 from .svgplot import level_curves_svg
 from .weierstrass import (
@@ -227,9 +227,7 @@ def cmd_measure(args) -> int:
 
 def cmd_trace(args) -> int:
     data = load_data(args.data)
-    curves = []
-    for h in args.height:
-        curves.append(trace_level(data, h, args.theta_nodes))
+    curves = trace_levels(data, args.height, args.theta_nodes)
     if args.csv:
         lines = ["theta,r,x1,x2,x3"]
         for curve in curves:

@@ -45,7 +45,7 @@ from .measures import (
     marginally_stable_waist,
     slab_area,
     total_curvature,
-    trace_level,
+    trace_levels,
     waist_height,
 )
 from .weierstrass import (
@@ -227,7 +227,13 @@ def compare_lengths(
         heights = np.asarray(grid, dtype=float)
         if heights.min() < slab.h_minus - 1e-12 or heights.max() > slab.h_plus + 1e-12:
             raise PreconditionError("comparison heights must lie inside the slab")
-    waist_len = trace_level(sigma, cat.center, n_theta).length
+    # At the waist the two lengths agree, so strictness is only meaningful
+    # away from it; the skip width absorbs the tolerance of a numerically
+    # located waist height.
+    skip = 1e-6 * max(slab.h_plus - slab.h_minus, 1.0)
+    kept = [h for h in heights if abs(h - cat.center) > skip]
+    waist, *curves = trace_levels(sigma, [cat.center, *kept], n_theta)
+    waist_len = waist.length
     report.quantities["traced_waist_length"] = waist_len
     report.add_check(
         "waist_equals_flux",
@@ -238,16 +244,9 @@ def compare_lengths(
     traced_margins = []
     circle_margins = []
     rate = TWO_PI / f3
-    # At the waist the two lengths agree, so strictness is only meaningful
-    # away from it; the skip width absorbs the tolerance of a numerically
-    # located waist height.
-    skip = 1e-6 * max(slab.h_plus - slab.h_minus, 1.0)
-    for h in heights:
-        if abs(h - cat.center) <= skip:
-            continue
+    for h, curve in zip(kept, curves):
         l_cat = catenoid_level_length(cat, h)
-        l_traced = trace_level(sigma, h, n_theta).length
-        traced_margins.append(sign * (l_cat - l_traced))
+        traced_margins.append(sign * (l_cat - curve.length))
         l_circle = circle_length(sigma, math.exp(rate * (h - cat.center)))
         circle_margins.append(sign * (l_cat - l_circle))
     if not traced_margins:
@@ -307,12 +306,9 @@ def classify_levels(
     """Self-intersection counts and traversal multiplicities per level."""
     report = MeasureReport("classify_levels")
     heights = np.linspace(slab.h_minus, slab.h_plus, int(n_levels))
-    counts = []
-    multiplicities = []
-    for h in heights:
-        curve = trace_level(sigma, float(h), n_theta)
-        counts.append(curve.self_intersections)
-        multiplicities.append(curve.multiplicity)
+    curves = trace_levels(sigma, heights, n_theta)
+    counts = [curve.self_intersections for curve in curves]
+    multiplicities = [curve.multiplicity for curve in curves]
     report.quantities["levels"] = float(n_levels)
     report.quantities["crossings_min"] = float(min(counts))
     report.quantities["crossings_max"] = float(max(counts))
@@ -586,10 +582,11 @@ def _run_corollary_4_2(params: dict, n_theta: int, data=None) -> MeasureReport:
     cover, cat = catenoid_cover(2, f3)
     step = float(params["fd_step"])
     worst_cover = 0.0
-    for h in (0.0, 0.1, -0.15):
-        vals = [
-            trace_level(cover, h + k * step, n_theta).length for k in (-1, 0, 1)
-        ]
+    centers = (0.0, 0.1, -0.15)
+    stencils = [h + k * step for h in centers for k in (-1, 0, 1)]
+    lengths = [curve.length for curve in trace_levels(cover, stencils, n_theta)]
+    for i, h in enumerate(centers):
+        vals = lengths[3 * i : 3 * i + 3]
         fd = (vals[0] - 2.0 * vals[1] + vals[2]) / step**2
         closed = rate**2 * circle_length_dd(cover, math.exp(rate * h))
         worst_cover = max(worst_cover, abs(fd - closed) / abs(closed))
@@ -600,8 +597,8 @@ def _run_corollary_4_2(params: dict, n_theta: int, data=None) -> MeasureReport:
         FD_CONSISTENCY_TOL - worst_cover,
     )
 
-    step = float(params["fd_step"])
-    vals = [trace_level(data, k * step, n_theta).length for k in (-1, 0, 1)]
+    stencil = [k * step for k in (-1, 0, 1)]
+    vals = [curve.length for curve in trace_levels(data, stencil, n_theta)]
     traced_dd0 = (vals[0] - 2.0 * vals[1] + vals[2]) / step**2
     report.quantities["figure_eight_traced_dd0"] = traced_dd0
     report.quantities["figure_eight_circle_dd0"] = rate**2 * (

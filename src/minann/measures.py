@@ -9,7 +9,7 @@ circle quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DomainError,
     HeightRangeError,
-    NonMonotoneRayError,
     NumericalError,
 )
 from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots, trapezoid_circle
@@ -34,6 +33,7 @@ DEFAULT_THETA_NODES = 4096
 LEVEL_SOLVE_TOL = 1e-12  # Newton step in log r below which a ray is converged
 LEVEL_SOLVE_MAX_STEPS = 64  # covers pure bisection of any window down to round-off
 LEVEL_HEIGHT_TOL = 1e-9
+MAX_SOLVE_RAYS = 2048  # rays per batched level solve; bounds its peak memory
 CROSSING_MERGE_TOL = 1e-9
 
 
@@ -163,55 +163,71 @@ def convexity_report(data: WeierstrassData, radii=None, n_grid: int = 32) -> Con
 # -- level curves ----------------------------------------------------------------
 
 
-def _monotone_direction(data: WeierstrassData, thetas: np.ndarray, n_probe: int = 32) -> float:
-    """Verify d(height)/dr keeps one sign on every ray; return that sign."""
-    imm = _immersion(data)
-    lo, hi = data.window.log_span()
-    tprobe = np.linspace(lo, hi, n_probe)
-    z = np.exp(tprobe)[:, None] * np.exp(1j * thetas)[None, :]
-    slopes = imm.height_slope(z)
-    if np.all(slopes > 0):
-        return 1.0
-    if np.all(slopes < 0):
-        return -1.0
-    raise NonMonotoneRayError("height is not monotone along some ray of the window")
+def _levels_per_solve(n_rays: int) -> int:
+    """Whole levels per Newton solve: at most MAX_SOLVE_RAYS rays, at least one level."""
+    return max(1, MAX_SOLVE_RAYS // max(int(n_rays), 1))
 
 
 def level_radii(
     data: WeierstrassData,
-    h: float,
+    h,
     thetas: np.ndarray,
     *,
     rel_tol: float = LEVEL_SOLVE_TOL,
 ) -> np.ndarray:
     """Radii r(theta) with height(r e^{i theta}) = h, one per ray.
 
+    ``h`` is one height, giving shape (len(thetas),), or a 1-D array of
+    heights, giving shape (len(h), len(thetas)).  Heights are solved together
+    in batches of whole levels of at most MAX_SOLVE_RAYS rays; every ray
+    iterates on its own, so each row equals its single-height solve bit for
+    bit.  The sign of d(height)/dr is certified once per data set on the
+    whole closed window (``ray_sign`` of the cached immersion).
+
     Bracket-safeguarded Newton in t = log r: every ray starts from the
     window's bracket at the secant point of its end heights, keeps the
     bracket around the root, and bisects whenever a Newton step would leave
     it.  A ray is frozen after a step below rel_tol * max(1, |t|); Newton
     converges quadratically, so that step leaves the ray at round-off.
-    Raises if the height is not attained or a ray is not monotone.
+    Raises HeightRangeError if a height is not attained on every ray and
+    NonMonotoneRayError if the ray direction cannot be certified.
     """
-    if not math.isfinite(h):
+    heights = np.asarray(h, dtype=float)
+    if heights.ndim > 1:
+        raise DomainError("level heights must be a number or a 1-D array")
+    if not np.all(np.isfinite(heights)):
         raise DomainError("level height must be finite")
     thetas = np.asarray(thetas, dtype=float)
+    rows = np.atleast_1d(heights)
+    out = np.empty((rows.size, thetas.size))
+    step = _levels_per_solve(thetas.size)
+    for i in range(0, rows.size, step):
+        out[i : i + step] = _solve_levels(data, rows[i : i + step], thetas, rel_tol)
+    return out if heights.ndim else out[0]
+
+
+def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray, rel_tol: float):
+    """One batched Newton solve: radii of shape (len(hs), len(thetas))."""
     imm = _immersion(data)
-    sign = _monotone_direction(data, thetas)
+    sign = imm.ray_sign
     lo, hi = data.window.log_span()
     phase = np.exp(1j * thetas)
-    f_in = sign * (imm.height(math.exp(lo) * phase) - h)
-    f_out = sign * (imm.height(math.exp(hi) * phase) - h)
-    if np.any(f_in > 0) or np.any(f_out < 0):
-        raise HeightRangeError(f"height {h!r} is not attained on every ray")
-    t = lo + (hi - lo) * f_in / (f_in - f_out)
+    f_in = sign * (imm.height(math.exp(lo) * phase) - hs[:, None])
+    f_out = sign * (imm.height(math.exp(hi) * phase) - hs[:, None])
+    missed = np.any(f_in > 0, axis=1) | np.any(f_out < 0, axis=1)
+    if np.any(missed):
+        raise HeightRangeError(f"height {float(hs[missed][0])!r} is not attained on every ray")
+    shape = f_in.shape
+    target = np.repeat(hs, phase.size)
+    phase = np.tile(phase, hs.size)
+    t = (lo + (hi - lo) * f_in / (f_in - f_out)).ravel()
     tlo = np.full(t.shape, lo)
     thi = np.full(t.shape, hi)
     active = np.arange(t.size)
     for _ in range(LEVEL_SOLVE_MAX_STEPS):
         ta = t[active]
         z = np.exp(ta) * phase[active]
-        resid = imm.height(z) - h
+        resid = imm.height(z) - target[active]
         above = sign * resid > 0
         a_lo = np.where(above, tlo[active], ta)
         a_hi = np.where(above, ta, thi[active])
@@ -227,9 +243,10 @@ def level_radii(
         if active.size == 0:
             break
     r = np.exp(t)
-    if np.max(np.abs(imm.height(r * phase) - h)) > LEVEL_HEIGHT_TOL * max(1.0, abs(h)):
+    resid = np.abs(imm.height(r * phase) - target).reshape(shape)
+    if np.any(resid.max(axis=1) > LEVEL_HEIGHT_TOL * np.maximum(1.0, np.abs(hs))):
         raise NumericalError("level solve failed to reach its height tolerance")
-    return r
+    return r.reshape(shape)
 
 
 def level_radius(data: WeierstrassData, h: float, theta: float) -> float:
@@ -254,15 +271,20 @@ class LevelCurve:
     ``multiplicity`` is the number of identical traversals the node sequence
     makes; crossings are counted on one traversal, so a k-fold cover of an
     embedded circle reports multiplicity k and zero self-intersections.
-    Multiplicity and crossings are computed on first access and cached, so
-    callers that read only ``length`` never pay for the crossing test.
+    The immersion points, multiplicity and crossings are computed on first
+    access and cached, so callers that read only ``length`` never pay for
+    them.
     """
 
     h: float
     theta: np.ndarray
     r: np.ndarray
-    points: np.ndarray  # shape (n, 3)
     length: float
+    data: WeierstrassData = field(repr=False)
+
+    @cached_property
+    def points(self) -> np.ndarray:  # shape (n, 3)
+        return _immersion(self.data).point(self.r * np.exp(1j * self.theta))
 
     @cached_property
     def multiplicity(self) -> int:
@@ -290,28 +312,42 @@ class LevelCurve:
         ]
 
 
-def trace_level(data: WeierstrassData, h: float, n_theta: int = 512) -> LevelCurve:
-    """Trace the level x3 = h through the annulus.
+def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[LevelCurve]:
+    """Trace the levels x3 = h for each h of a 1-D sequence, in order.
 
-    The curve length integrates the conformal factor against the exact
+    Each curve length integrates the conformal factor against the exact
     parameter speed sqrt(r'^2 + r^2); r' comes from spectral differentiation
-    of the solved radii.  Planar self-crossings are counted transversally
-    when the returned curve is first asked for them.
+    of the solved radii.  The radii of whole levels are solved together, at
+    most MAX_SOLVE_RAYS rays per solve, and each curve equals its one-height
+    trace bit for bit.  Planar self-crossings are counted transversally when
+    a returned curve is first asked for them.  The solve's residual check
+    keeps every node within LEVEL_HEIGHT_TOL of its level.
     """
     n_theta = int(n_theta)
     if n_theta < 16:
         raise DomainError("tracing needs at least 16 nodes")
+    heights = np.asarray(heights, dtype=float)
+    if heights.ndim != 1:
+        raise DomainError("level heights must be a 1-D sequence")
     thetas = TWO_PI * np.arange(n_theta) / n_theta
-    radii = level_radii(data, h, thetas)
-    z = radii * np.exp(1j * thetas)
-    pts = _immersion(data).point(z)
-    if np.max(np.abs(pts[:, 2] - h)) > LEVEL_HEIGHT_TOL * max(1.0, abs(h)):
-        raise NumericalError("traced nodes drifted off the level")
-    dr = _periodic_derivative(radii)
-    speed = np.sqrt(dr**2 + radii**2)
-    lam = metric_lambda_samples(data, z)
-    length = float(trapezoid_circle(lam * speed).real)
-    return LevelCurve(h=float(h), theta=thetas, r=radii, points=pts, length=length)
+    phase = np.exp(1j * thetas)
+    step = _levels_per_solve(n_theta)
+    curves = []
+    for i in range(0, heights.size, step):
+        batch = heights[i : i + step]
+        radii = level_radii(data, batch, thetas)
+        lam = metric_lambda_samples(data, radii * phase)
+        for h, r, lm in zip(batch, radii, lam):
+            dr = _periodic_derivative(r)
+            speed = np.sqrt(dr**2 + r**2)
+            length = float(trapezoid_circle(lm * speed).real)
+            curves.append(LevelCurve(h=float(h), theta=thetas, r=r, length=length, data=data))
+    return curves
+
+
+def trace_level(data: WeierstrassData, h: float, n_theta: int = 512) -> LevelCurve:
+    """Trace the level x3 = h through the annulus: trace_levels for one height."""
+    return trace_levels(data, [h], n_theta)[0]
 
 
 def planar_self_intersections(
@@ -424,8 +460,7 @@ def slab_area(
     level radii); only the outer theta integral is quadrature.
     """
     thetas = TWO_PI * np.arange(int(n_theta)) / int(n_theta)
-    r_a = level_radii(data, slab.h_minus, thetas)
-    r_b = level_radii(data, slab.h_plus, thetas)
+    r_a, r_b = level_radii(data, [slab.h_minus, slab.h_plus], thetas)
     r_lo = np.minimum(r_a, r_b)
     r_hi = np.maximum(r_a, r_b)
     vals = _area_antiderivative(data, thetas, r_hi) - _area_antiderivative(data, thetas, r_lo)
@@ -581,10 +616,11 @@ def waist_height(
 ) -> tuple[float, float]:
     """Height minimizing the traced level length, by scan + golden section.
 
-    Returns the minimizing height and the length there.
+    The coarse scan traces its heights in one batch; the golden-section
+    steps trace one height each.  Returns the minimizing height and the length there.
     """
     heights = np.linspace(slab.h_minus, slab.h_plus, int(n_coarse))
-    lengths = [trace_level(data, h, n_theta).length for h in heights]
+    lengths = [curve.length for curve in trace_levels(data, heights, n_theta)]
     i = int(np.argmin(lengths))
     lo = heights[max(i - 1, 0)]
     hi = heights[min(i + 1, len(heights) - 1)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     InadmissibleWindowError,
     MultivaluedDataError,
+    NonMonotoneRayError,
     ParityUndeterminedError,
     PreconditionError,
     SchemaError,
@@ -261,6 +262,46 @@ class _Immersion:
     def height_slope(self, z: np.ndarray) -> np.ndarray:
         """d(height)/dr along rays: Re psi3(z) / |z|."""
         return self.data.psi3.evaluate(z).real / np.abs(z)
+
+    @cached_property
+    def ray_sign(self) -> float:
+        """Sign of d(height)/dr, the same on every ray of the closed window."""
+        return _ray_sign(self.data)
+
+
+RAY_SIGN_NODES = 512  # boundary nodes of the first ray-sign certificate
+RAY_SIGN_REFINE = 8  # node factor per inconclusive certificate
+RAY_SIGN_MAX_NODES = 32768
+
+
+def _ray_sign(data: WeierstrassData) -> float:
+    """Certified sign of Re psi3 on the closed window.
+
+    d(height)/dr = Re psi3(z) / |z| along rays, and Re psi3 is harmonic, so
+    its extremes on the annulus lie on the two boundary circles.  On |z| = r
+    it is a trigonometric polynomial of degree N = max |n| bounded by
+    B = sum |c_n| r^n, so by Bernstein's inequality it moves by at most
+    (pi N / M) B between a point and the nearest of M equispaced nodes.
+    Samples of one sign whose slack leaves the sign open are refined, up to
+    RAY_SIGN_MAX_NODES; a sign change or an unresolved sign raises.
+    """
+    psi3 = data.psi3
+    degree = max(abs(n) for n, _ in psi3.terms)
+    radii = (data.window.r_inner, data.window.r_outer)
+    bounds = [sum(abs(c) * r**n for n, c in psi3.terms) for r in radii]
+    m = RAY_SIGN_NODES
+    while True:
+        phase = np.exp(1j * TWO_PI * np.arange(m) / m)
+        samples = [psi3.evaluate(r * phase).real for r in radii]
+        slacks = [math.pi * degree / m * b for b in bounds]
+        if all(v.min() > s for v, s in zip(samples, slacks)):
+            return 1.0
+        if all(v.max() < -s for v, s in zip(samples, slacks)):
+            return -1.0
+        both = np.concatenate(samples)
+        if both.min() <= 0.0 <= both.max() or m >= RAY_SIGN_MAX_NODES:
+            raise NonMonotoneRayError("height is not monotone along some ray of the window")
+        m *= RAY_SIGN_REFINE
 
 
 @lru_cache(maxsize=64)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minann import measures
-from minann.errors import DomainError, HeightRangeError
+from minann import measures, weierstrass
+from minann.errors import DomainError, HeightRangeError, NonMonotoneRayError
 from minann.experiments import (
     classify_levels,
     compare_lengths,
@@ -42,9 +42,19 @@ from minann.measures import (
     slab_area,
     total_curvature,
     trace_level,
+    trace_levels,
     waist_height,
 )
-from minann.weierstrass import Slab, _immersion, flux, height, metric_lambda_samples
+from minann.weierstrass import (
+    Parity,
+    Slab,
+    _immersion,
+    flux,
+    from_g_pair,
+    height,
+    period_check,
+    metric_lambda_samples,
+)
 
 
 class TestCircleLength:
@@ -463,8 +473,168 @@ class TestLevelSolve:
         for h in heights:
             evaluations.append(0)
             solved.append(level_radii(data, h, thetas))
+        evaluations.append(0)
+        batched = level_radii(data, np.array(heights), thetas)
         monkeypatch.undo()
-        assert max(evaluations) <= 12
+        assert max(evaluations[:-1]) <= 12
+        assert evaluations[-1] <= 12  # four heights, one batched solve
+        assert np.array_equal(batched, np.array(solved))
         for h, r in zip(heights, solved):
             reference = _bisection_radii(data, h, thetas)
             assert np.max(np.abs(r - reference) / reference) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "data",
+        [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, TWO_PI)[0]],
+        ids=["figure_eight", "perturbed_two_cover", "catenoid_2_cover"],
+    )
+    def test_batched_rows_equal_single_height_solves(self, data):
+        lo, hi = attained_height_range(data)
+        # Nine heights span three batches at 512 rays and five at 1024.
+        heights = np.concatenate(([lo + 1e-7], np.linspace(lo + 1e-3, hi - 1e-3, 7), [hi - 1e-7]))
+        for n in (512, 1024):
+            thetas = TWO_PI * np.arange(n) / n
+            batched = level_radii(data, heights, thetas)
+            assert batched.shape == (heights.size, n)
+            for h, row in zip(heights, batched):
+                assert np.array_equal(row, level_radii(data, float(h), thetas))
+
+    def test_trace_levels_equals_trace_level(self):
+        data = figure_eight(1.0, 1.0)
+        heights = [-0.2, -0.05, 0.0, 0.1, 0.15, 0.2]
+        for n in (64, 512, 4096):
+            curves = trace_levels(data, heights, n)
+            assert [c.h for c in curves] == heights
+            for h, curve in zip(heights, curves):
+                single = trace_level(data, h, n)
+                assert curve.length == single.length
+                assert np.array_equal(curve.r, single.r)
+                assert np.array_equal(curve.points, single.points)
+        assert trace_levels(data, [], 64) == []
+
+    def test_batch_with_one_unattained_height_raises(self):
+        data = figure_eight(1.0, 1.0)
+        lo, hi = attained_height_range(data)
+        thetas = TWO_PI * np.arange(512) / 512
+        heights = [0.0, 0.5 * hi, hi + 1.0, 0.5 * lo]
+        with pytest.raises(HeightRangeError):
+            level_radii(data, heights, thetas)
+        with pytest.raises(HeightRangeError):
+            trace_levels(data, heights, 512)
+        with pytest.raises(DomainError):
+            level_radii(data, [0.0, math.nan], thetas)
+
+    def test_every_solve_holds_whole_levels_within_the_ray_bound(self, monkeypatch):
+        sizes = []
+        original = measures._solve_levels
+
+        def recording(data, hs, thetas, rel_tol):
+            sizes.append((hs.size, thetas.size))
+            return original(data, hs, thetas, rel_tol)
+
+        monkeypatch.setattr(measures, "_solve_levels", recording)
+        data = figure_eight(1.0, 1.0)
+        trace_levels(data, np.linspace(-0.2, 0.2, 9), 512)
+        assert sizes == [(4, 512), (4, 512), (1, 512)]
+        sizes.clear()
+        slab_area(data, Slab(-0.2, 0.2), 4096)
+        assert sizes == [(1, 4096), (1, 4096)]
+        sizes.clear()
+        trace_levels(data, np.linspace(-0.2, 0.2, 3), 64)
+        assert sizes == [(3, 64)]
+        assert all(k * n <= measures.MAX_SOLVE_RAYS for k, n in sizes)
+
+
+def _psi3_data(psi3: LaurentPoly, window: AnnulusWindow):
+    """Period-free even data with g_minus = z^-4 and g_plus = z^4 psi3.
+
+    For psi3 with exponents in [0, 16], neither f_minus = z^-8 nor
+    f_plus = z^8 psi3^2 has a constant term, so the immersion is single valued.
+    """
+    g_minus = LaurentPoly.monomial(-4)
+    return from_g_pair(g_minus, LaurentPoly.monomial(4) * psi3, Parity.EVEN, window)
+
+
+class TestRayDirection:
+    def test_sign_change_on_the_window_raises(self):
+        # Re psi3 = 1 + 2 r cos(theta) changes sign on |z| = 2.
+        data = _psi3_data(LaurentPoly({0: 1.0, 1: 2.0}), AnnulusWindow(0.6, 2.0))
+        thetas = TWO_PI * np.arange(64) / 64
+        with pytest.raises(NonMonotoneRayError):
+            level_radii(data, 0.0, thetas)
+        with pytest.raises(NonMonotoneRayError):
+            trace_level(data, 0.0, 64)
+        with pytest.raises(NonMonotoneRayError):
+            level_radius(data, 0.0, 0.0)  # monotone on this ray, not on the window
+
+    def test_negative_only_between_the_rays_of_a_16_node_trace_raises(self):
+        # Re psi3 = 1 + r^16 cos(16 theta): positive on every ray theta = 2 pi j / 16,
+        # negative between them once r^16 > 1.
+        data = _psi3_data(LaurentPoly({0: 1.0, 16: 1.0}), AnnulusWindow(1.05, 1.2))
+        thetas = TWO_PI * np.arange(16) / 16
+        lo, hi = data.window.log_span()
+        grid = np.exp(np.linspace(lo, hi, 32))[:, None] * np.exp(1j * thetas)[None, :]
+        assert period_check(data).well_defined
+        assert np.all(_immersion(data).height_slope(grid) > 0)  # a sampled probe passes
+        h = height(data, 1.1)
+        with pytest.raises(NonMonotoneRayError):
+            level_radii(data, h, thetas)
+        with pytest.raises(NonMonotoneRayError):
+            trace_level(data, h, 16)
+
+    @pytest.fixture
+    def evaluated_sizes(self, monkeypatch):
+        """Sizes of the point arrays LaurentPoly.evaluate receives."""
+        sizes = []
+        original = LaurentPoly.evaluate
+
+        def counting(self, z):
+            sizes.append(np.size(z))
+            return original(self, z)
+
+        monkeypatch.setattr(LaurentPoly, "evaluate", counting)
+        return sizes
+
+    def test_inconclusive_bound_is_refined_before_deciding(self, evaluated_sizes):
+        # Re psi3 = 1 + r^16 cos(16 theta + alpha).  Its minimum 1 - r^16 on each
+        # circle sits between nodes of the 512-node grid when alpha = pi - pi/32,
+        # and on a node of the 4096-node grid; the 512-node slack is about 0.197.
+        def data_for(alpha, r_in, r_out):
+            psi3 = LaurentPoly({0: 1.0, 16: complex(math.cos(alpha), math.sin(alpha))})
+            return _psi3_data(psi3, AnnulusWindow(r_in, r_out))
+
+        positive = data_for(0.0, 0.9, 0.95 ** (1 / 16))  # min 0.05: certified at 4096
+        dipping = data_for(math.pi - math.pi / 32, 1.002 ** (1 / 16), 1.003 ** (1 / 16))
+        evaluated_sizes.clear()
+        assert weierstrass._ray_sign(positive) == 1.0
+        assert evaluated_sizes == [512, 512, 4096, 4096]
+        evaluated_sizes.clear()
+        with pytest.raises(NonMonotoneRayError):
+            weierstrass._ray_sign(dipping)  # every 512-node sample is positive
+        assert evaluated_sizes == [512, 512, 4096, 4096]
+
+    def test_catalog_surfaces_certify_on_the_first_grid(self, evaluated_sizes):
+        for data in (
+            figure_eight(1.0, 1.0),
+            perturbed_two_cover(1.0, 0.05),
+            catenoid_cover(2, TWO_PI)[0],
+        ):
+            evaluated_sizes.clear()
+            assert weierstrass._ray_sign(data) == 1.0
+            assert evaluated_sizes == [weierstrass.RAY_SIGN_NODES] * 2
+
+    def test_sign_is_computed_once_per_data_set(self, monkeypatch):
+        calls = []
+        original = weierstrass._ray_sign
+
+        def counting(data):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(weierstrass, "_ray_sign", counting)
+        _immersion.cache_clear()
+        data = figure_eight(1.0, 1.0)
+        for n in (64, 512, 4096):
+            trace_level(data, 0.1, n)
+        slab_area(data, Slab(-0.2, 0.2))
+        assert calls == [data]
