@@ -21,22 +21,13 @@ from . import __version__
 from .errors import GeometryError, NumericalError, ValidationError
 from .experiments import (
     SCENARIOS,
-    classify_levels,
+    MeasureReport,
     compare_areas,
     compare_lengths,
     run_scenario,
     sweep_scenario,
 )
-from .families import (
-    DEFAULT_MARGIN,
-    attained_height_range,
-    catenoid_cover,
-    clip_to_slab,
-    figure_eight,
-    figure_eight_pair,
-    perturbed_two_cover,
-    perturbed_two_cover_pair,
-)
+from .families import DEFAULT_MARGIN, attained_height_range, clip_to_slab, family_from_spec
 from .measures import (
     DEFAULT_THETA_NODES,
     CatenoidParams,
@@ -137,40 +128,34 @@ def load_data(path: str):
 # -- subcommands -----------------------------------------------------------------
 
 
+# Family flags that gen hands to family_from_spec when given; the spec loader
+# rejects those the family does not read.  gen requires the flags below even
+# though the spec loader would default them.
+_GEN_PARAMS = ("k", "f3", "center", "c1", "eps1", "c2", "eps2", "a_m1", "a_1", "b_m1", "b_1")
+_GEN_REQUIRED = {
+    "catenoid_cover": ("f3",),
+    "perturbed_two_cover": ("c1", "eps1"),
+    "figure_eight": ("a_m1", "a_1"),
+}
+_GEN_PAIR_REQUIRED = {"perturbed_two_cover": ("c2", "eps2"), "figure_eight": ("b_m1", "b_1")}
+
+
 def cmd_gen(args) -> int:
-    family = args.family
-    if family == "catenoid_cover":
-        if args.f3 is None:
-            raise ValidationError("catenoid_cover requires --f3")
-        data, _ = catenoid_cover(args.k, args.f3, center=args.center, margin=args.margin)
-    elif family == "perturbed_two_cover":
-        if args.c1 is None or args.eps1 is None:
-            raise ValidationError("perturbed_two_cover requires --c1 and --eps1")
-        if args.symmetric:
-            data = perturbed_two_cover(args.c1, args.eps1, margin=args.margin)
-        else:
-            if args.c2 is None or args.eps2 is None:
-                raise ValidationError(
-                    "asymmetric perturbed_two_cover requires --c2 and --eps2"
-                )
-            data = perturbed_two_cover_pair(
-                args.c1, args.eps1, args.c2, args.eps2, margin=args.margin
-            )
-    elif family == "figure_eight":
-        if args.a_m1 is None or args.a_1 is None:
-            raise ValidationError("figure_eight requires --a-m1 and --a-1")
-        if args.symmetric:
-            data = figure_eight(args.a_m1, args.a_1, margin=args.margin)
-        else:
-            if args.b_m1 is None or args.b_1 is None:
-                raise ValidationError(
-                    "asymmetric figure_eight requires --b-m1 and --b-1"
-                )
-            data = figure_eight_pair(
-                args.a_m1, args.a_1, args.b_m1, args.b_1, margin=args.margin
-            )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown family {family!r}")
+    def require(names, what):
+        if any(getattr(args, name) is None for name in names):
+            flags = " and ".join("--" + name.replace("_", "-") for name in names)
+            raise ValidationError(f"{what} requires {flags}")
+
+    require(_GEN_REQUIRED[args.family], args.family)
+    if args.asymmetric and args.family in _GEN_PAIR_REQUIRED:
+        require(_GEN_PAIR_REQUIRED[args.family], f"asymmetric {args.family}")
+    spec = {
+        "family": args.family,
+        "params": {k: getattr(args, k) for k in _GEN_PARAMS if getattr(args, k) is not None},
+        "margin": args.margin,
+        "symmetric": not args.asymmetric,
+    }
+    data, _ = family_from_spec(spec)
     emit_json(data_to_json(data), args.out)
     return 0
 
@@ -257,32 +242,25 @@ def cmd_compare(args) -> int:
     f3 = flux(data).f3
     slab = _slab_from_args(data, args)
     cat = CatenoidParams(f3=f3, center=args.center, cover=args.cover_k)
-    lengths = compare_lengths(
-        data, cat, slab, args.grid, expect=args.expect, n_theta=args.theta_nodes
+    report = MeasureReport("compare")
+    report.merge(
+        compare_lengths(
+            data, cat, slab, args.grid, expect=args.expect, n_theta=args.theta_nodes
+        )
     )
-    areas = compare_areas(
-        data,
-        cat,
-        slab,
-        expect=args.expect,
-        include_marginal=args.marginal,
-        n_theta=args.theta_nodes,
+    report.merge(
+        compare_areas(
+            data,
+            cat,
+            slab,
+            expect=args.expect,
+            include_marginal=args.marginal,
+            n_theta=args.theta_nodes,
+        )
     )
-    report = {
-        "quantities": {
-            **{k: float(v) for k, v in lengths.quantities.items()},
-            **{k: float(v) for k, v in areas.quantities.items()},
-        },
-        "verdicts": {
-            **{k: v.to_json() for k, v in lengths.verdicts.items()},
-            **{k: v.to_json() for k, v in areas.verdicts.items()},
-        },
-    }
-    emit_json(report, args.out)
-    ok = all(v.passed for v in lengths.verdicts.values()) and all(
-        v.passed for v in areas.verdicts.values()
-    )
-    return 0 if ok else 1
+    doc = report.to_json()
+    emit_json({k: doc[k] for k in ("quantities", "verdicts")}, args.out)
+    return 0 if report.all_pass else 1
 
 
 def cmd_report(args) -> int:
@@ -337,21 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["catenoid_cover", "perturbed_two_cover", "figure_eight"],
     )
-    p.add_argument("--k", type=int, default=1, help="cover degree (catenoid_cover)")
+    p.add_argument("--k", type=int, help="cover degree (catenoid_cover, default 1)")
     p.add_argument("--f3", type=float, help="vertical flux (catenoid_cover)")
-    p.add_argument("--center", type=float, default=0.0, help="waist height")
+    p.add_argument("--center", type=float, help="waist height (catenoid_cover, default 0)")
     p.add_argument("--c1", type=parse_complex, help="leading coefficient")
     p.add_argument("--eps1", type=parse_complex, help="perturbation size")
-    p.add_argument("--c2", type=parse_complex, help="second leading coefficient")
-    p.add_argument("--eps2", type=parse_complex, help="second perturbation size")
+    p.add_argument("--c2", type=parse_complex, help="second leading coefficient (pair)")
+    p.add_argument("--eps2", type=parse_complex, help="second perturbation size (pair)")
     p.add_argument("--a-m1", dest="a_m1", type=parse_complex, help="z^-1 coefficient")
     p.add_argument("--a-1", dest="a_1", type=parse_complex, help="z coefficient")
-    p.add_argument("--b-m1", dest="b_m1", type=parse_complex)
-    p.add_argument("--b-1", dest="b_1", type=parse_complex)
+    p.add_argument("--b-m1", dest="b_m1", type=parse_complex, help="second z^-1 (pair)")
+    p.add_argument("--b-1", dest="b_1", type=parse_complex, help="second z coefficient (pair)")
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--symmetric", dest="symmetric", action="store_true", default=True)
-    group.add_argument("--asymmetric", dest="symmetric", action="store_false")
+    p.add_argument(
+        "--asymmetric",
+        action="store_true",
+        help="take the second factor from --c2/--eps2 or --b-m1/--b-1 "
+        "instead of conjugating the first",
+    )
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_gen)
 

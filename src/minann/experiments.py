@@ -1,9 +1,12 @@
 """Named, machine-checkable experiments over the shipped families.
 
-Each scenario builds its instances, measures the relevant quantities, and
-emits a MeasureReport whose verdicts carry signed margins.  A failed
-inequality is a failing verdict, never an exception, so sweeps can map where
-an inequality stops holding.
+Each scenario is one function registered with its summary, its default
+parameters and, where it measures one family instance, that family.
+``run_scenario`` builds the instance (or takes the caller's data), runs the
+period checks, and lets the function measure the relevant quantities into a
+MeasureReport whose verdicts carry signed margins.  A failed inequality is a
+failing verdict, never an exception, so sweeps can map where an inequality
+stops holding.
 
 Two length readings appear side by side throughout.  Circle-route quantities
 differentiate the closed-form circle length in t = ln r and convert by the
@@ -16,6 +19,7 @@ visible.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +30,9 @@ from .families import (
     DEFAULT_MARGIN,
     FigureEightParams,
     admissible_annulus,
-    attained_height_range,
     catenoid_cover,
     clip_to_slab,
-    figure_eight,
-    perturbed_two_cover,
+    family_from_spec,
 )
 from .laurent import TWO_PI, AnnulusWindow, LaurentPoly
 from .measures import (
@@ -80,11 +82,15 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Catalog entry: default parameters plus the runner that executes it."""
+    """Catalog entry: summary, default parameters, the family whose instance
+    ``run_scenario`` builds and period-checks (None when the scenario draws
+    or builds its own data), and the function that measures it."""
 
     name: str
     summary: str
     defaults: dict
+    family: str | None
+    measure: Callable = field(repr=False)
 
 
 @dataclass
@@ -100,6 +106,24 @@ class MeasureReport:
 
     def add_check(self, name: str, passed: bool, margin: float):
         self.verdicts[name] = Verdict(bool(passed), float(margin))
+
+    def merge(self, sub: "MeasureReport", quantities=None, verdicts=None):
+        """Copy a sub-report's quantities and verdicts into this report.
+
+        ``quantities`` and ``verdicts`` select what is copied: None copies
+        every entry, a sequence copies the named entries, and a dict maps
+        each copied key to the name it takes here.
+        """
+        for mine, theirs, keys in (
+            (self.quantities, sub.quantities, quantities),
+            (self.verdicts, sub.verdicts, verdicts),
+        ):
+            if keys is None:
+                keys = list(theirs)
+            if not isinstance(keys, dict):
+                keys = {key: key for key in keys}
+            for key, name in keys.items():
+                mine[name] = theirs[key]
 
     def to_json(self):
         return {
@@ -324,7 +348,7 @@ def classify_levels(
     return report
 
 
-# -- scenario runners ------------------------------------------------------------
+# -- scenario catalog ------------------------------------------------------------
 
 
 def _winding_check(report: MeasureReport, data: WeierstrassData, expected: int):
@@ -342,84 +366,99 @@ def _period_checks(report: MeasureReport, data: WeierstrassData) -> bool:
     return verdict.well_defined and verdict.vertical_flux
 
 
-def _run_lemma_3_1(params: dict, n_theta: int, data=None) -> MeasureReport:
-    if data is not None:
-        raise PreconditionError("scenario draws its own random ensemble")
-    report = MeasureReport("lemma_3_1")
+_PERTURBED = {"c1": 1.0 + 0.0j, "eps1": 0.05 + 0.0j, "margin": DEFAULT_MARGIN}
+_FIGURE_EIGHT = {"a_m1": 1.0 + 0.0j, "a_1": 1.0 + 0.0j, "margin": DEFAULT_MARGIN}
+_FAMILY_DEFAULTS = {"perturbed_two_cover": _PERTURBED, "figure_eight": _FIGURE_EIGHT}
+
+SCENARIOS: dict[str, Scenario] = {}
+
+
+def _scenario(defaults: dict, family: str | None = None):
+    """Register the decorated function as the scenario named after it and
+    summarized by its docstring."""
+
+    def register(measure):
+        name = measure.__name__.lstrip("_")
+        SCENARIOS[name] = Scenario(name, measure.__doc__, dict(defaults), family, measure)
+        return measure
+
+    return register
+
+
+def _build(family: str, params: dict) -> WeierstrassData:
+    """The family instance that a scenario's parameters describe."""
+    if family == "figure_eight" and params.get("a_0") is not None:
+        # Explicit a_0 bypasses the derived constraint so that deliberately
+        # inconsistent data can be fed to the period checks.
+        g_minus = LaurentPoly(
+            {-1: complex(params["a_m1"]), 0: complex(params["a_0"]), 1: complex(params["a_1"])}
+        )
+        g_plus = g_minus.conj_reflect()
+        window = admissible_annulus(g_minus, g_plus, float(params["margin"]))
+        return from_g_pair(g_minus, g_plus, Parity.EVEN, window)
+    spec = {
+        "family": family,
+        "params": {k: params[k] for k in _FAMILY_DEFAULTS[family] if k != "margin"},
+        "margin": params["margin"],
+    }
+    return family_from_spec(spec)[0]
+
+
+def _thin_slab(data: WeierstrassData, params: dict) -> Slab:
+    half = abs(float(params["slab_half"]))
+    return clip_to_slab(data, Slab(-half, half))
+
+
+def _three_term_residual(data: WeierstrassData, grid: int) -> tuple[float, float]:
+    """Defect (|c-|^2 + |c+|^2)/pi of L'' = 4L - defect, c = 2 pi times a
+    factor's constant coefficient, and the worst relative residual of that
+    identity over the profile radii."""
+    c_minus = TWO_PI * data.g_minus.coefficient(0)
+    c_plus = TWO_PI * data.g_plus.coefficient(0)
+    defect = (abs(c_minus) ** 2 + abs(c_plus) ** 2) / math.pi
+    worst = 0.0
+    for r in profile_radii(data.window, grid, inset=1e-3):
+        length = circle_length(data, r)
+        residual = abs(circle_length_dd(data, r) - (4.0 * length - defect))
+        worst = max(worst, residual / length)
+    return defect, worst
+
+
+@_scenario({"seed": DEFAULT_SEED, "count": 100, "max_exponent": 2, "grid": 24})
+def _lemma_3_1(report: MeasureReport, data, params: dict, n_theta: int):
+    """strict lower convexity bound on random even vertical-flux data"""
     rng = np.random.default_rng(int(params["seed"]))
     count = int(params["count"])
     worst = math.inf
     for _ in range(count):
-        data = random_even_vertical_flux(rng, int(params["max_exponent"]))
-        radii = profile_radii(data.window, int(params["grid"]), inset=1e-3)
+        sample = random_even_vertical_flux(rng, int(params["max_exponent"]))
+        radii = profile_radii(sample.window, int(params["grid"]), inset=1e-3)
         defect = min(
-            circle_length_dd(data, r) - 2.0 * circle_length(data, r) for r in radii
+            circle_length_dd(sample, r) - 2.0 * circle_length(sample, r) for r in radii
         )
         worst = min(worst, defect)
     report.quantities["datasets"] = float(count)
     report.quantities["min_defect"] = worst
     report.add_check("dd_above_2L", worst > 0.0, worst)
-    return report
 
 
-def _run_lemma_3_4_identity(params: dict, n_theta: int, data=None) -> MeasureReport:
-    if data is not None:
-        raise PreconditionError("scenario draws its own random ensemble")
-    report = MeasureReport("lemma_3_4_identity")
+@_scenario({"seed": DEFAULT_SEED, "count": 20, "grid": 24})
+def _lemma_3_4_identity(report: MeasureReport, data, params: dict, n_theta: int):
+    """three-term factors satisfy the exact winding-zero identity"""
     rng = np.random.default_rng(int(params["seed"]))
     count = int(params["count"])
     worst = 0.0
     for _ in range(count):
-        data = random_three_term_pair(rng)
-        c_minus = TWO_PI * data.g_minus.coefficient(0)
-        c_plus = TWO_PI * data.g_plus.coefficient(0)
-        defect = (abs(c_minus) ** 2 + abs(c_plus) ** 2) / math.pi
-        for r in profile_radii(data.window, int(params["grid"]), inset=1e-3):
-            length = circle_length(data, r)
-            residual = abs(circle_length_dd(data, r) - (4.0 * length - defect))
-            worst = max(worst, residual / length)
+        _, residual = _three_term_residual(random_three_term_pair(rng), int(params["grid"]))
+        worst = max(worst, residual)
     report.quantities["datasets"] = float(count)
     report.quantities["max_relative_residual"] = worst
     report.add_check("identity", worst <= IDENTITY_TOL, IDENTITY_TOL - worst)
-    return report
 
 
-def _perturbed_from_params(params: dict, data=None) -> WeierstrassData:
-    if data is not None:
-        return data
-    return perturbed_two_cover(
-        complex(params["c1"]), complex(params["eps1"]), margin=float(params["margin"])
-    )
-
-
-def _figure_eight_from_params(params: dict, data=None) -> WeierstrassData:
-    if data is not None:
-        return data
-    a_0 = params.get("a_0")
-    if a_0 is None:
-        return figure_eight(
-            complex(params["a_m1"]), complex(params["a_1"]), margin=float(params["margin"])
-        )
-    # Explicit a_0 bypasses the derived constraint so that deliberately
-    # inconsistent data can be fed to the period checks.
-    a_m1 = complex(params["a_m1"])
-    a_1 = complex(params["a_1"])
-    a_0 = complex(a_0)
-    g_minus = LaurentPoly({-1: a_m1, 0: a_0, 1: a_1})
-    g_plus = g_minus.conj_reflect()
-    window = admissible_annulus(g_minus, g_plus, float(params["margin"]))
-    return from_g_pair(g_minus, g_plus, Parity.EVEN, window)
-
-
-def _thin_slab(data: WeierstrassData, half: float) -> Slab:
-    return clip_to_slab(data, Slab(-abs(half), abs(half)))
-
-
-def _run_theorem_3_5(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("theorem_3_5")
-    data = _perturbed_from_params(params, data)
-    if not _period_checks(report, data):
-        return report
+@_scenario(_PERTURBED, "perturbed_two_cover")
+def _theorem_3_5(report: MeasureReport, data, params: dict, n_theta: int):
+    """perturbed double cover: constant negative upper-convexity defect"""
     _winding_check(report, data, 2)
     eps1 = complex(data.g_minus.coefficient(0))
     eps2 = complex(data.g_plus.coefficient(0))
@@ -444,7 +483,6 @@ def _run_theorem_3_5(params: dict, n_theta: int, data=None) -> MeasureReport:
         "dd_defect_identity", worst_residual <= IDENTITY_TOL, IDENTITY_TOL - worst_residual
     )
     report.add_check("dd_below_4L", worst_defect < 0.0, -worst_defect)
-    return report
 
 
 def _symmetry_deviation(data: WeierstrassData, n_grid: int = 32) -> float:
@@ -461,14 +499,15 @@ def _symmetry_deviation(data: WeierstrassData, n_grid: int = 32) -> float:
     return float(np.max(np.abs(reflected - direct * flip)))
 
 
-def _run_prop_3_6_symmetry(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("prop_3_6_symmetry")
+@_scenario({**_PERTURBED, **_FIGURE_EIGHT, "grid": 32})
+def _prop_3_6_symmetry(report: MeasureReport, data, params: dict, n_theta: int):
+    """conjugate-coefficient families are reflection symmetric"""
     if data is not None:
         instances = {"data": data}
     else:
         instances = {
-            "perturbed": _perturbed_from_params(params),
-            "figure_eight": _figure_eight_from_params(params),
+            "perturbed": _build("perturbed_two_cover", params),
+            "figure_eight": _build("figure_eight", params),
         }
     for label, data in instances.items():
         dev = _symmetry_deviation(data, int(params["grid"]))
@@ -486,91 +525,63 @@ def _run_prop_3_6_symmetry(params: dict, n_theta: int, data=None) -> MeasureRepo
             HORIZONTAL_FLUX_TOL * fl.f3 - horiz,
         )
         report.add_check(f"{label}_coefficient_symmetry", symmetry_check(data), 0.0)
-    return report
 
 
-def _run_prop_3_7(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("prop_3_7")
-    data = _perturbed_from_params(params, data)
-    if not _period_checks(report, data):
-        return report
-    f3 = flux(data).f3
-    slab = _thin_slab(data, float(params["slab_half"]))
-    cat = CatenoidParams(f3=f3, center=0.0, cover=2)
-    sub = compare_lengths(
-        data, cat, slab, int(params["grid"]), expect="below", n_theta=n_theta
+@_scenario({**_PERTURBED, "slab_half": 0.2, "grid": 33}, "perturbed_two_cover")
+def _prop_3_7(report: MeasureReport, data, params: dict, n_theta: int):
+    """perturbed double cover levels against the matched doubled catenoid"""
+    cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=2)
+    report.merge(
+        compare_lengths(
+            data, cat, _thin_slab(data, params), int(params["grid"]),
+            expect="below", n_theta=n_theta,
+        )
     )
-    report.quantities.update(sub.quantities)
-    report.verdicts.update(sub.verdicts)
-    return report
 
 
-def _run_theorem_3_8(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("theorem_3_8")
-    data = _perturbed_from_params(params, data)
-    if not _period_checks(report, data):
-        return report
-    f3 = flux(data).f3
-    slab = _thin_slab(data, float(params["slab_half"]))
-    cat = CatenoidParams(f3=f3, center=0.0, cover=2)
-    sub = compare_areas(data, cat, slab, expect="below", n_theta=n_theta)
-    report.quantities.update(sub.quantities)
-    report.verdicts.update(sub.verdicts)
+@_scenario({**_PERTURBED, "slab_half": 0.2}, "perturbed_two_cover")
+def _theorem_3_8(report: MeasureReport, data, params: dict, n_theta: int):
+    """perturbed double cover area against the matched doubled catenoid"""
+    cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=2)
+    report.merge(
+        compare_areas(data, cat, _thin_slab(data, params), expect="below", n_theta=n_theta)
+    )
 
     # eps -> 0 control: the same measurement on the unperturbed cover must
     # collapse to the closed form within quadrature error.
-    control_params = dict(params)
-    control_params["eps1"] = 0.0
-    control = _perturbed_from_params(control_params)
-    f3c = flux(control).f3
-    slab_c = _thin_slab(control, float(params["slab_half"]))
-    cat_c = CatenoidParams(f3=f3c, center=0.0, cover=2)
+    control = _build("perturbed_two_cover", {**params, "eps1": 0.0})
+    slab_c = _thin_slab(control, params)
+    cat_c = CatenoidParams(f3=flux(control).f3, center=0.0, cover=2)
     area_control = slab_area(control, slab_c, n_theta)
     area_closed = catenoid_area(cat_c, slab_c)
     rel = abs(area_control - area_closed) / area_closed
     report.quantities["control_relative_margin"] = rel
     report.add_check("control_margin_collapses", rel <= IDENTITY_TOL, IDENTITY_TOL - rel)
-    return report
 
 
-def _run_theorem_4_1(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("theorem_4_1")
-    data = _figure_eight_from_params(params, data)
-    if not _period_checks(report, data):
-        return report
+@_scenario({**_FIGURE_EIGHT, "slab_half": 0.25, "grid": 50, "levels": 9}, "figure_eight")
+def _theorem_4_1(report: MeasureReport, data, params: dict, n_theta: int):
+    """figure-eight convexity band and single self-crossing per level"""
     _winding_check(report, data, 0)
     conv = convexity_report(data, n_grid=int(params["grid"]))
     report.quantities["dd_minus_2L_min"] = conv.defect_min["2"]
     report.quantities["dd_minus_4L_max"] = conv.defect_max["4"]
     report.add_check("dd_above_2L", conv.defect_min["2"] > 0.0, conv.defect_min["2"])
     report.add_check("dd_below_4L", conv.defect_max["4"] < 0.0, -conv.defect_max["4"])
-    slab = _thin_slab(data, float(params["slab_half"]))
-    sub = classify_levels(
-        data, slab, int(params["levels"]), expected_crossings=1, n_theta=n_theta
+    levels = classify_levels(
+        data, _thin_slab(data, params), int(params["levels"]),
+        expected_crossings=1, n_theta=n_theta,
     )
-    report.quantities["crossings_min"] = sub.quantities["crossings_min"]
-    report.quantities["crossings_max"] = sub.quantities["crossings_max"]
-    report.verdicts.update(sub.verdicts)
-    return report
+    report.merge(levels, quantities=("crossings_min", "crossings_max"))
 
 
-def _run_corollary_4_2(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("corollary_4_2")
-    data = _figure_eight_from_params(params, data)
-    if not _period_checks(report, data):
-        return report
+@_scenario({**_FIGURE_EIGHT, "fd_step": 0.01}, "figure_eight")
+def _corollary_4_2(report: MeasureReport, data, params: dict, n_theta: int):
+    """winding-zero second-derivative identity, closed form and traced"""
     f3 = flux(data).f3
     rate = TWO_PI / f3
-    c_minus = TWO_PI * data.g_minus.coefficient(0)
-    c_plus = TWO_PI * data.g_plus.coefficient(0)
-    defect = (abs(c_minus) ** 2 + abs(c_plus) ** 2) / math.pi
+    defect, worst = _three_term_residual(data, 50)
     report.quantities["identity_defect"] = defect
-
-    worst = 0.0
-    for r in profile_radii(data.window, 50, inset=1e-3):
-        length = circle_length(data, r)
-        residual = abs(circle_length_dd(data, r) - (4.0 * length - defect))
-        worst = max(worst, residual / length)
     report.quantities["max_relative_residual"] = worst
     report.add_check("identity_closed_form", worst <= IDENTITY_TOL, IDENTITY_TOL - worst)
 
@@ -604,46 +615,37 @@ def _run_corollary_4_2(params: dict, n_theta: int, data=None) -> MeasureReport:
     report.quantities["figure_eight_circle_dd0"] = rate**2 * (
         4.0 * circle_length(data, 1.0) - defect
     )
-    return report
 
 
-def _run_theorem_4_3(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("theorem_4_3")
-    data = _figure_eight_from_params(params, data)
-    if not _period_checks(report, data):
-        return report
-    f3 = flux(data).f3
-    slab = _thin_slab(data, float(params["slab_half"]))
+@_scenario({**_FIGURE_EIGHT, "slab_half": 0.25, "grid": 33}, "figure_eight")
+def _theorem_4_3(report: MeasureReport, data, params: dict, n_theta: int):
+    """figure-eight area above matched and marginally stable catenoids"""
+    slab = _thin_slab(data, params)
     h0, waist_len = waist_height(data, slab, n_theta=n_theta)
     report.quantities["waist_height"] = h0
     report.quantities["waist_length"] = waist_len
 
-    cat = CatenoidParams(f3=f3, center=h0, cover=1)
-    lengths = compare_lengths(
-        data, cat, slab, int(params["grid"]), expect="above", n_theta=n_theta
+    cat = CatenoidParams(f3=flux(data).f3, center=h0, cover=1)
+    report.merge(
+        compare_lengths(
+            data, cat, slab, int(params["grid"]), expect="above", n_theta=n_theta
+        ),
+        quantities={"traced_margin_min": "length_margin_min"},
+        verdicts=("traced_level_lengths",),
     )
-    report.quantities["length_margin_min"] = lengths.quantities["traced_margin_min"]
-    report.add_check(
-        "traced_level_lengths",
-        lengths.verdicts["traced_level_lengths"].passed,
-        lengths.verdicts["traced_level_lengths"].margin,
-    )
-
-    areas = compare_areas(
-        data, cat, slab, expect="above", include_marginal=True, n_theta=n_theta
-    )
-    report.quantities["area_sigma"] = areas.quantities["area_sigma"]
-    report.quantities["area_matched_catenoid"] = areas.quantities["area_catenoid"]
-    report.quantities["area_marginal_waist"] = areas.quantities["area_marginal_waist"]
-    report.add_check(
-        "area_above_matched_catenoid",
-        areas.verdicts["area_comparison"].passed,
-        areas.verdicts["area_comparison"].margin,
-    )
-    report.add_check(
-        "area_above_marginal",
-        areas.verdicts["area_above_marginal"].passed,
-        areas.verdicts["area_above_marginal"].margin,
+    report.merge(
+        compare_areas(
+            data, cat, slab, expect="above", include_marginal=True, n_theta=n_theta
+        ),
+        quantities={
+            "area_sigma": "area_sigma",
+            "area_catenoid": "area_matched_catenoid",
+            "area_marginal_waist": "area_marginal_waist",
+        },
+        verdicts={
+            "area_comparison": "area_above_matched_catenoid",
+            "area_above_marginal": "area_above_marginal",
+        },
     )
 
     ustar = marginal_waist_ratio()
@@ -653,36 +655,30 @@ def _run_theorem_4_3(params: dict, n_theta: int, data=None) -> MeasureReport:
         abs(ustar - 1.1996786402577338) <= 1e-6,
         1e-6 - abs(ustar - 1.1996786402577338),
     )
-    return report
 
 
-def _run_step_two(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("step_two")
-    data = _figure_eight_from_params(params, data)
-    if not _period_checks(report, data):
-        return report
-    f3 = flux(data).f3
-    slab = _thin_slab(data, float(params["slab_half"]))
-    cat = CatenoidParams(f3=f3, center=0.0, cover=2)
-    lengths = compare_lengths(
-        data, cat, slab, int(params["grid"]), expect="below", n_theta=n_theta
+@_scenario({**_FIGURE_EIGHT, "slab_half": 0.25, "grid": 33}, "figure_eight")
+def _step_two(report: MeasureReport, data, params: dict, n_theta: int):
+    """figure-eight levels and area below the matched doubled catenoid"""
+    slab = _thin_slab(data, params)
+    cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=2)
+    report.merge(
+        compare_lengths(
+            data, cat, slab, int(params["grid"]), expect="below", n_theta=n_theta
+        )
     )
-    report.quantities.update(lengths.quantities)
-    report.verdicts.update(lengths.verdicts)
-    areas = compare_areas(data, cat, slab, expect="below", n_theta=n_theta)
-    report.quantities["area_sigma"] = areas.quantities["area_sigma"]
-    report.quantities["area_catenoid"] = areas.quantities["area_catenoid"]
-    report.add_check(
-        "area_below_cover",
-        areas.verdicts["area_comparison"].passed,
-        areas.verdicts["area_comparison"].margin,
+    report.merge(
+        compare_areas(data, cat, slab, expect="below", n_theta=n_theta),
+        quantities=("area_sigma", "area_catenoid"),
+        verdicts={"area_comparison": "area_below_cover"},
     )
-    return report
 
 
-def _run_total_curvature_8pi(params: dict, n_theta: int, data=None) -> MeasureReport:
-    report = MeasureReport("total_curvature_8pi")
-    data = _figure_eight_from_params(params, data)
+@_scenario({**_FIGURE_EIGHT, "r_min": 1e-3, "r_max": 1e3})
+def _total_curvature_8pi(report: MeasureReport, data, params: dict, n_theta: int):
+    """total curvature of the extended figure-eight surface"""
+    if data is None:
+        data = _build("figure_eight", params)
     wide = AnnulusWindow(float(params["r_min"]), float(params["r_max"]))
     tc = total_curvature(data, window=wide, n_theta=n_theta)
     target = -8.0 * math.pi
@@ -698,88 +694,6 @@ def _run_total_curvature_8pi(params: dict, n_theta: int, data=None) -> MeasureRe
     report.quantities["catenoid_total_curvature"] = tc_ctrl
     report.quantities["catenoid_relative_error"] = rel_ctrl
     report.add_check("catenoid_4pi", rel_ctrl <= 0.001, 0.001 - rel_ctrl)
-    return report
-
-
-_FAMILY_DEFAULTS = {
-    "c1": 1.0 + 0.0j,
-    "eps1": 0.05 + 0.0j,
-    "a_m1": 1.0 + 0.0j,
-    "a_1": 1.0 + 0.0j,
-    "margin": DEFAULT_MARGIN,
-}
-
-SCENARIOS = {
-    "lemma_3_1": Scenario(
-        "lemma_3_1",
-        "strict lower convexity bound on random even vertical-flux data",
-        {"seed": DEFAULT_SEED, "count": 100, "max_exponent": 2, "grid": 24},
-    ),
-    "lemma_3_4_identity": Scenario(
-        "lemma_3_4_identity",
-        "three-term factors satisfy the exact winding-zero identity",
-        {"seed": DEFAULT_SEED, "count": 20, "grid": 24},
-    ),
-    "theorem_3_5": Scenario(
-        "theorem_3_5",
-        "perturbed double cover: constant negative upper-convexity defect",
-        dict(_FAMILY_DEFAULTS),
-    ),
-    "prop_3_6_symmetry": Scenario(
-        "prop_3_6_symmetry",
-        "conjugate-coefficient families are reflection symmetric",
-        {**_FAMILY_DEFAULTS, "grid": 32},
-    ),
-    "prop_3_7": Scenario(
-        "prop_3_7",
-        "perturbed double cover levels against the matched doubled catenoid",
-        {**_FAMILY_DEFAULTS, "slab_half": 0.2, "grid": 33},
-    ),
-    "theorem_3_8": Scenario(
-        "theorem_3_8",
-        "perturbed double cover area against the matched doubled catenoid",
-        {**_FAMILY_DEFAULTS, "slab_half": 0.2},
-    ),
-    "theorem_4_1": Scenario(
-        "theorem_4_1",
-        "figure-eight convexity band and single self-crossing per level",
-        {**_FAMILY_DEFAULTS, "slab_half": 0.25, "grid": 50, "levels": 9},
-    ),
-    "corollary_4_2": Scenario(
-        "corollary_4_2",
-        "winding-zero second-derivative identity, closed form and traced",
-        {**_FAMILY_DEFAULTS, "fd_step": 0.01},
-    ),
-    "theorem_4_3": Scenario(
-        "theorem_4_3",
-        "figure-eight area above matched and marginally stable catenoids",
-        {**_FAMILY_DEFAULTS, "slab_half": 0.25, "grid": 33},
-    ),
-    "step_two": Scenario(
-        "step_two",
-        "figure-eight levels and area below the matched doubled catenoid",
-        {**_FAMILY_DEFAULTS, "slab_half": 0.25, "grid": 33},
-    ),
-    "total_curvature_8pi": Scenario(
-        "total_curvature_8pi",
-        "total curvature of the extended figure-eight surface",
-        {**_FAMILY_DEFAULTS, "r_min": 1e-3, "r_max": 1e3},
-    ),
-}
-
-_RUNNERS = {
-    "lemma_3_1": _run_lemma_3_1,
-    "lemma_3_4_identity": _run_lemma_3_4_identity,
-    "theorem_3_5": _run_theorem_3_5,
-    "prop_3_6_symmetry": _run_prop_3_6_symmetry,
-    "prop_3_7": _run_prop_3_7,
-    "theorem_3_8": _run_theorem_3_8,
-    "theorem_4_1": _run_theorem_4_1,
-    "corollary_4_2": _run_corollary_4_2,
-    "theorem_4_3": _run_theorem_4_3,
-    "step_two": _run_step_two,
-    "total_curvature_8pi": _run_total_curvature_8pi,
-}
 
 
 def run_scenario(
@@ -787,6 +701,10 @@ def run_scenario(
 ) -> MeasureReport:
     """Execute a catalog scenario with optional parameter overrides.
 
+    A scenario with a family builds its instance from the parameters, or
+    takes ``data``, and is measured only when the period checks pass.
+    Overrides must be parameters the scenario reads; with ``data`` the
+    family parameters are rejected too, since nothing would read them.
     Inequality failures come back as failing verdicts.  Inadmissible
     parameters surface as a failing ``constructible`` verdict so sweeps can
     step over them; other geometry errors propagate.
@@ -795,14 +713,29 @@ def run_scenario(
         raise PreconditionError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
-    params = dict(SCENARIOS[name].defaults)
-    if overrides:
-        unknown = set(overrides) - set(params) - {"a_0", "b_0"}
-        if unknown:
-            raise PreconditionError(f"unknown parameters for {name}: {sorted(unknown)}")
-        params.update(overrides)
+    scenario = SCENARIOS[name]
+    params = dict(scenario.defaults)
+    overrides = dict(overrides or {})
+    # An explicit a_0 is read wherever a figure-eight is built.
+    accepted = set(params) | ({"a_0"} if "a_m1" in params else set())
+    unknown = set(overrides) - accepted
+    if unknown:
+        raise PreconditionError(f"unknown parameters for {name}: {sorted(unknown)}")
+    if data is not None:
+        if "seed" in params:
+            raise PreconditionError("scenario draws its own random ensemble")
+        ignored = set(overrides) & {*_PERTURBED, *_FIGURE_EIGHT, "a_0"}
+        if ignored:
+            raise PreconditionError(
+                f"{name} runs on the given data and would ignore {sorted(ignored)}"
+            )
+    params.update(overrides)
+    report = MeasureReport(name)
     try:
-        report = _RUNNERS[name](params, int(n_theta), data)
+        if scenario.family is not None and data is None:
+            data = _build(scenario.family, params)
+        if scenario.family is None or _period_checks(report, data):
+            scenario.measure(report, data, params, int(n_theta))
     except InadmissibleParametersError as exc:
         report = MeasureReport(name)
         report.add_check("constructible", False, -math.inf)

@@ -130,12 +130,13 @@ def _perturbed_data(params: PerturbedCoverParams, margin: float) -> WeierstrassD
 
 
 def perturbed_two_cover(
-    c1: complex, eps1: complex, symmetric: bool = True, margin: float = DEFAULT_MARGIN
+    c1: complex, eps1: complex, margin: float = DEFAULT_MARGIN
 ) -> WeierstrassData:
     """Double catenoid cover with an even perturbation of size eps1.
 
     The derived coefficient delta1 = -eps1^2 / (2 c1) keeps the factor means
-    zero; the symmetric second factor takes conjugated parameters.
+    zero; the symmetric second factor takes conjugated parameters, so this is
+    ``perturbed_two_cover_pair(c1, eps1, conj(c1), conj(eps1))``.
     """
     c1 = complex(c1)
     eps1 = complex(eps1)
@@ -143,10 +144,6 @@ def perturbed_two_cover(
         raise InadmissibleParametersError("c1 must be nonzero")
     if abs(eps1) >= abs(c1) / 4.0:
         raise InadmissibleParametersError("|eps1| must stay below |c1|/4")
-    if not symmetric:
-        raise InadmissibleParametersError(
-            "for an asymmetric pair use perturbed_two_cover_pair"
-        )
     delta1 = -(eps1**2) / (2.0 * c1)
     params = PerturbedCoverParams(
         c1=c1,
@@ -223,7 +220,7 @@ def _figure_eight_data(params: FigureEightParams, margin: float) -> WeierstrassD
 
 
 def figure_eight(
-    a_m1: complex, a_1: complex, symmetric: bool = True, margin: float = DEFAULT_MARGIN
+    a_m1: complex, a_1: complex, margin: float = DEFAULT_MARGIN
 ) -> WeierstrassData:
     """Winding-zero data whose levels trace a single figure-eight.
 
@@ -234,8 +231,6 @@ def figure_eight(
     a_1 = complex(a_1)
     if a_m1 == 0 or a_1 == 0:
         raise InadmissibleParametersError("the outer coefficients must be nonzero")
-    if not symmetric:
-        raise InadmissibleParametersError("for an asymmetric pair use figure_eight_pair")
     a_0 = cmath.sqrt(-2.0 * a_m1 * a_1)
     params = FigureEightParams(
         a_m1=a_m1,
@@ -251,7 +246,14 @@ def figure_eight(
 def figure_eight_pair(
     a_m1: complex, a_1: complex, b_m1: complex, b_1: complex, margin: float = DEFAULT_MARGIN
 ) -> WeierstrassData:
-    """Variant entry point with independently chosen factors."""
+    """Variant entry point with independently chosen factors.
+
+    a_0 and b_0 are the principal roots of -2 a_m1 a_1 and -2 b_m1 b_1.  So
+    a pair with conjugate-reflected outer coefficients is not the symmetric
+    family: ``figure_eight(1, 1)`` takes b_0 = conj(a_0) = -i sqrt 2, making
+    g_plus the conjugate reflection of g_minus, while
+    ``figure_eight_pair(1, 1, 1, 1)`` takes b_0 = +i sqrt 2.
+    """
     a_m1, a_1, b_m1, b_1 = map(complex, (a_m1, a_1, b_m1, b_1))
     if 0 in (a_m1, a_1, b_m1, b_1):
         raise InadmissibleParametersError("the outer coefficients must be nonzero")
@@ -302,11 +304,21 @@ def clip_to_slab(data: WeierstrassData, slab: Slab) -> Slab:
 
 
 def _complex_from_json(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, complex)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
     raise SchemaError(f"{what} must be a number or an [re, im] pair")
+
+
+# The params each family reads, keyed by (family, symmetric).
+_SPEC_PARAMS = {
+    ("catenoid_cover", True): {"k", "f3", "center"},
+    ("perturbed_two_cover", True): {"c1", "eps1"},
+    ("perturbed_two_cover", False): {"c1", "eps1", "c2", "eps2"},
+    ("figure_eight", True): {"a_m1", "a_1"},
+    ("figure_eight", False): {"a_m1", "a_1", "b_m1", "b_1"},
+}
 
 
 def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
@@ -314,7 +326,8 @@ def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
 
     The document is ``{"family": name, "params": {...}, "margin": m,
     "symmetric": bool}``; the catenoid entry also returns its closed-form
-    parameters.
+    parameters.  Params the family does not read, such as a second factor's
+    in a symmetric spec, are rejected.
     """
     if not isinstance(spec, dict):
         raise SchemaError("family spec must be a JSON object")
@@ -328,14 +341,19 @@ def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
         raise SchemaError("family params must be an object")
     margin = float(spec.get("margin", DEFAULT_MARGIN))
     symmetric = bool(spec.get("symmetric", True))
+    kind = "symmetric" if symmetric else "asymmetric"
+    if (name, symmetric) not in _SPEC_PARAMS:
+        raise SchemaError(f"unknown {kind} family {name!r}")
+    unread = set(params) - _SPEC_PARAMS[name, symmetric]
+    if unread:
+        raise SchemaError(f"{kind} {name} does not read params {sorted(unread)}")
     if name == "catenoid_cover":
-        data, cat = catenoid_cover(
+        return catenoid_cover(
             int(params.get("k", 1)),
             float(params.get("f3", TWO_PI)),
             center=float(params.get("center", 0.0)),
             margin=margin,
         )
-        return data, cat
     if name == "perturbed_two_cover":
         c1 = _complex_from_json(params.get("c1", 1.0), "c1")
         eps1 = _complex_from_json(params.get("eps1", 0.0), "eps1")
@@ -344,12 +362,10 @@ def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
         c2 = _complex_from_json(params.get("c2", c1.conjugate()), "c2")
         eps2 = _complex_from_json(params.get("eps2", eps1.conjugate()), "eps2")
         return perturbed_two_cover_pair(c1, eps1, c2, eps2, margin=margin), None
-    if name == "figure_eight":
-        a_m1 = _complex_from_json(params.get("a_m1", 1.0), "a_m1")
-        a_1 = _complex_from_json(params.get("a_1", 1.0), "a_1")
-        if symmetric:
-            return figure_eight(a_m1, a_1, margin=margin), None
-        b_m1 = _complex_from_json(params.get("b_m1", a_1.conjugate()), "b_m1")
-        b_1 = _complex_from_json(params.get("b_1", a_m1.conjugate()), "b_1")
-        return figure_eight_pair(a_m1, a_1, b_m1, b_1, margin=margin), None
-    raise SchemaError(f"unknown family {name!r}")
+    a_m1 = _complex_from_json(params.get("a_m1", 1.0), "a_m1")
+    a_1 = _complex_from_json(params.get("a_1", 1.0), "a_1")
+    if symmetric:
+        return figure_eight(a_m1, a_1, margin=margin), None
+    b_m1 = _complex_from_json(params.get("b_m1", a_1.conjugate()), "b_m1")
+    b_1 = _complex_from_json(params.get("b_1", a_m1.conjugate()), "b_1")
+    return figure_eight_pair(a_m1, a_1, b_m1, b_1, margin=margin), None

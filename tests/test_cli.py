@@ -86,6 +86,11 @@ class TestGen:
         assert main(args) == 2
         assert "eps1" in capsys.readouterr().err
 
+    def test_pair_flag_without_asymmetric_is_usage_error(self, capsys):
+        args = ["gen", "--family", "perturbed_two_cover", "--c1", "1", "--eps1", "0.05"]
+        assert main(args + ["--c2", "3"]) == 2
+        assert "c2" in capsys.readouterr().err
+
     def test_bad_complex_literal_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--family", "figure_eight", "--a-m1", "x", "--a-1", "1"])

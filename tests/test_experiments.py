@@ -290,8 +290,26 @@ class TestRunScenario:
             run_scenario("lemma_9_9")
 
     def test_unknown_parameter(self):
-        with pytest.raises(PreconditionError):
-            run_scenario("step_two", {"slab_width": 0.3})
+        data = figure_eight(1.0, 1.0)
+        cases = [
+            ("step_two", {"slab_width": 0.3}, None),
+            # scenarios take only the parameters of the family they build
+            ("step_two", {"c1": 2.0}, None),
+            ("step_two", {"eps1": 0.1}, None),
+            ("theorem_3_8", {"a_m1": 2.0}, None),
+            ("theorem_3_5", {"a_0": 1j}, None),
+            ("lemma_3_1", {"a_0": 1j}, None),
+            ("prop_3_6_symmetry", {"b_0": 1j}, None),
+            ("theorem_4_1", {"b_0": 1j}, None),
+            # with external data the family parameters would be ignored
+            ("theorem_4_3", {"a_m1": 2.0}, data),
+            ("theorem_4_1", {"a_0": 1j}, data),
+            ("prop_3_6_symmetry", {"eps1": 0.1}, data),
+            ("total_curvature_8pi", {"margin": 0.1}, data),
+        ]
+        for name, overrides, given in cases:
+            with pytest.raises(PreconditionError):
+                run_scenario(name, overrides, data=given)
 
     def test_deliberate_constraint_violation_fails_periods(self):
         # a_0 = i sqrt(1.9) leaves the squared factors with nonzero means

@@ -153,8 +153,12 @@ class TestPerturbedTwoCover:
         perturbed_two_cover(1.0, 0.2499)
 
     def test_asymmetric_flag_points_at_pair_constructor(self):
-        with pytest.raises(InadmissibleParametersError):
-            perturbed_two_cover(1.0, 0.05, symmetric=False)
+        # the symmetric constructor is the pair with conjugated parameters
+        c1, eps1 = 1.0 + 0.5j, 0.1 + 0.05j
+        data = perturbed_two_cover(c1, eps1)
+        pair = perturbed_two_cover_pair(c1, eps1, c1.conjugate(), eps1.conjugate())
+        assert data.g_minus.terms == pair.g_minus.terms
+        assert data.g_plus.terms == pair.g_plus.terms
 
     def test_pair_constructor_keeps_both_factors(self):
         data = perturbed_two_cover_pair(1.0, 0.05, 2.0, 0.1j)
@@ -210,8 +214,15 @@ class TestFigureEight:
             figure_eight(1.0, 0.0)
 
     def test_asymmetric_flag_points_at_pair_constructor(self):
-        with pytest.raises(InadmissibleParametersError):
-            figure_eight(1.0, 1.0, symmetric=False)
+        # the symmetric partner is the conjugate reflection, b_0 = -i sqrt 2;
+        # the pair constructor takes the principal root b_0 = +i sqrt 2
+        data = figure_eight(1.0, 1.0)
+        assert data.g_plus.terms == data.g_minus.conj_reflect().terms
+        assert data.g_plus.coefficient(0) == -1j * math.sqrt(2.0)
+        pair = figure_eight_pair(1.0, 1.0, 1.0, 1.0)
+        assert pair.g_minus.terms == data.g_minus.terms
+        assert pair.g_plus.coefficient(0) == 1j * math.sqrt(2.0)
+        assert pair.g_plus.terms != data.g_plus.terms
 
     def test_pair_rejects_non_straddling_factor(self):
         # second factor's roots (moduli ~5.18 and ~19.3) sit entirely outside
@@ -300,6 +311,12 @@ class TestFamilyFromSpec:
             {"family": "figure_eight", "params": [1, 2]},
             {"family": "figure_eight", "params": {"a_m1": [1, 2, 3]}},
             {"family": "figure_eight", "params": {"a_m1": "one"}},
+            {"family": "figure_eight", "params": {"a_m": 2}},
+            {"family": "figure_eight", "params": {"b_m1": 1.0, "b_1": 1.0}},
+            {"family": "perturbed_two_cover", "params": {"c2": 1.0, "eps2": 0.1}},
+            {"family": "perturbed_two_cover", "params": {"a_m1": 1.0}},
+            {"family": "catenoid_cover", "params": {"c1": 1.0}},
+            {"family": "catenoid_cover", "symmetric": False},
         ],
     )
     def test_schema_rejections(self, spec):
