@@ -77,11 +77,7 @@ def parse_param(text: str) -> tuple[str, object]:
     key, raw = text.split("=", 1)
     value: object
     if "," in raw:
-        try:
-            re_s, im_s = raw.split(",")
-            value = complex(float(re_s), float(im_s))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad complex value in {text!r}")
+        value = parse_complex(raw)
     else:
         try:
             value = int(raw)

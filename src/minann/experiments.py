@@ -42,7 +42,6 @@ from .measures import (
     catenoid_level_length,
     circle_length,
     circle_length_dd,
-    convexity_report,
     marginal_waist_ratio,
     marginally_stable_waist,
     slab_area,
@@ -154,9 +153,7 @@ def _provenance(name: str, params: dict, n_theta: int) -> dict:
 # -- generators ----------------------------------------------------------------
 
 
-def random_even_vertical_flux(
-    rng: np.random.Generator, max_exponent: int = 2, margin: float = DEFAULT_MARGIN
-) -> WeierstrassData:
+def random_even_vertical_flux(rng: np.random.Generator, max_exponent: int = 2) -> WeierstrassData:
     """Random even-parity data whose period check passes with vertical flux.
 
     Coefficients away from the constant term are standard complex normals;
@@ -179,7 +176,7 @@ def random_even_vertical_flux(
         g_minus = factor()
         g_plus = factor()
         try:
-            window = admissible_annulus(g_minus, g_plus, margin)
+            window = admissible_annulus(g_minus, g_plus)
             data = from_g_pair(g_minus, g_plus, Parity.EVEN, window)
         except GeometryError:
             continue
@@ -256,6 +253,8 @@ def compare_lengths(
     # located waist height.
     skip = 1e-6 * max(slab.h_plus - slab.h_minus, 1.0)
     kept = [h for h in heights if abs(h - cat.center) > skip]
+    if not kept:
+        raise PreconditionError("height grid contains no nonzero heights")
     waist, *curves = trace_levels(sigma, [cat.center, *kept], n_theta)
     waist_len = waist.length
     report.quantities["traced_waist_length"] = waist_len
@@ -265,18 +264,10 @@ def compare_lengths(
         WAIST_FLUX_TOL - abs(waist_len - f3) / f3,
     )
 
-    traced_margins = []
-    circle_margins = []
-    rate = TWO_PI / f3
-    for h, curve in zip(kept, curves):
-        l_cat = catenoid_level_length(cat, h)
-        traced_margins.append(sign * (l_cat - curve.length))
-        l_circle = circle_length(sigma, math.exp(rate * (h - cat.center)))
-        circle_margins.append(sign * (l_cat - l_circle))
-    if not traced_margins:
-        raise PreconditionError("height grid contains no nonzero heights")
-    traced_margins = np.array(traced_margins)
-    circle_margins = np.array(circle_margins)
+    l_cat = np.array([catenoid_level_length(cat, h) for h in kept])
+    traced_margins = sign * (l_cat - [curve.length for curve in curves])
+    radii = np.exp(TWO_PI / f3 * (np.array(kept) - cat.center))
+    circle_margins = sign * (l_cat - circle_length(sigma, radii))
     report.quantities["traced_margin_min"] = float(traced_margins.min())
     report.quantities["traced_margin_max"] = float(traced_margins.max())
     report.quantities["circle_margin_min"] = float(circle_margins.min())
@@ -409,6 +400,12 @@ def _thin_slab(data: WeierstrassData, params: dict) -> Slab:
     return clip_to_slab(data, Slab(-half, half))
 
 
+def _lengths_on_profile(data: WeierstrassData, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form L and L'' on the grid of profile radii."""
+    radii = profile_radii(data.window, grid, inset=1e-3)
+    return circle_length(data, radii), circle_length_dd(data, radii)
+
+
 def _three_term_residual(data: WeierstrassData, grid: int) -> tuple[float, float]:
     """Defect (|c-|^2 + |c+|^2)/pi of L'' = 4L - defect, c = 2 pi times a
     factor's constant coefficient, and the worst relative residual of that
@@ -416,12 +413,8 @@ def _three_term_residual(data: WeierstrassData, grid: int) -> tuple[float, float
     c_minus = TWO_PI * data.g_minus.coefficient(0)
     c_plus = TWO_PI * data.g_plus.coefficient(0)
     defect = (abs(c_minus) ** 2 + abs(c_plus) ** 2) / math.pi
-    worst = 0.0
-    for r in profile_radii(data.window, grid, inset=1e-3):
-        length = circle_length(data, r)
-        residual = abs(circle_length_dd(data, r) - (4.0 * length - defect))
-        worst = max(worst, residual / length)
-    return defect, worst
+    length, dd = _lengths_on_profile(data, grid)
+    return defect, float(np.max(np.abs(dd - (4.0 * length - defect)) / length))
 
 
 @_scenario({"seed": DEFAULT_SEED, "count": 100, "max_exponent": 2, "grid": 24})
@@ -432,11 +425,8 @@ def _lemma_3_1(report: MeasureReport, data, params: dict, n_theta: int):
     worst = math.inf
     for _ in range(count):
         sample = random_even_vertical_flux(rng, int(params["max_exponent"]))
-        radii = profile_radii(sample.window, int(params["grid"]), inset=1e-3)
-        defect = min(
-            circle_length_dd(sample, r) - 2.0 * circle_length(sample, r) for r in radii
-        )
-        worst = min(worst, defect)
+        length, dd = _lengths_on_profile(sample, int(params["grid"]))
+        worst = min(worst, float(np.min(dd - 2.0 * length)))
     report.quantities["datasets"] = float(count)
     report.quantities["min_defect"] = worst
     report.add_check("dd_above_2L", worst > 0.0, worst)
@@ -463,13 +453,10 @@ def _theorem_3_5(report: MeasureReport, data, params: dict, n_theta: int):
     eps1 = complex(data.g_minus.coefficient(0))
     eps2 = complex(data.g_plus.coefficient(0))
     expected = -4.0 * math.pi * (abs(eps1) ** 2 + abs(eps2) ** 2)
-    worst_residual = 0.0
-    worst_defect = -math.inf
-    for r in profile_radii(data.window, 50, inset=1e-3):
-        length = circle_length(data, r)
-        defect = circle_length_dd(data, r) - 4.0 * length
-        worst_residual = max(worst_residual, abs(defect - expected) / length)
-        worst_defect = max(worst_defect, defect)
+    length, dd = _lengths_on_profile(data, 50)
+    defect = dd - 4.0 * length
+    worst_residual = float(np.max(np.abs(defect - expected) / length))
+    worst_defect = float(np.max(defect))
     report.quantities["computed_defect"] = expected
     # Two alternate -8 pi |eps|^2 normalizations reported for comparison; the
     # mean-square one always equals the computed defect.
@@ -563,11 +550,13 @@ def _theorem_3_8(report: MeasureReport, data, params: dict, n_theta: int):
 def _theorem_4_1(report: MeasureReport, data, params: dict, n_theta: int):
     """figure-eight convexity band and single self-crossing per level"""
     _winding_check(report, data, 0)
-    conv = convexity_report(data, n_grid=int(params["grid"]))
-    report.quantities["dd_minus_2L_min"] = conv.defect_min["2"]
-    report.quantities["dd_minus_4L_max"] = conv.defect_max["4"]
-    report.add_check("dd_above_2L", conv.defect_min["2"] > 0.0, conv.defect_min["2"])
-    report.add_check("dd_below_4L", conv.defect_max["4"] < 0.0, -conv.defect_max["4"])
+    length, dd = _lengths_on_profile(data, int(params["grid"]))
+    above_2l = float(np.min(dd - 2.0 * length))
+    below_4l = float(np.max(dd - 4.0 * length))
+    report.quantities["dd_minus_2L_min"] = above_2l
+    report.quantities["dd_minus_4L_max"] = below_4l
+    report.add_check("dd_above_2L", above_2l > 0.0, above_2l)
+    report.add_check("dd_below_4L", below_4l < 0.0, -below_4l)
     levels = classify_levels(
         data, _thin_slab(data, params), int(params["levels"]),
         expected_crossings=1, n_theta=n_theta,
@@ -592,15 +581,12 @@ def _corollary_4_2(report: MeasureReport, data, params: dict, n_theta: int):
     # structurally off the waist.
     cover, cat = catenoid_cover(2, f3)
     step = float(params["fd_step"])
-    worst_cover = 0.0
-    centers = (0.0, 0.1, -0.15)
+    centers = np.array([0.0, 0.1, -0.15])
     stencils = [h + k * step for h in centers for k in (-1, 0, 1)]
-    lengths = [curve.length for curve in trace_levels(cover, stencils, n_theta)]
-    for i, h in enumerate(centers):
-        vals = lengths[3 * i : 3 * i + 3]
-        fd = (vals[0] - 2.0 * vals[1] + vals[2]) / step**2
-        closed = rate**2 * circle_length_dd(cover, math.exp(rate * h))
-        worst_cover = max(worst_cover, abs(fd - closed) / abs(closed))
+    vals = np.array([curve.length for curve in trace_levels(cover, stencils, n_theta)])
+    fd = (vals[0::3] - 2.0 * vals[1::3] + vals[2::3]) / step**2
+    closed = rate**2 * circle_length_dd(cover, np.exp(rate * centers))
+    worst_cover = float(np.max(np.abs(fd - closed) / np.abs(closed)))
     report.quantities["cover_fd_relative_error"] = worst_cover
     report.add_check(
         "traced_fd_consistency_cover",

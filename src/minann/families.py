@@ -20,7 +20,7 @@ from .errors import (
     InadmissibleParametersError,
     SchemaError,
 )
-from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots
+from .laurent import COEFF_REL_TOL, TWO_PI, AnnulusWindow, LaurentPoly, roots
 from .measures import CatenoidParams
 from .weierstrass import Parity, Slab, WeierstrassData, _immersion, from_g_pair
 
@@ -108,11 +108,11 @@ class PerturbedCoverParams:
     eps2: complex
     delta2: complex
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         s = max(abs(self.c1), abs(self.c2), 1e-300)
-        if abs(self.eps1**2 + 2.0 * self.delta1 * self.c1) > tol * s**2:
+        if abs(self.eps1**2 + 2.0 * self.delta1 * self.c1) > COEFF_REL_TOL * s**2:
             raise InadmissibleParametersError("first factor violates its mean constraint")
-        if abs(self.eps2**2 + 2.0 * self.delta2 * self.c2) > tol * s**2:
+        if abs(self.eps2**2 + 2.0 * self.delta2 * self.c2) > COEFF_REL_TOL * s**2:
             raise InadmissibleParametersError("second factor violates its mean constraint")
 
     def g_minus(self) -> LaurentPoly:
@@ -120,13 +120,6 @@ class PerturbedCoverParams:
 
     def g_plus(self) -> LaurentPoly:
         return LaurentPoly({-1: self.c2, 0: self.eps2, 1: self.delta2})
-
-
-def _perturbed_data(params: PerturbedCoverParams, margin: float) -> WeierstrassData:
-    params.validate()
-    gm, gp = params.g_minus(), params.g_plus()
-    window = admissible_annulus(gm, gp, margin)
-    return from_g_pair(gm, gp, Parity.EVEN, window)
 
 
 def perturbed_two_cover(
@@ -140,31 +133,23 @@ def perturbed_two_cover(
     """
     c1 = complex(c1)
     eps1 = complex(eps1)
-    if c1 == 0:
-        raise InadmissibleParametersError("c1 must be nonzero")
-    if abs(eps1) >= abs(c1) / 4.0:
-        raise InadmissibleParametersError("|eps1| must stay below |c1|/4")
-    delta1 = -(eps1**2) / (2.0 * c1)
-    params = PerturbedCoverParams(
-        c1=c1,
-        eps1=eps1,
-        delta1=delta1,
-        c2=c1.conjugate(),
-        eps2=eps1.conjugate(),
-        delta2=delta1.conjugate(),
-    )
-    return _perturbed_data(params, margin)
+    return perturbed_two_cover_pair(c1, eps1, c1.conjugate(), eps1.conjugate(), margin)
 
 
 def perturbed_two_cover_pair(
     c1: complex, eps1: complex, c2: complex, eps2: complex, margin: float = DEFAULT_MARGIN
 ) -> WeierstrassData:
-    """Variant entry point with independently chosen factors."""
+    """Variant entry point with independently chosen factors.
+
+    Each factor is checked in turn, and a failure names that factor's
+    parameters (c1 and eps1, then c2 and eps2).
+    """
     c1, eps1, c2, eps2 = map(complex, (c1, eps1, c2, eps2))
-    if c1 == 0 or c2 == 0:
-        raise InadmissibleParametersError("cover coefficients must be nonzero")
-    if abs(eps1) >= abs(c1) / 4.0 or abs(eps2) >= abs(c2) / 4.0:
-        raise InadmissibleParametersError("perturbations must stay below |c|/4")
+    for k, c, eps in ((1, c1, eps1), (2, c2, eps2)):
+        if c == 0:
+            raise InadmissibleParametersError(f"c{k} must be nonzero")
+        if abs(eps) >= abs(c) / 4.0:
+            raise InadmissibleParametersError(f"|eps{k}| must stay below |c{k}|/4")
     params = PerturbedCoverParams(
         c1=c1,
         eps1=eps1,
@@ -173,7 +158,10 @@ def perturbed_two_cover_pair(
         eps2=eps2,
         delta2=-(eps2**2) / (2.0 * c2),
     )
-    return _perturbed_data(params, margin)
+    params.validate()
+    gm, gp = params.g_minus(), params.g_plus()
+    window = admissible_annulus(gm, gp, margin)
+    return from_g_pair(gm, gp, Parity.EVEN, window)
 
 
 # -- figure-eight family -------------------------------------------------------------
@@ -190,11 +178,11 @@ class FigureEightParams:
     b_0: complex
     b_1: complex
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         s = max(abs(self.a_m1), abs(self.a_1), abs(self.b_m1), abs(self.b_1), 1e-300)
-        if abs(self.a_0**2 + 2.0 * self.a_m1 * self.a_1) > tol * s**2:
+        if abs(self.a_0**2 + 2.0 * self.a_m1 * self.a_1) > COEFF_REL_TOL * s**2:
             raise InadmissibleParametersError("first factor violates its mean constraint")
-        if abs(self.b_0**2 + 2.0 * self.b_m1 * self.b_1) > tol * s**2:
+        if abs(self.b_0**2 + 2.0 * self.b_m1 * self.b_1) > COEFF_REL_TOL * s**2:
             raise InadmissibleParametersError("second factor violates its mean constraint")
 
     def g_minus(self) -> LaurentPoly:
@@ -327,7 +315,8 @@ def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
     The document is ``{"family": name, "params": {...}, "margin": m,
     "symmetric": bool}``; the catenoid entry also returns its closed-form
     parameters.  Params the family does not read, such as a second factor's
-    in a symmetric spec, are rejected.
+    in a symmetric spec, are rejected, and an asymmetric spec must name its
+    second factor.
     """
     if not isinstance(spec, dict):
         raise SchemaError("family spec must be a JSON object")
@@ -347,6 +336,11 @@ def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
     unread = set(params) - _SPEC_PARAMS[name, symmetric]
     if unread:
         raise SchemaError(f"{kind} {name} does not read params {sorted(unread)}")
+    if not symmetric:
+        # The second factor's params, which the symmetric spec derives, have no default.
+        missing = _SPEC_PARAMS[name, False] - _SPEC_PARAMS[name, True] - set(params)
+        if missing:
+            raise SchemaError(f"asymmetric {name} needs params {sorted(missing)}")
     if name == "catenoid_cover":
         return catenoid_cover(
             int(params.get("k", 1)),
@@ -359,13 +353,13 @@ def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
         eps1 = _complex_from_json(params.get("eps1", 0.0), "eps1")
         if symmetric:
             return perturbed_two_cover(c1, eps1, margin=margin), None
-        c2 = _complex_from_json(params.get("c2", c1.conjugate()), "c2")
-        eps2 = _complex_from_json(params.get("eps2", eps1.conjugate()), "eps2")
+        c2 = _complex_from_json(params["c2"], "c2")
+        eps2 = _complex_from_json(params["eps2"], "eps2")
         return perturbed_two_cover_pair(c1, eps1, c2, eps2, margin=margin), None
     a_m1 = _complex_from_json(params.get("a_m1", 1.0), "a_m1")
     a_1 = _complex_from_json(params.get("a_1", 1.0), "a_1")
     if symmetric:
         return figure_eight(a_m1, a_1, margin=margin), None
-    b_m1 = _complex_from_json(params.get("b_m1", a_1.conjugate()), "b_m1")
-    b_1 = _complex_from_json(params.get("b_1", a_m1.conjugate()), "b_1")
+    b_m1 = _complex_from_json(params["b_m1"], "b_m1")
+    b_1 = _complex_from_json(params["b_1"], "b_1")
     return figure_eight_pair(a_m1, a_1, b_m1, b_1, margin=margin), None

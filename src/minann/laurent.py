@@ -227,7 +227,7 @@ class LaurentPoly:
 
     # -- exact division and square root -------------------------------------------
 
-    def divide_exact(self, den: "LaurentPoly", rel_tol: float = COEFF_REL_TOL) -> "LaurentPoly":
+    def divide_exact(self, den: "LaurentPoly") -> "LaurentPoly":
         """Quotient self/den when it is again a finite Laurent expression.
 
         Performs ordinary long division after shifting both operands to plain
@@ -253,12 +253,12 @@ class LaurentPoly:
         for k in range(qdeg, -1, -1):
             q[k] = work[k + den_deg] / dvec[den_deg]
             work[k : k + den_deg + 1] -= q[k] * dvec
-        if np.max(np.abs(work)) > rel_tol * max(scale, PRUNE_EPS):
+        if np.max(np.abs(work)) > COEFF_REL_TOL * max(scale, PRUNE_EPS):
             raise UnsupportedDataError("division leaves a remainder")
         qlow = self.lowest - den.lowest
         return LaurentPoly(tuple((qlow + k, q[k]) for k in range(qdeg + 1)))
 
-    def sqrt_exact(self, rel_tol: float = COEFF_REL_TOL):
+    def sqrt_exact(self):
         """Exact Laurent square root, or None when no such expression exists.
 
         The leading coefficient takes its principal root and the rest follow
@@ -281,7 +281,7 @@ class LaurentPoly:
             g[k] = (f[k] - s) / (2.0 * g[0])
         cand = LaurentPoly(tuple((lo // 2 + k, g[k]) for k in range(gdeg + 1)))
         resid = cand * cand - self
-        if resid.max_abs_coeff > rel_tol * max(self.max_abs_coeff, PRUNE_EPS):
+        if resid.max_abs_coeff > COEFF_REL_TOL * max(self.max_abs_coeff, PRUNE_EPS):
             return None
         return cand
 
@@ -459,7 +459,7 @@ def _roots_accepted(c, z, tol) -> bool:
     return bool(np.all(pv <= tol * scale))
 
 
-def winding_on_circle(p: LaurentPoly, r: float, *, root_tol: float = CIRCLE_ROOT_TOL) -> int:
+def winding_on_circle(p: LaurentPoly, r: float) -> int:
     """Winding number of theta -> p(r e^{i theta}) about 0, computed
 
     algebraically as (roots strictly inside) + lowest exponent.
@@ -467,7 +467,7 @@ def winding_on_circle(p: LaurentPoly, r: float, *, root_tol: float = CIRCLE_ROOT
     r = _positive_radius(r)
     inside = 0
     for z in roots(p):
-        if abs(abs(z) - r) <= root_tol * r:
+        if abs(abs(z) - r) <= CIRCLE_ROOT_TOL * r:
             raise DegenerateContourError(
                 f"root modulus {abs(z):.12g} sits on the circle r = {r:.12g}"
             )

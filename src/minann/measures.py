@@ -26,7 +26,6 @@ from .weierstrass import (
     WeierstrassData,
     _immersion,
     metric_lambda_samples,
-    winding_class,
 )
 
 DEFAULT_THETA_NODES = 4096
@@ -35,6 +34,12 @@ LEVEL_SOLVE_MAX_STEPS = 64  # covers pure bisection of any window down to round-
 LEVEL_HEIGHT_TOL = 1e-9
 MAX_SOLVE_RAYS = 2048  # rays per batched level solve; bounds its peak memory
 CROSSING_MERGE_TOL = 1e-9
+TRAVERSAL_TOL = 1e-9  # node repeat distance, relative to the largest coordinate
+CURVATURE_TOL = 1e-10  # adaptive panel error budget, relative to the coarse sum
+CURVATURE_MAX_DEPTH = 24  # panel bisections before a panel is accepted as is
+MARGINAL_RATIO_TOL = 1e-12  # bracket width of the coth(u) = u bisection
+WAIST_COARSE_HEIGHTS = 17  # heights in the waist search's first scan
+WAIST_TOL = 1e-8  # golden-section bracket width, relative to its heights
 
 
 # -- circle length and its convexity -------------------------------------------
@@ -50,27 +55,39 @@ def _length_terms(data: WeierstrassData) -> list[tuple[int, float]]:
     return [(2 * n + shift, abs(c) ** 2) for g in (data.g_minus, data.g_plus) for n, c in g.terms]
 
 
-def circle_length(data: WeierstrassData, r: float, n_theta: int = DEFAULT_THETA_NODES) -> float:
+def _length_sum(data: WeierstrassData, r, order: int):
+    """pi * sum |c|^2 e^order r^e over _length_terms, for a radius or an array of radii.
+
+    Every radius must lie strictly inside the window, or DomainError.
+    """
+    radii = np.asarray(r, dtype=float)
+    outside = ~((radii > data.window.r_inner) & (radii < data.window.r_outer))
+    if np.any(outside):
+        raise DomainError(f"radius {float(radii[outside][0])!r} outside the data window")
+    # Powers of ``r`` itself: a float radius keeps scalar pow, which numpy's
+    # vectorized power can differ from in the last bit.
+    return math.pi * sum(float(e**order) * w * r**e for e, w in _length_terms(data))
+
+
+def circle_length(data: WeierstrassData, r, n_theta: int = DEFAULT_THETA_NODES):
     """Length of the image of |z| = r: half the circle integral of
 
     |f_minus| + |f_plus|, in closed form (Parseval) from the factor
-    coefficients.  ``n_theta`` is ignored; it stays in the signature because
+    coefficients.  ``r`` is a radius or an array of radii, and the result
+    has its shape.  ``n_theta`` is ignored; it stays in the signature because
     span tracers read it by name as this layer's node count.
     """
-    if not data.window.contains(r):
-        raise DomainError(f"radius {r!r} outside the data window")
-    return math.pi * sum(w * r**e for e, w in _length_terms(data))
+    return _length_sum(data, r, 0)
 
 
-def circle_length_dd(data: WeierstrassData, r: float) -> float:
+def circle_length_dd(data: WeierstrassData, r):
     """Closed-form second derivative of circle_length in t = ln r.
 
     Term-by-term: each squared coefficient rides a pure power r^e, so the
-    log-derivative just multiplies it by e^2.
+    log-derivative just multiplies it by e^2.  ``r`` is a radius or an array
+    of radii.
     """
-    if not data.window.contains(r):
-        raise DomainError(f"radius {r!r} outside the data window")
-    return math.pi * sum(float(e * e) * w * r**e for e, w in _length_terms(data))
+    return _length_sum(data, r, 2)
 
 
 def circle_length_dd_fd(
@@ -125,39 +142,14 @@ def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.
     return np.exp(np.linspace(lo + inset * span, hi - inset * span, int(n_grid)))
 
 
-def length_profile(data: WeierstrassData, radii=None, n_grid: int = 32) -> CircleLengthProfile:
-    if radii is None:
-        radii = profile_radii(data.window, n_grid, inset=1e-3)
-    samples = tuple(
-        (math.log(r), circle_length(data, r), circle_length_dd(data, r))
-        for r in radii
+def length_profile(data: WeierstrassData, n_grid: int = 32) -> CircleLengthProfile:
+    radii = profile_radii(data.window, n_grid, inset=1e-3)
+    samples = zip(
+        np.log(radii).tolist(),
+        circle_length(data, radii).tolist(),
+        circle_length_dd(data, radii).tolist(),
     )
-    return CircleLengthProfile(samples)
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Extremes of L'' - c L over a grid for c in {k^2, 2, 4}."""
-
-    winding: int
-    profile: CircleLengthProfile
-    defect_min: dict
-    defect_max: dict
-
-    def defect_bounds(self, key: str) -> tuple[float, float]:
-        return self.defect_min[key], self.defect_max[key]
-
-
-def convexity_report(data: WeierstrassData, radii=None, n_grid: int = 32) -> ConvexityReport:
-    k = winding_class(data)
-    profile = length_profile(data, radii=radii, n_grid=n_grid)
-    factors = {"ksq": float(k * k), "2": 2.0, "4": 4.0}
-    dmin, dmax = {}, {}
-    for key, c in factors.items():
-        defects = [ldd - c * l for (_, l, ldd) in profile.samples]
-        dmin[key] = min(defects)
-        dmax[key] = max(defects)
-    return ConvexityReport(winding=k, profile=profile, defect_min=dmin, defect_max=dmax)
+    return CircleLengthProfile(tuple(samples))
 
 
 # -- level curves ----------------------------------------------------------------
@@ -172,8 +164,6 @@ def level_radii(
     data: WeierstrassData,
     h,
     thetas: np.ndarray,
-    *,
-    rel_tol: float = LEVEL_SOLVE_TOL,
 ) -> np.ndarray:
     """Radii r(theta) with height(r e^{i theta}) = h, one per ray.
 
@@ -187,7 +177,7 @@ def level_radii(
     Bracket-safeguarded Newton in t = log r: every ray starts from the
     window's bracket at the secant point of its end heights, keeps the
     bracket around the root, and bisects whenever a Newton step would leave
-    it.  A ray is frozen after a step below rel_tol * max(1, |t|); Newton
+    it.  A ray is frozen after a step below LEVEL_SOLVE_TOL * max(1, |t|); Newton
     converges quadratically, so that step leaves the ray at round-off.
     Raises HeightRangeError if a height is not attained on every ray and
     NonMonotoneRayError if the ray direction cannot be certified.
@@ -202,11 +192,11 @@ def level_radii(
     out = np.empty((rows.size, thetas.size))
     step = _levels_per_solve(thetas.size)
     for i in range(0, rows.size, step):
-        out[i : i + step] = _solve_levels(data, rows[i : i + step], thetas, rel_tol)
+        out[i : i + step] = _solve_levels(data, rows[i : i + step], thetas)
     return out if heights.ndim else out[0]
 
 
-def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray, rel_tol: float):
+def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
     """One batched Newton solve: radii of shape (len(hs), len(thetas))."""
     imm = _immersion(data)
     sign = imm.ray_sign
@@ -237,7 +227,7 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray, rel
         newton = (t_new >= a_lo) & (t_new <= a_hi)
         t[active] = np.where(newton, t_new, 0.5 * (a_lo + a_hi))
         scale = np.maximum(1.0, np.abs(ta))
-        done = newton & (np.abs(step) <= rel_tol * scale)
+        done = newton & (np.abs(step) <= LEVEL_SOLVE_TOL * scale)
         done |= a_hi - a_lo <= 4.0 * np.spacing(scale)
         active = active[~done]
         if active.size == 0:
@@ -350,9 +340,7 @@ def trace_level(data: WeierstrassData, h: float, n_theta: int = 512) -> LevelCur
     return trace_levels(data, [h], n_theta)[0]
 
 
-def planar_self_intersections(
-    xy: np.ndarray, merge_tol: float = CROSSING_MERGE_TOL
-) -> tuple[int, list[tuple[float, float]]]:
+def planar_self_intersections(xy: np.ndarray) -> tuple[int, list[tuple[float, float]]]:
     """Count transversal self-crossings of a closed polyline.
 
     Candidate segment pairs come from a sort-and-sweep over x (Shamos & Hoey
@@ -361,7 +349,7 @@ def planar_self_intersections(
     search.  The y-overlap, adjacency and strict orientation tests then run
     on the candidates only, so the cost is O(n log n + k) for k candidates
     instead of O(n^2).  Crossings are visited in (i, j) order of their
-    segment indices and merged within merge_tol, so a crossing shared by
+    segment indices and merged within CROSSING_MERGE_TOL, so a crossing shared by
     neighbouring segment pairs counts once.
     """
     p = np.asarray(xy, dtype=float)
@@ -373,15 +361,15 @@ def planar_self_intersections(
     lo_x = lo[order, 0]
     # Sorted position k overlaps in x every later position m < end[k]; the
     # reverse condition lo_x[k] <= hi_x[m] holds because lo_x is sorted.
-    end = np.searchsorted(lo_x, hi[order, 0] + merge_tol, side="right")
+    end = np.searchsorted(lo_x, hi[order, 0] + CROSSING_MERGE_TOL, side="right")
     run = end - np.arange(n) - 1
     first = np.repeat(np.arange(n), run)
     second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(run) - run, run)
     i_idx = np.minimum(order[first], order[second])
     j_idx = np.maximum(order[first], order[second])
     keep = (j_idx - i_idx >= 2) & ~((i_idx == 0) & (j_idx == n - 1))  # adjacency
-    keep &= lo[i_idx, 1] <= hi[j_idx, 1] + merge_tol
-    keep &= lo[j_idx, 1] <= hi[i_idx, 1] + merge_tol
+    keep &= lo[i_idx, 1] <= hi[j_idx, 1] + CROSSING_MERGE_TOL
+    keep &= lo[j_idx, 1] <= hi[i_idx, 1] + CROSSING_MERGE_TOL
     i_idx, j_idx = i_idx[keep], j_idx[keep]
 
     a, b, c, d = p[i_idx], q[i_idx], p[j_idx], q[j_idx]
@@ -403,12 +391,12 @@ def planar_self_intersections(
     ys = c[:, 1] + s * cd[:, 1]
     merged: list[tuple[float, float]] = []
     for pt in zip(xs.tolist(), ys.tolist()):
-        if all(math.hypot(pt[0] - m[0], pt[1] - m[1]) > merge_tol for m in merged):
+        if all(math.hypot(pt[0] - m[0], pt[1] - m[1]) > CROSSING_MERGE_TOL for m in merged):
             merged.append(pt)
     return len(merged), merged
 
 
-def traversal_multiplicity(points: np.ndarray, tol: float = 1e-9) -> int:
+def traversal_multiplicity(points: np.ndarray) -> int:
     """Largest m such that the closed node sequence repeats m times."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -416,7 +404,7 @@ def traversal_multiplicity(points: np.ndarray, tol: float = 1e-9) -> int:
     for m in range(n, 1, -1):
         if n % m:
             continue
-        if np.max(np.abs(pts - np.roll(pts, n // m, axis=0))) <= tol * scale:
+        if np.max(np.abs(pts - np.roll(pts, n // m, axis=0))) <= TRAVERSAL_TOL * scale:
             return m
     return 1
 
@@ -479,8 +467,6 @@ def total_curvature(
     data: WeierstrassData,
     window: AnnulusWindow | None = None,
     n_theta: int = DEFAULT_THETA_NODES,
-    tol: float = 1e-10,
-    max_depth: int = 24,
 ) -> float:
     """Integral of the Gauss curvature over the window (a negative number).
 
@@ -518,13 +504,13 @@ def total_curvature(
         return 0.5 * (b - a) * sum(w * density(t) for w, t in zip(weights, x))
 
     coarse = sum(panel(a, b) for a, b in zip(edges, edges[1:]))
-    budget = tol * max(abs(coarse), 1.0)
+    budget = CURVATURE_TOL * max(abs(coarse), 1.0)
 
     def refine(a: float, b: float, whole: float, local_tol: float, depth: int) -> float:
         m = 0.5 * (a + b)
         left = panel(a, m)
         right = panel(m, b)
-        if abs(left + right - whole) <= local_tol or depth >= max_depth:
+        if abs(left + right - whole) <= local_tol or depth >= CURVATURE_MAX_DEPTH:
             return left + right
         return refine(a, m, left, 0.5 * local_tol, depth + 1) + refine(
             m, b, right, 0.5 * local_tol, depth + 1
@@ -584,10 +570,10 @@ def catenoid_area(params: CatenoidParams, slab: Slab) -> float:
     return anti(slab.h_plus) - anti(slab.h_minus)
 
 
-def marginal_waist_ratio(tol: float = 1e-12) -> float:
+def marginal_waist_ratio() -> float:
     """The root of coth(u) = u on [1, 2], by bisection."""
     lo, hi = 1.0, 2.0
-    while hi - lo > tol:
+    while hi - lo > MARGINAL_RATIO_TOL:
         mid = 0.5 * (lo + hi)
         if mid - 1.0 / math.tanh(mid) > 0:
             hi = mid
@@ -610,16 +596,14 @@ def marginally_stable_waist(slab: Slab) -> CatenoidParams:
 def waist_height(
     data: WeierstrassData,
     slab: Slab,
-    n_coarse: int = 17,
     n_theta: int = 256,
-    tol: float = 1e-8,
 ) -> tuple[float, float]:
     """Height minimizing the traced level length, by scan + golden section.
 
     The coarse scan traces its heights in one batch; the golden-section
     steps trace one height each.  Returns the minimizing height and the length there.
     """
-    heights = np.linspace(slab.h_minus, slab.h_plus, int(n_coarse))
+    heights = np.linspace(slab.h_minus, slab.h_plus, WAIST_COARSE_HEIGHTS)
     lengths = [curve.length for curve in trace_levels(data, heights, n_theta)]
     i = int(np.argmin(lengths))
     lo = heights[max(i - 1, 0)]
@@ -630,7 +614,7 @@ def waist_height(
     d = a + phi * (b - a)
     fc = trace_level(data, c, n_theta).length
     fd = trace_level(data, d, n_theta).length
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    while b - a > WAIST_TOL * max(1.0, abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)

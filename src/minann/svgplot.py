@@ -23,6 +23,7 @@ PALETTE = (
     "#17becf",
 )
 PAD_FRACTION = 0.05
+WIDTH = 720.0  # picture width in px; the height follows the aspect ratio
 
 
 def _fmt(x: float) -> str:
@@ -44,7 +45,6 @@ def _polyline(points, stroke: str, width: float, dash: str | None = None) -> str
 def level_curves_svg(
     curves: Sequence[LevelCurve],
     profile: CircleLengthProfile | None = None,
-    width: float = 720.0,
 ) -> str:
     """Render the horizontal projections of level curves, equal aspect.
 
@@ -71,7 +71,7 @@ def level_curves_svg(
     pad = PAD_FRACTION * span
     x_lo, x_hi = x_lo - pad, x_hi + pad
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    scale = width / (x_hi - x_lo)
+    scale = WIDTH / (x_hi - x_lo)
     height = (y_hi - y_lo) * scale
 
     def to_px(x: float, y: float) -> tuple[float, float]:
@@ -80,11 +80,11 @@ def level_curves_svg(
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff" />',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(height)}">',
+        f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(height)}" fill="#ffffff" />',
     ]
-    marker_half = 0.012 * width
+    marker_half = 0.012 * WIDTH
     for idx, curve in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
         pts = [to_px(float(p[0]), float(p[1])) for p in curve.points]
@@ -101,16 +101,16 @@ def level_curves_svg(
                 'stroke="#000000" stroke-width="1.200000" fill="none" />'
             )
     if profile is not None:
-        parts.extend(_profile_inset(profile, width))
+        parts.extend(_profile_inset(profile))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _profile_inset(profile: CircleLengthProfile, width: float) -> list[str]:
-    box_w = 0.30 * width
-    box_h = 0.22 * width
-    box_x = width - box_w - 0.02 * width
-    box_y = 0.02 * width
+def _profile_inset(profile: CircleLengthProfile) -> list[str]:
+    box_w = 0.30 * WIDTH
+    box_h = 0.22 * WIDTH
+    box_x = WIDTH - box_w - 0.02 * WIDTH
+    box_y = 0.02 * WIDTH
     samples = profile.samples
     ts = [s[0] for s in samples]
     lvals = [s[1] for s in samples]

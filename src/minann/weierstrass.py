@@ -37,6 +37,8 @@ from .laurent import (
     winding_on_circle,
 )
 
+SYMMETRY_SAMPLE_TOL = 1e-10  # relative reflection defect allowed on odd-parity samples
+
 
 class Parity(Enum):
     """Even data squares directly; odd data squares after one z shift."""
@@ -355,12 +357,7 @@ def metric_lambda_samples(data: WeierstrassData, z: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * total)
 
 
-def symmetry_check(
-    data: WeierstrassData,
-    *,
-    coeff_tol: float = COEFF_REL_TOL,
-    grid_tol: float = 1e-10,
-) -> bool:
+def symmetry_check(data: WeierstrassData) -> bool:
     """Does inversion through the unit circle act by a horizontal reflection?
 
     Even data admits an exact coefficient criterion: the plus factor must be
@@ -370,7 +367,7 @@ def symmetry_check(
     if data.parity is Parity.EVEN:
         diff = data.g_plus - data.g_minus.conj_reflect()
         scale = max(data.g_plus.max_abs_coeff, data.g_minus.max_abs_coeff)
-        return diff.max_abs_coeff <= coeff_tol * scale
+        return diff.max_abs_coeff <= COEFF_REL_TOL * scale
     rin, rout = data.window.r_inner, data.window.r_outer
     gm = data.window.geometric_mean
     radii = [math.sqrt(rin * gm), gm, math.sqrt(rout * gm)]
@@ -386,10 +383,10 @@ def symmetry_check(
             * np.conj(data.g_plus.evaluate(z))
             / (data.g_minus.evaluate(w) * np.conj(data.g_minus.evaluate(z)))
         )
-        if np.max(np.abs(ratio - 1.0)) > grid_tol * np.max(1.0 + np.abs(ratio)):
+        if np.max(np.abs(ratio - 1.0)) > SYMMETRY_SAMPLE_TOL * np.max(1.0 + np.abs(ratio)):
             return False
         dev = np.abs(data.psi3.evaluate(w) - np.conj(data.psi3.evaluate(z)))
-        if np.max(dev) > grid_tol * psi_scale:
+        if np.max(dev) > SYMMETRY_SAMPLE_TOL * psi_scale:
             return False
     return True
 

@@ -145,10 +145,14 @@ class TestPerturbedTwoCover:
     def test_rejects_zero_cover_coefficient(self):
         with pytest.raises(InadmissibleParametersError):
             perturbed_two_cover(0.0, 0.01)
+        with pytest.raises(InadmissibleParametersError, match="c2 must be nonzero"):
+            perturbed_two_cover_pair(1.0, 0.01, 0.0, 0.01)
 
     def test_rejects_large_perturbation(self):
         with pytest.raises(InadmissibleParametersError):
             perturbed_two_cover(1.0, 0.25)
+        with pytest.raises(InadmissibleParametersError, match=r"\|eps2\| must stay below"):
+            perturbed_two_cover_pair(1.0, 0.01, 1.0, 0.25)
         # just below the bound is fine
         perturbed_two_cover(1.0, 0.2499)
 
@@ -317,6 +321,8 @@ class TestFamilyFromSpec:
             {"family": "perturbed_two_cover", "params": {"a_m1": 1.0}},
             {"family": "catenoid_cover", "params": {"c1": 1.0}},
             {"family": "catenoid_cover", "symmetric": False},
+            {"family": "figure_eight", "symmetric": False, "params": {"a_m1": 1, "a_1": 1}},
+            {"family": "perturbed_two_cover", "symmetric": False, "params": {"c1": 1}},
         ],
     )
     def test_schema_rejections(self, spec):

@@ -31,8 +31,6 @@ from minann.measures import (
     circle_length,
     circle_length_dd,
     circle_length_dd_fd,
-    convexity_report,
-    length_profile,
     level_radii,
     level_radius,
     marginal_waist_ratio,
@@ -54,6 +52,7 @@ from minann.weierstrass import (
     height,
     period_check,
     metric_lambda_samples,
+    winding_class,
 )
 
 
@@ -90,6 +89,24 @@ class TestCircleLength:
         data, _ = catenoid_cover(1, TWO_PI)
         with pytest.raises(DomainError):
             circle_length(data, 100.0)
+
+    def test_radius_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        cases = [catenoid_cover(k, 4.0)[0] for k in (1, 2, 3)]
+        cases += [perturbed_two_cover(1.0 + 0.5j, 0.1 - 0.05j), figure_eight(0.7 + 0.2j, 1.3)]
+        cases += [random_even_vertical_flux(rng, 3) for _ in range(10)]
+        for data in cases:
+            radii = profile_radii(data.window, 64, inset=1e-3)
+            for fn in (circle_length, circle_length_dd):
+                array = fn(data, radii)
+                scalar = np.array([fn(data, float(r)) for r in radii])
+                assert array.shape == radii.shape
+                assert np.all(np.abs(array - scalar) <= 2.0 * np.spacing(np.abs(scalar)))
+            outside = radii.copy()
+            outside[17] = data.window.r_outer
+            for fn in (circle_length, circle_length_dd):
+                with pytest.raises(DomainError):
+                    fn(data, outside)
 
     def test_profile_grid_is_even_and_interior(self):
         w = AnnulusWindow(0.5, 2.0)
@@ -130,13 +147,14 @@ class TestCircleLength:
         assert worst <= 1e-13
         assert all(math.isfinite(circle_length_dd(d, r)) for d, r in grid)
 
-    def test_convexity_report_shape(self):
-        rep = convexity_report(figure_eight(1.0, 1.0), n_grid=16)
-        assert rep.winding == 0
-        lo2, hi2 = rep.defect_bounds("2")
-        assert lo2 > 0.0 and hi2 >= lo2
-        lo4, hi4 = rep.defect_bounds("4")
-        assert hi4 < 0.0
+    def test_figure_eight_convexity_band(self):
+        data = figure_eight(1.0, 1.0)
+        assert winding_class(data) == 0
+        radii = profile_radii(data.window, 16, inset=1e-3)
+        length = circle_length(data, radii)
+        dd = circle_length_dd(data, radii)
+        assert np.all(dd - 2.0 * length > 0.0)
+        assert np.all(dd - 4.0 * length < 0.0)
 
 
 class TestLevels:
@@ -528,9 +546,9 @@ class TestLevelSolve:
         sizes = []
         original = measures._solve_levels
 
-        def recording(data, hs, thetas, rel_tol):
+        def recording(data, hs, thetas):
             sizes.append((hs.size, thetas.size))
-            return original(data, hs, thetas, rel_tol)
+            return original(data, hs, thetas)
 
         monkeypatch.setattr(measures, "_solve_levels", recording)
         data = figure_eight(1.0, 1.0)
