@@ -125,34 +125,29 @@ def load_data(path: str):
 
 
 # Family flags that gen hands to family_from_spec when given; the spec loader
-# rejects those the family does not read.  gen requires the flags below even
-# though the spec loader would default them.
+# rejects those the family does not read and requires an asymmetric spec's
+# second factor.  gen requires the flags below even though the spec loader
+# would default them.
 _GEN_PARAMS = ("k", "f3", "center", "c1", "eps1", "c2", "eps2", "a_m1", "a_1", "b_m1", "b_1")
 _GEN_REQUIRED = {
     "catenoid_cover": ("f3",),
     "perturbed_two_cover": ("c1", "eps1"),
     "figure_eight": ("a_m1", "a_1"),
 }
-_GEN_PAIR_REQUIRED = {"perturbed_two_cover": ("c2", "eps2"), "figure_eight": ("b_m1", "b_1")}
 
 
 def cmd_gen(args) -> int:
-    def require(names, what):
-        if any(getattr(args, name) is None for name in names):
-            flags = " and ".join("--" + name.replace("_", "-") for name in names)
-            raise ValidationError(f"{what} requires {flags}")
-
-    require(_GEN_REQUIRED[args.family], args.family)
-    if args.asymmetric and args.family in _GEN_PAIR_REQUIRED:
-        require(_GEN_PAIR_REQUIRED[args.family], f"asymmetric {args.family}")
+    names = _GEN_REQUIRED[args.family]
+    if any(getattr(args, name) is None for name in names):
+        flags = " and ".join("--" + name.replace("_", "-") for name in names)
+        raise ValidationError(f"{args.family} requires {flags}")
     spec = {
         "family": args.family,
         "params": {k: getattr(args, k) for k in _GEN_PARAMS if getattr(args, k) is not None},
         "margin": args.margin,
         "symmetric": not args.asymmetric,
     }
-    data, _ = family_from_spec(spec)
-    emit_json(data_to_json(data), args.out)
+    emit_json(data_to_json(family_from_spec(spec)), args.out)
     return 0
 
 
@@ -191,10 +186,10 @@ def cmd_measure(args) -> int:
     if args.kind == "length":
         if args.r is None:
             raise ValidationError("measure length requires --r")
+        doc["length"] = circle_length(data, args.r)  # checks the window before log(r)
+        doc["length_dd"] = circle_length_dd(data, args.r)
         doc["r"] = args.r
         doc["t"] = math.log(args.r)
-        doc["length"] = circle_length(data, args.r)
-        doc["length_dd"] = circle_length_dd(data, args.r)
     elif args.kind == "area":
         slab = _slab_from_args(data, args)
         doc["slab"] = {"h_minus": slab.h_minus, "h_plus": slab.h_plus}
@@ -275,8 +270,10 @@ def cmd_sweep(args) -> int:
         if not values:
             raise ValidationError("--values must contain at least one number")
     else:
-        if args.stop is None:
+        if args.start is None or args.stop is None:
             raise ValidationError("provide --values or --start/--stop/--count")
+        if args.count < 1:
+            raise ValidationError("--count must be at least 1")
         values = list(np.linspace(args.start, args.stop, args.count))
     rows = sweep_scenario(
         args.scenario, args.param, values, overrides, n_theta=args.theta_nodes, data=data

@@ -392,7 +392,7 @@ def _build(family: str, params: dict) -> WeierstrassData:
         "params": {k: params[k] for k in _FAMILY_DEFAULTS[family] if k != "margin"},
         "margin": params["margin"],
     }
-    return family_from_spec(spec)[0]
+    return family_from_spec(spec)
 
 
 def _thin_slab(data: WeierstrassData, params: dict) -> Slab:

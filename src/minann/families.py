@@ -309,14 +309,13 @@ _SPEC_PARAMS = {
 }
 
 
-def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
+def family_from_spec(spec) -> WeierstrassData:
     """Build a family instance from its JSON description.
 
     The document is ``{"family": name, "params": {...}, "margin": m,
-    "symmetric": bool}``; the catenoid entry also returns its closed-form
-    parameters.  Params the family does not read, such as a second factor's
-    in a symmetric spec, are rejected, and an asymmetric spec must name its
-    second factor.
+    "symmetric": bool}``.  Params the family does not read, such as a second
+    factor's in a symmetric spec, are rejected, and an asymmetric spec must
+    name its second factor.
     """
     if not isinstance(spec, dict):
         raise SchemaError("family spec must be a JSON object")
@@ -347,19 +346,19 @@ def family_from_spec(spec) -> tuple[WeierstrassData, CatenoidParams | None]:
             float(params.get("f3", TWO_PI)),
             center=float(params.get("center", 0.0)),
             margin=margin,
-        )
+        )[0]
     if name == "perturbed_two_cover":
         c1 = _complex_from_json(params.get("c1", 1.0), "c1")
         eps1 = _complex_from_json(params.get("eps1", 0.0), "eps1")
         if symmetric:
-            return perturbed_two_cover(c1, eps1, margin=margin), None
+            return perturbed_two_cover(c1, eps1, margin=margin)
         c2 = _complex_from_json(params["c2"], "c2")
         eps2 = _complex_from_json(params["eps2"], "eps2")
-        return perturbed_two_cover_pair(c1, eps1, c2, eps2, margin=margin), None
+        return perturbed_two_cover_pair(c1, eps1, c2, eps2, margin=margin)
     a_m1 = _complex_from_json(params.get("a_m1", 1.0), "a_m1")
     a_1 = _complex_from_json(params.get("a_1", 1.0), "a_1")
     if symmetric:
-        return figure_eight(a_m1, a_1, margin=margin), None
+        return figure_eight(a_m1, a_1, margin=margin)
     b_m1 = _complex_from_json(params["b_m1"], "b_m1")
     b_1 = _complex_from_json(params["b_1"], "b_1")
-    return figure_eight_pair(a_m1, a_1, b_m1, b_1, margin=margin), None
+    return figure_eight_pair(a_m1, a_1, b_m1, b_1, margin=margin)

@@ -73,10 +73,6 @@ class LaurentPoly:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def monomial(cls, n: int, c: complex = 1.0) -> "LaurentPoly":
         return cls(((n, c),))
 
@@ -362,26 +358,10 @@ def antiderivative(p: LaurentPoly) -> LogTermAntiderivative:
     return LogTermAntiderivative(LaurentPoly(tuple(parts)), logc)
 
 
-def circle_mean(p: LaurentPoly, r: float) -> complex:
-    """Mean of p over |z| = r; exactly the constant coefficient."""
-    _positive_radius(r)
-    return p.coefficient(0)
-
-
 def circle_l2(p: LaurentPoly, r: float) -> float:
     """Integral of |p|^2 over the circle |z| = r (orthogonality closed form)."""
     r = _positive_radius(r)
     return TWO_PI * sum(abs(c) ** 2 * r ** (2 * n) for n, c in p.terms)
-
-
-def circle_samples(p: LaurentPoly, r: float, n_theta: int) -> np.ndarray:
-    """Values of p on the uniform n_theta-point grid of |z| = r."""
-    r = _positive_radius(r)
-    n_theta = int(n_theta)
-    if n_theta < 4:
-        raise DomainError("need at least 4 circle nodes")
-    theta = TWO_PI * np.arange(n_theta) / n_theta
-    return p.evaluate(r * np.exp(1j * theta))
 
 
 def trapezoid_circle(values: np.ndarray) -> complex:
@@ -474,14 +454,6 @@ def winding_on_circle(p: LaurentPoly, r: float) -> int:
         if abs(z) < r:
             inside += 1
     return inside + p.lowest
-
-
-def winding_argument_integral(p: LaurentPoly, r: float, n_theta: int = 4096) -> float:
-    """Trapezoid estimate of the argument increment / 2pi (cross-check)."""
-    r = _positive_radius(r)
-    z = r * np.exp(1j * TWO_PI * np.arange(int(n_theta)) / int(n_theta))
-    vals = (1j * z * p.derivative().evaluate(z) / p.evaluate(z)).imag
-    return float(vals.mean())
 
 
 # -- serialization ----------------------------------------------------------------

@@ -29,6 +29,7 @@ from .weierstrass import (
 )
 
 DEFAULT_THETA_NODES = 4096
+MIN_THETA_NODES = 16  # fewest circle nodes a quadrature or trace accepts
 LEVEL_SOLVE_TOL = 1e-12  # Newton step in log r below which a ray is converged
 LEVEL_SOLVE_MAX_STEPS = 64  # covers pure bisection of any window down to round-off
 LEVEL_HEIGHT_TOL = 1e-9
@@ -40,6 +41,17 @@ CURVATURE_MAX_DEPTH = 24  # panel bisections before a panel is accepted as is
 MARGINAL_RATIO_TOL = 1e-12  # bracket width of the coth(u) = u bisection
 WAIST_COARSE_HEIGHTS = 17  # heights in the waist search's first scan
 WAIST_TOL = 1e-8  # golden-section bracket width, relative to its heights
+
+
+def _theta_grid(n_theta: int) -> np.ndarray:
+    """The uniform circle nodes 2 pi j / n_theta, j = 0 .. n_theta - 1.
+
+    Raises DomainError below MIN_THETA_NODES nodes.
+    """
+    n_theta = int(n_theta)
+    if n_theta < MIN_THETA_NODES:
+        raise DomainError(f"need at least {MIN_THETA_NODES} circle nodes, got {n_theta}")
+    return TWO_PI * np.arange(n_theta) / n_theta
 
 
 # -- circle length and its convexity -------------------------------------------
@@ -99,8 +111,7 @@ def circle_length_dd_fd(
     |f_plus| on n_theta nodes, not from the closed form, so the check
     compares two independent routes.
     """
-    theta = TWO_PI * np.arange(int(n_theta)) / int(n_theta)
-    phase = np.exp(1j * theta)
+    phase = np.exp(1j * _theta_grid(n_theta))
 
     def length(rr: float) -> float:
         if not data.window.contains(rr):
@@ -109,9 +120,9 @@ def circle_length_dd_fd(
         vals = np.abs(data.f_minus.evaluate(z)) + np.abs(data.f_plus.evaluate(z))
         return float(trapezoid_circle(vals).real) * 0.5
 
+    l0 = length(r)  # checks the window before log(r)
     t = math.log(r)
     lm = length(math.exp(t - step))
-    l0 = length(r)
     lp = length(math.exp(t + step))
     return (lp - 2.0 * l0 + lm) / step**2
 
@@ -239,11 +250,6 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
     return r.reshape(shape)
 
 
-def level_radius(data: WeierstrassData, h: float, theta: float) -> float:
-    """Scalar radius where the ray arg z = theta meets the level x3 = h."""
-    return float(level_radii(data, h, np.array([float(theta)]))[0])
-
-
 def _periodic_derivative(values: np.ndarray) -> np.ndarray:
     """Spectral d/d theta of a uniformly sampled periodic signal."""
     n = len(values)
@@ -313,15 +319,12 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
     a returned curve is first asked for them.  The solve's residual check
     keeps every node within LEVEL_HEIGHT_TOL of its level.
     """
-    n_theta = int(n_theta)
-    if n_theta < 16:
-        raise DomainError("tracing needs at least 16 nodes")
+    thetas = _theta_grid(n_theta)
     heights = np.asarray(heights, dtype=float)
     if heights.ndim != 1:
         raise DomainError("level heights must be a 1-D sequence")
-    thetas = TWO_PI * np.arange(n_theta) / n_theta
     phase = np.exp(1j * thetas)
-    step = _levels_per_solve(n_theta)
+    step = _levels_per_solve(thetas.size)
     curves = []
     for i in range(0, heights.size, step):
         batch = heights[i : i + step]
@@ -447,7 +450,7 @@ def slab_area(
     Radial integration is exact (antiderivative per ray between the solved
     level radii); only the outer theta integral is quadrature.
     """
-    thetas = TWO_PI * np.arange(int(n_theta)) / int(n_theta)
+    thetas = _theta_grid(n_theta)
     r_a, r_b = level_radii(data, [slab.h_minus, slab.h_plus], thetas)
     r_lo = np.minimum(r_a, r_b)
     r_hi = np.maximum(r_a, r_b)
@@ -479,8 +482,7 @@ def total_curvature(
     num = data.g_plus
     den = data.g_minus
     wpoly = num.derivative() * den - num * den.derivative()
-    thetas = TWO_PI * np.arange(int(n_theta)) / int(n_theta)
-    phases = np.exp(1j * thetas)
+    phases = np.exp(1j * _theta_grid(n_theta))
 
     def density(t: float) -> float:
         z = math.exp(t) * phases

@@ -37,8 +37,6 @@ from .laurent import (
     winding_on_circle,
 )
 
-SYMMETRY_SAMPLE_TOL = 1e-10  # relative reflection defect allowed on odd-parity samples
-
 
 class Parity(Enum):
     """Even data squares directly; odd data squares after one z shift."""
@@ -67,17 +65,6 @@ class Slab:
     @property
     def half_width(self) -> float:
         return 0.5 * (self.h_plus - self.h_minus)
-
-    @property
-    def width(self) -> float:
-        return self.h_plus - self.h_minus
-
-    def scaled(self, factor: float) -> "Slab":
-        """Same center, width multiplied by factor."""
-        if not 0 < factor:
-            raise DomainError("scale factor must be positive")
-        h = self.half_width * factor
-        return Slab(self.center - h, self.center + h)
 
 
 @dataclass(frozen=True)
@@ -334,21 +321,6 @@ def immerse(data: WeierstrassData, z):
     return _immersion(data).point(arr)
 
 
-@dataclass(frozen=True)
-class MetricFactor:
-    lam: float
-    mu: float
-
-
-def metric_factor(data: WeierstrassData, z) -> MetricFactor:
-    """Conformal factor against |dz| and against d theta on circles."""
-    zc = complex(z)
-    _check_point(zc)
-    vals = [p.evaluate(zc) for p in (data.phi1, data.phi2, data.phi3)]
-    lam = math.sqrt(0.5 * sum(abs(v) ** 2 for v in vals))
-    return MetricFactor(lam=lam, mu=abs(zc) * lam)
-
-
 def metric_lambda_samples(data: WeierstrassData, z: np.ndarray) -> np.ndarray:
     """Vectorized conformal factor for tracing and quadrature."""
     total = np.zeros(np.shape(z), dtype=float)
@@ -360,35 +332,25 @@ def metric_lambda_samples(data: WeierstrassData, z: np.ndarray) -> np.ndarray:
 def symmetry_check(data: WeierstrassData) -> bool:
     """Does inversion through the unit circle act by a horizontal reflection?
 
-    Even data admits an exact coefficient criterion: the plus factor must be
-    the conjugate-reflected minus factor.  Otherwise the predicate is checked
-    numerically on three circles.
+    An exact coefficient criterion for either parity.  Even data: the plus
+    factor is the conjugate-reflected minus factor.  Odd data: with
+    w = 1/conj(z), g_plus(w) conj(g_plus(z)) = g_minus(w) conj(g_minus(z))
+    and psi3(w) = conj(psi3(z)) on every circle; as Laurent expressions
+    these read conj_reflect(g_plus) g_plus = conj_reflect(g_minus) g_minus
+    and conj_reflect(psi3) = psi3.
     """
+    gm, gp = data.g_minus, data.g_plus
     if data.parity is Parity.EVEN:
-        diff = data.g_plus - data.g_minus.conj_reflect()
-        scale = max(data.g_plus.max_abs_coeff, data.g_minus.max_abs_coeff)
-        return diff.max_abs_coeff <= COEFF_REL_TOL * scale
-    rin, rout = data.window.r_inner, data.window.r_outer
-    gm = data.window.geometric_mean
-    radii = [math.sqrt(rin * gm), gm, math.sqrt(rout * gm)]
-    theta = TWO_PI * np.arange(64) / 64
-    psi_scale = max(
-        np.max(np.abs(data.psi3.evaluate(r * np.exp(1j * theta)))) for r in radii
+        identities = [(gp, gm.conj_reflect())]
+    else:
+        identities = [
+            (gp.conj_reflect() * gp, gm.conj_reflect() * gm),
+            (data.psi3.conj_reflect(), data.psi3),
+        ]
+    return all(
+        (a - b).max_abs_coeff <= COEFF_REL_TOL * max(a.max_abs_coeff, b.max_abs_coeff)
+        for a, b in identities
     )
-    for r in radii:
-        z = r * np.exp(1j * theta)
-        w = 1.0 / np.conj(z)
-        ratio = (
-            data.g_plus.evaluate(w)
-            * np.conj(data.g_plus.evaluate(z))
-            / (data.g_minus.evaluate(w) * np.conj(data.g_minus.evaluate(z)))
-        )
-        if np.max(np.abs(ratio - 1.0)) > SYMMETRY_SAMPLE_TOL * np.max(1.0 + np.abs(ratio)):
-            return False
-        dev = np.abs(data.psi3.evaluate(w) - np.conj(data.psi3.evaluate(z)))
-        if np.max(dev) > SYMMETRY_SAMPLE_TOL * psi_scale:
-            return False
-    return True
 
 
 def gauss_winding(data: WeierstrassData, r: float) -> int:

@@ -86,6 +86,17 @@ class TestGen:
         assert main(args) == 2
         assert "eps1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family_args",
+        [
+            ["perturbed_two_cover", "--c1", "1", "--eps1", "0.05"],
+            ["figure_eight", "--a-m1", "1", "--a-1", "1"],
+        ],
+    )
+    def test_asymmetric_without_pair_flags_is_usage_error(self, family_args, capsys):
+        assert main(["gen", "--asymmetric", "--family", *family_args]) == 2
+        assert "needs params" in capsys.readouterr().err
+
     def test_pair_flag_without_asymmetric_is_usage_error(self, capsys):
         args = ["gen", "--family", "perturbed_two_cover", "--c1", "1", "--eps1", "0.05"]
         assert main(args + ["--c2", "3"]) == 2
@@ -157,6 +168,26 @@ class TestMeasure:
 
     def test_length_requires_radius(self, catenoid_path):
         assert main(["measure", "--data", catenoid_path, "--kind", "length"]) == 2
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "100"])
+    def test_radius_outside_window_is_usage_error(self, catenoid_path, radius, capsys):
+        args = ["measure", "--data", catenoid_path, "--kind", "length", "--r", radius]
+        assert main(args) == 2
+        assert "outside the data window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theta-nodes", "0", "measure", "--kind", "area", "--slab-half", "0.25"],
+            ["--theta-nodes", "-5", "measure", "--kind", "area", "--slab-half", "0.25"],
+            ["--theta-nodes", "1", "measure", "--kind", "area", "--slab-half", "0.25"],
+            ["--theta-nodes", "0", "measure", "--kind", "curvature"],
+            ["--theta-nodes", "8", "trace", "--height", "0"],
+        ],
+    )
+    def test_too_few_theta_nodes_is_usage_error(self, fig8_path, argv, capsys):
+        assert main(argv + ["--data", fig8_path]) == 2
+        assert "at least 16 circle nodes" in capsys.readouterr().err
 
     def test_area_matches_closed_form(self, catenoid_path, capsys):
         args = [
@@ -311,6 +342,10 @@ class TestReport:
         assert main(args) == 2
         assert "unknown parameters" in capsys.readouterr().err
 
+    def test_too_few_theta_nodes_is_usage_error(self, capsys):
+        assert main(["--theta-nodes", "0", "report", "--scenario", "total_curvature_8pi"]) == 2
+        assert "at least 16 circle nodes" in capsys.readouterr().err
+
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["report", "--scenario", "lemma_9_9"])
@@ -348,6 +383,14 @@ class TestSweep:
     def test_requires_values_or_range(self):
         args = ["sweep", "--scenario", "step_two", "--param", "slab_half"]
         assert main(args) == 2
+        for extra in (
+            ["--values", ""],
+            ["--stop", "0.3"],
+            ["--start", "0.1"],
+            ["--start", "0.1", "--stop", "0.3", "--count", "0"],
+            ["--start", "0.1", "--stop", "0.3", "--count", "-1"],
+        ):
+            assert main(args + extra) == 2, extra
 
     def test_linear_range(self, capsys):
         args = [

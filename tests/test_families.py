@@ -272,26 +272,26 @@ class TestSlabClipping:
 
 class TestFamilyFromSpec:
     def test_catenoid_spec(self):
-        data, cat = family_from_spec(
+        data = family_from_spec(
             {"family": "catenoid_cover", "params": {"k": 2, "f3": 5.0, "center": 0.1}}
         )
-        ref, ref_cat = catenoid_cover(2, 5.0, center=0.1)
-        assert cat == ref_cat
+        ref, _ = catenoid_cover(2, 5.0, center=0.1)
         assert data.g_minus.terms == ref.g_minus.terms
+        assert data.g_plus.terms == ref.g_plus.terms
+        assert data.height_offset == ref.height_offset == 0.1
 
     def test_perturbed_spec_with_complex_pairs(self):
-        data, cat = family_from_spec(
+        data = family_from_spec(
             {
                 "family": "perturbed_two_cover",
                 "params": {"c1": [1.0, 0.5], "eps1": [0.1, 0.05]},
             }
         )
-        assert cat is None
         ref = perturbed_two_cover(1.0 + 0.5j, 0.1 + 0.05j)
         assert data.g_minus.terms == ref.g_minus.terms
 
     def test_figure_eight_asymmetric_spec(self):
-        data, _ = family_from_spec(
+        data = family_from_spec(
             {
                 "family": "figure_eight",
                 "symmetric": False,
@@ -302,8 +302,8 @@ class TestFamilyFromSpec:
         assert data.g_plus.terms == ref.g_plus.terms
 
     def test_margin_field_is_honored(self):
-        loose, _ = family_from_spec({"family": "figure_eight", "margin": 0.02})
-        tight, _ = family_from_spec({"family": "figure_eight", "margin": 0.2})
+        loose = family_from_spec({"family": "figure_eight", "margin": 0.02})
+        tight = family_from_spec({"family": "figure_eight", "margin": 0.2})
         assert tight.window.r_inner > loose.window.r_inner
 
     @pytest.mark.parametrize(

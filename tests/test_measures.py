@@ -32,7 +32,6 @@ from minann.measures import (
     circle_length_dd,
     circle_length_dd_fd,
     level_radii,
-    level_radius,
     marginal_waist_ratio,
     marginally_stable_waist,
     planar_self_intersections,
@@ -87,8 +86,10 @@ class TestCircleLength:
 
     def test_rejects_radius_outside_window(self):
         data, _ = catenoid_cover(1, TWO_PI)
-        with pytest.raises(DomainError):
-            circle_length(data, 100.0)
+        for r in (100.0, 0.0, -1.0):
+            for fn in (circle_length, circle_length_dd, circle_length_dd_fd):
+                with pytest.raises(DomainError):
+                    fn(data, r)
 
     def test_radius_arrays_match_scalar_calls(self):
         rng = np.random.default_rng(5)
@@ -161,7 +162,7 @@ class TestLevels:
     def test_catenoid_level_radius_is_exponential(self):
         data, _ = catenoid_cover(1, TWO_PI)
         for h in (-0.3, 0.0, 0.41):
-            assert level_radius(data, h, 1.1) == pytest.approx(
+            assert level_radii(data, h, [1.1])[0] == pytest.approx(
                 math.exp(h), rel=1e-10
             )
 
@@ -172,7 +173,7 @@ class TestLevels:
             r = float(rng.uniform(0.6, 1.7))
             th = float(rng.uniform(0.0, TWO_PI))
             h = height(data, r * np.exp(1j * th))
-            back = level_radius(data, h, th)
+            back = level_radii(data, h, [th])[0]
             assert abs(back - r) <= 1e-10 * r
 
     def test_catenoid_trace_matches_closed_form(self):
@@ -288,6 +289,30 @@ class TestTotalCurvature:
     def test_negative_on_any_window(self):
         data = perturbed_two_cover(1.0, 0.05)
         assert total_curvature(data) < 0.0
+
+
+class TestNodeCounts:
+    @pytest.mark.parametrize("n_theta", [-5, 0, 1, 15])
+    def test_fewer_than_sixteen_nodes_raise(self, n_theta):
+        data = figure_eight(1.0, 1.0)
+        slab = clip_to_slab(data, Slab(-0.25, 0.25))
+        calls = (
+            lambda: trace_levels(data, [0.0], n_theta),
+            lambda: slab_area(data, slab, n_theta),
+            lambda: total_curvature(data, n_theta=n_theta),
+            lambda: circle_length_dd_fd(data, 1.0, n_theta=n_theta),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="at least 16 circle nodes"):
+                call()
+
+    def test_sixteen_nodes_suffice(self):
+        data = figure_eight(1.0, 1.0)
+        slab = clip_to_slab(data, Slab(-0.25, 0.25))
+        assert trace_levels(data, [0.0], 16)[0].length > 0.0
+        assert slab_area(data, slab, 16) > 0.0
+        assert total_curvature(data, n_theta=16) < 0.0
+        assert math.isfinite(circle_length_dd_fd(data, 1.0, n_theta=16))
 
 
 class TestCatenoidReferences:
@@ -583,7 +608,7 @@ class TestRayDirection:
         with pytest.raises(NonMonotoneRayError):
             trace_level(data, 0.0, 64)
         with pytest.raises(NonMonotoneRayError):
-            level_radius(data, 0.0, 0.0)  # monotone on this ray, not on the window
+            level_radii(data, 0.0, [0.0])  # monotone on this ray, not on the window
 
     def test_negative_only_between_the_rays_of_a_16_node_trace_raises(self):
         # Re psi3 = 1 + r^16 cos(16 theta): positive on every ray theta = 2 pi j / 16,

@@ -11,7 +11,12 @@ from minann.errors import (
     ParityUndeterminedError,
     SchemaError,
 )
-from minann.families import catenoid_cover, figure_eight, perturbed_two_cover
+from minann.families import (
+    admissible_annulus,
+    catenoid_cover,
+    figure_eight,
+    perturbed_two_cover,
+)
 from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly
 from minann.weierstrass import (
     Parity,
@@ -24,7 +29,6 @@ from minann.weierstrass import (
     gauss_winding,
     height,
     immerse,
-    metric_factor,
     metric_lambda_samples,
     period_check,
     symmetry_check,
@@ -124,11 +128,8 @@ class TestImmersion:
             data, r * np.exp(1j * (th - h))
         )) / (2.0 * h)
         speed = float(np.linalg.norm(dtheta))
-        mf = metric_factor(data, z)
-        assert mf.mu == pytest.approx(speed, rel=1e-8)
-        assert mf.lam == pytest.approx(speed / r, rel=1e-8)
-        sample = metric_lambda_samples(data, np.array([z]))[0]
-        assert sample == pytest.approx(mf.lam, rel=1e-13)
+        lam = metric_lambda_samples(data, np.array([z]))[0]
+        assert lam == pytest.approx(speed / r, rel=1e-8)
 
     def test_rejects_origin(self):
         data, _ = catenoid_cover(1, TWO_PI)
@@ -183,6 +184,54 @@ class TestSymmetry:
     def test_asymmetric_data_fails(self):
         data = make_even({0: 1.0, 1: 0.25}, {-1: 2.0})
         assert not symmetry_check(data)
+
+    def test_odd_catenoid_covers_pass(self):
+        for k in (1, 3, 5):
+            data, _ = catenoid_cover(k, 5.0, center=0.3)
+            assert data.parity is Parity.ODD
+            assert symmetry_check(data)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_odd_identity_matches_sampled_reflection(self, seed):
+        # Reference: the reflection predicate sampled on three circles.  A
+        # pair g_plus = u z^-1 conj_reflect(g_minus) with |u| = 1 keeps the
+        # ratio condition for every u, and psi3 is reflection-invariant only
+        # for u = 1 or -1; an independent pair breaks both.
+        rng = np.random.default_rng(seed)
+        # g_minus = c (z - a)(z - b) / z with |a| < 1/2 and |b| > 2, so the
+        # window around the unit circle stays wide for every pair below.
+        a, b = np.exp(1j * rng.uniform(0.0, TWO_PI, 2)) * rng.uniform([0.1, 2.5], [0.4, 5.0])
+        c = complex(*rng.standard_normal(2))
+        g_minus = LaurentPoly({1: c, 0: -c * (a + b), -1: c * a * b})
+        mirror = g_minus.conj_reflect().shifted(-1)
+        cases = {
+            "reflected": (mirror, True),
+            "negated": (-mirror, True),
+            "turned": (mirror * np.exp(1j * rng.uniform(0.1, 3.0)), False),
+            "perturbed": (mirror + LaurentPoly({0: 1e-6 * mirror.max_abs_coeff}), False),
+            "independent": (LaurentPoly({-2: 1.0, 0: 0.1 * np.exp(1j * rng.uniform(0, 3))}), False),
+        }
+        for name, (g_plus, expected) in cases.items():
+            window = admissible_annulus(g_minus, g_plus)
+            data = from_g_pair(g_minus, g_plus, Parity.ODD, window)
+            gm = window.geometric_mean
+            z = np.outer(
+                [math.sqrt(window.r_inner * gm), gm, math.sqrt(window.r_outer * gm)],
+                np.exp(1j * TWO_PI * np.arange(64) / 64),
+            )
+            w = 1.0 / np.conj(z)
+
+            def reflected(p):
+                return p.evaluate(w) * np.conj(p.evaluate(z))
+
+            ratio = reflected(data.g_plus) / reflected(data.g_minus)
+            psi_dev = np.abs(data.psi3.evaluate(w) - np.conj(data.psi3.evaluate(z)))
+            sampled = bool(
+                np.max(np.abs(ratio - 1.0)) <= 1e-10 * np.max(1.0 + np.abs(ratio))
+                and np.max(psi_dev) <= 1e-10 * np.max(np.abs(data.psi3.evaluate(z)))
+            )
+            assert sampled is expected, name
+            assert symmetry_check(data) is expected, name
 
     def test_reflection_identity_on_points(self):
         data = figure_eight(1.0, 1.0)
