@@ -163,13 +163,13 @@ def cmd_check(args) -> int:
         "gauss_winding": gauss_winding(data, data.window.geometric_mean),
         "window": {"r_inner": data.window.r_inner, "r_outer": data.window.r_outer},
     }
-    if verdict.well_defined and verdict.vertical_flux:
+    if verdict.well_defined:
         fl = flux(data)
         doc["flux"] = {"f1": fl.f1, "f2": fl.f2, "f3": fl.f3}
         lo, hi = attained_height_range(data)
         doc["attained_heights"] = {"h_minus": lo, "h_plus": hi}
     emit_json(doc, args.out)
-    return 0 if verdict.well_defined and verdict.vertical_flux else 1
+    return 0 if verdict.well_defined else 1
 
 
 def _slab_from_args(data, args) -> Slab:
@@ -266,7 +266,10 @@ def cmd_sweep(args) -> int:
     data = load_data(args.data) if args.data else None
     overrides = dict(args.set or [])
     if args.values:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ValidationError(f"--values must be numbers: {exc}") from None
         if not values:
             raise ValidationError("--values must contain at least one number")
     else:
@@ -296,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_THETA_NODES,
         help="tracing, area and curvature nodes (default %(default)s)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized scenarios"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -405,17 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        args.seed is not None
-        and args.command in ("report", "sweep")
-        and "seed" in SCENARIOS[args.scenario].defaults
-    ):
-        # Randomized scenarios read their seed from the parameter set.
-        extra = ("seed", int(args.seed))
-        if args.command == "report":
-            args.param = (args.param or []) + [extra]
-        else:
-            args.set = (args.set or []) + [extra]
     try:
         return int(args.func(args))
     except ValidationError as exc:

@@ -19,6 +19,7 @@ visible.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -58,6 +59,7 @@ from .weierstrass import (
     immerse,
     period_check,
     symmetry_check,
+    symmetry_margin,
     winding_class,
 )
 
@@ -72,11 +74,16 @@ HORIZONTAL_FLUX_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Verdict:
-    passed: bool
+    """One signed margin; the check passes exactly when it is positive."""
+
     margin: float
 
+    @property
+    def passed(self) -> bool:
+        return self.margin > 0.0
+
     def to_json(self):
-        return {"pass": bool(self.passed), "margin": float(self.margin)}
+        return {"pass": self.passed, "margin": self.margin}
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,8 @@ class MeasureReport:
     def all_pass(self) -> bool:
         return all(v.passed for v in self.verdicts.values())
 
-    def add_check(self, name: str, passed: bool, margin: float):
-        self.verdicts[name] = Verdict(bool(passed), float(margin))
+    def add_check(self, name: str, margin: float):
+        self.verdicts[name] = Verdict(float(margin))
 
     def merge(self, sub: "MeasureReport", quantities=None, verdicts=None):
         """Copy a sub-report's quantities and verdicts into this report.
@@ -136,15 +143,12 @@ class MeasureReport:
 def _provenance(name: str, params: dict, n_theta: int) -> dict:
     from . import __version__
 
-    echo = {}
-    for key, value in sorted(params.items()):
-        if isinstance(value, complex):
-            echo[key] = [value.real, value.imag]
-        else:
-            echo[key] = value
     return {
         "scenario": name,
-        "inputs": echo,
+        "inputs": {
+            key: [value.real, value.imag] if isinstance(value, complex) else value
+            for key, value in sorted(params.items())
+        },
         "theta_nodes": int(n_theta),
         "tool": f"minann {__version__}",
     }
@@ -258,11 +262,7 @@ def compare_lengths(
     waist, *curves = trace_levels(sigma, [cat.center, *kept], n_theta)
     waist_len = waist.length
     report.quantities["traced_waist_length"] = waist_len
-    report.add_check(
-        "waist_equals_flux",
-        abs(waist_len - f3) <= WAIST_FLUX_TOL * f3,
-        WAIST_FLUX_TOL - abs(waist_len - f3) / f3,
-    )
+    report.add_check("waist_equals_flux", WAIST_FLUX_TOL - abs(waist_len - f3) / f3)
 
     l_cat = np.array([catenoid_level_length(cat, h) for h in kept])
     traced_margins = sign * (l_cat - [curve.length for curve in curves])
@@ -271,12 +271,8 @@ def compare_lengths(
     report.quantities["traced_margin_min"] = float(traced_margins.min())
     report.quantities["traced_margin_max"] = float(traced_margins.max())
     report.quantities["circle_margin_min"] = float(circle_margins.min())
-    report.add_check(
-        "traced_level_lengths", bool(traced_margins.min() > 0.0), float(traced_margins.min())
-    )
-    report.add_check(
-        "circle_route_lengths", bool(circle_margins.min() > 0.0), float(circle_margins.min())
-    )
+    report.add_check("traced_level_lengths", traced_margins.min())
+    report.add_check("circle_route_lengths", circle_margins.min())
     return report
 
 
@@ -299,15 +295,13 @@ def compare_areas(
     report.quantities["area_sigma"] = area_sigma
     report.quantities["area_catenoid"] = area_cat
     report.quantities["area_margin"] = margin
-    report.add_check("area_comparison", margin > 0.0, margin)
+    report.add_check("area_comparison", margin)
     if include_marginal:
         waist = marginally_stable_waist(slab)
         area_marg = catenoid_area(waist, slab)
         report.quantities["area_marginal_waist"] = area_marg
         report.quantities["marginal_f3"] = waist.f3
-        report.add_check(
-            "area_above_marginal", area_sigma > area_marg, area_sigma - area_marg
-        )
+        report.add_check("area_above_marginal", area_sigma - area_marg)
     return report
 
 
@@ -333,9 +327,8 @@ def classify_levels(
         # transversal count is taken on one traversal and flagged here.
         report.quantities["degenerate_cover"] = 1.0
     if expected_crossings is not None:
-        ok = all(c == expected_crossings for c in counts)
         worst = max(abs(c - expected_crossings) for c in counts)
-        report.add_check("expected_crossings", ok, -float(worst))
+        report.add_check("expected_crossings", 0.5 - worst)
     return report
 
 
@@ -345,16 +338,16 @@ def classify_levels(
 def _winding_check(report: MeasureReport, data: WeierstrassData, expected: int):
     k = winding_class(data)
     report.quantities["winding_class"] = float(k)
-    report.add_check("winding_class", k == expected, -abs(k - expected))
+    report.add_check("winding_class", 0.5 - abs(k - expected))
 
 
 def _period_checks(report: MeasureReport, data: WeierstrassData) -> bool:
     verdict = period_check(data)
     residual = max(abs(r) for r in verdict.residues[:2])
     report.quantities["horizontal_residual"] = residual
-    report.add_check("well_defined", verdict.well_defined, -residual)
-    report.add_check("vertical_flux", verdict.vertical_flux, -residual)
-    return verdict.well_defined and verdict.vertical_flux
+    report.add_check("well_defined", verdict.well_defined_slack)
+    report.add_check("vertical_flux", verdict.flux_slack)
+    return verdict.well_defined
 
 
 _PERTURBED = {"c1": 1.0 + 0.0j, "eps1": 0.05 + 0.0j, "margin": DEFAULT_MARGIN}
@@ -378,14 +371,12 @@ def _scenario(defaults: dict, family: str | None = None):
 
 def _build(family: str, params: dict) -> WeierstrassData:
     """The family instance that a scenario's parameters describe."""
-    if family == "figure_eight" and params.get("a_0") is not None:
+    if family == "figure_eight" and "a_0" in params:
         # Explicit a_0 bypasses the derived constraint so that deliberately
         # inconsistent data can be fed to the period checks.
-        g_minus = LaurentPoly(
-            {-1: complex(params["a_m1"]), 0: complex(params["a_0"]), 1: complex(params["a_1"])}
-        )
+        g_minus = LaurentPoly({-1: params["a_m1"], 0: params["a_0"], 1: params["a_1"]})
         g_plus = g_minus.conj_reflect()
-        window = admissible_annulus(g_minus, g_plus, float(params["margin"]))
+        window = admissible_annulus(g_minus, g_plus, params["margin"])
         return from_g_pair(g_minus, g_plus, Parity.EVEN, window)
     spec = {
         "family": family,
@@ -396,7 +387,7 @@ def _build(family: str, params: dict) -> WeierstrassData:
 
 
 def _thin_slab(data: WeierstrassData, params: dict) -> Slab:
-    half = abs(float(params["slab_half"]))
+    half = abs(params["slab_half"])
     return clip_to_slab(data, Slab(-half, half))
 
 
@@ -420,30 +411,30 @@ def _three_term_residual(data: WeierstrassData, grid: int) -> tuple[float, float
 @_scenario({"seed": DEFAULT_SEED, "count": 100, "max_exponent": 2, "grid": 24})
 def _lemma_3_1(report: MeasureReport, data, params: dict, n_theta: int):
     """strict lower convexity bound on random even vertical-flux data"""
-    rng = np.random.default_rng(int(params["seed"]))
-    count = int(params["count"])
+    rng = np.random.default_rng(params["seed"])
+    count = params["count"]
     worst = math.inf
     for _ in range(count):
-        sample = random_even_vertical_flux(rng, int(params["max_exponent"]))
-        length, dd = _lengths_on_profile(sample, int(params["grid"]))
+        sample = random_even_vertical_flux(rng, params["max_exponent"])
+        length, dd = _lengths_on_profile(sample, params["grid"])
         worst = min(worst, float(np.min(dd - 2.0 * length)))
     report.quantities["datasets"] = float(count)
     report.quantities["min_defect"] = worst
-    report.add_check("dd_above_2L", worst > 0.0, worst)
+    report.add_check("dd_above_2L", worst)
 
 
 @_scenario({"seed": DEFAULT_SEED, "count": 20, "grid": 24})
 def _lemma_3_4_identity(report: MeasureReport, data, params: dict, n_theta: int):
     """three-term factors satisfy the exact winding-zero identity"""
-    rng = np.random.default_rng(int(params["seed"]))
-    count = int(params["count"])
+    rng = np.random.default_rng(params["seed"])
+    count = params["count"]
     worst = 0.0
     for _ in range(count):
-        _, residual = _three_term_residual(random_three_term_pair(rng), int(params["grid"]))
+        _, residual = _three_term_residual(random_three_term_pair(rng), params["grid"])
         worst = max(worst, residual)
     report.quantities["datasets"] = float(count)
     report.quantities["max_relative_residual"] = worst
-    report.add_check("identity", worst <= IDENTITY_TOL, IDENTITY_TOL - worst)
+    report.add_check("identity", IDENTITY_TOL - worst)
 
 
 @_scenario(_PERTURBED, "perturbed_two_cover")
@@ -466,10 +457,8 @@ def _theorem_3_5(report: MeasureReport, data, params: dict, n_theta: int):
     report.quantities["minus_8pi_eps1_square"] = -8.0 * math.pi * abs(eps1) ** 2
     report.quantities["max_relative_residual"] = worst_residual
     report.quantities["max_defect"] = worst_defect
-    report.add_check(
-        "dd_defect_identity", worst_residual <= IDENTITY_TOL, IDENTITY_TOL - worst_residual
-    )
-    report.add_check("dd_below_4L", worst_defect < 0.0, -worst_defect)
+    report.add_check("dd_defect_identity", IDENTITY_TOL - worst_residual)
+    report.add_check("dd_below_4L", -worst_defect)
 
 
 def _symmetry_deviation(data: WeierstrassData, n_grid: int = 32) -> float:
@@ -497,32 +486,24 @@ def _prop_3_6_symmetry(report: MeasureReport, data, params: dict, n_theta: int):
             "figure_eight": _build("figure_eight", params),
         }
     for label, data in instances.items():
-        dev = _symmetry_deviation(data, int(params["grid"]))
+        dev = _symmetry_deviation(data, params["grid"])
         report.quantities[f"{label}_reflection_deviation"] = dev
-        report.add_check(
-            f"{label}_reflection", dev <= SYMMETRY_GRID_TOL, SYMMETRY_GRID_TOL - dev
-        )
+        report.add_check(f"{label}_reflection", SYMMETRY_GRID_TOL - dev)
         fl = flux(data)
         horiz = max(abs(fl.f1), abs(fl.f2))
         report.quantities[f"{label}_f3"] = fl.f3
         report.quantities[f"{label}_horizontal_flux"] = horiz
-        report.add_check(
-            f"{label}_horizontal_flux",
-            horiz <= HORIZONTAL_FLUX_TOL * fl.f3,
-            HORIZONTAL_FLUX_TOL * fl.f3 - horiz,
-        )
-        report.add_check(f"{label}_coefficient_symmetry", symmetry_check(data), 0.0)
+        report.add_check(f"{label}_horizontal_flux", HORIZONTAL_FLUX_TOL * fl.f3 - horiz)
+        report.add_check(f"{label}_coefficient_symmetry", symmetry_margin(data))
 
 
 @_scenario({**_PERTURBED, "slab_half": 0.2, "grid": 33}, "perturbed_two_cover")
 def _prop_3_7(report: MeasureReport, data, params: dict, n_theta: int):
     """perturbed double cover levels against the matched doubled catenoid"""
     cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=2)
+    slab = _thin_slab(data, params)
     report.merge(
-        compare_lengths(
-            data, cat, _thin_slab(data, params), int(params["grid"]),
-            expect="below", n_theta=n_theta,
-        )
+        compare_lengths(data, cat, slab, params["grid"], expect="below", n_theta=n_theta)
     )
 
 
@@ -543,22 +524,22 @@ def _theorem_3_8(report: MeasureReport, data, params: dict, n_theta: int):
     area_closed = catenoid_area(cat_c, slab_c)
     rel = abs(area_control - area_closed) / area_closed
     report.quantities["control_relative_margin"] = rel
-    report.add_check("control_margin_collapses", rel <= IDENTITY_TOL, IDENTITY_TOL - rel)
+    report.add_check("control_margin_collapses", IDENTITY_TOL - rel)
 
 
 @_scenario({**_FIGURE_EIGHT, "slab_half": 0.25, "grid": 50, "levels": 9}, "figure_eight")
 def _theorem_4_1(report: MeasureReport, data, params: dict, n_theta: int):
     """figure-eight convexity band and single self-crossing per level"""
     _winding_check(report, data, 0)
-    length, dd = _lengths_on_profile(data, int(params["grid"]))
+    length, dd = _lengths_on_profile(data, params["grid"])
     above_2l = float(np.min(dd - 2.0 * length))
     below_4l = float(np.max(dd - 4.0 * length))
     report.quantities["dd_minus_2L_min"] = above_2l
     report.quantities["dd_minus_4L_max"] = below_4l
-    report.add_check("dd_above_2L", above_2l > 0.0, above_2l)
-    report.add_check("dd_below_4L", below_4l < 0.0, -below_4l)
+    report.add_check("dd_above_2L", above_2l)
+    report.add_check("dd_below_4L", -below_4l)
     levels = classify_levels(
-        data, _thin_slab(data, params), int(params["levels"]),
+        data, _thin_slab(data, params), params["levels"],
         expected_crossings=1, n_theta=n_theta,
     )
     report.merge(levels, quantities=("crossings_min", "crossings_max"))
@@ -572,7 +553,7 @@ def _corollary_4_2(report: MeasureReport, data, params: dict, n_theta: int):
     defect, worst = _three_term_residual(data, 50)
     report.quantities["identity_defect"] = defect
     report.quantities["max_relative_residual"] = worst
-    report.add_check("identity_closed_form", worst <= IDENTITY_TOL, IDENTITY_TOL - worst)
+    report.add_check("identity_closed_form", IDENTITY_TOL - worst)
 
     # Traced-level consistency runs on the flux-matched 2-fold cover, the
     # case where levels coincide with circles and the h to t conversion is
@@ -580,7 +561,7 @@ def _corollary_4_2(report: MeasureReport, data, params: dict, n_theta: int):
     # verdict because its circles are not levels and the two readings differ
     # structurally off the waist.
     cover, cat = catenoid_cover(2, f3)
-    step = float(params["fd_step"])
+    step = params["fd_step"]
     centers = np.array([0.0, 0.1, -0.15])
     stencils = [h + k * step for h in centers for k in (-1, 0, 1)]
     vals = np.array([curve.length for curve in trace_levels(cover, stencils, n_theta)])
@@ -588,11 +569,7 @@ def _corollary_4_2(report: MeasureReport, data, params: dict, n_theta: int):
     closed = rate**2 * circle_length_dd(cover, np.exp(rate * centers))
     worst_cover = float(np.max(np.abs(fd - closed) / np.abs(closed)))
     report.quantities["cover_fd_relative_error"] = worst_cover
-    report.add_check(
-        "traced_fd_consistency_cover",
-        worst_cover <= FD_CONSISTENCY_TOL,
-        FD_CONSISTENCY_TOL - worst_cover,
-    )
+    report.add_check("traced_fd_consistency_cover", FD_CONSISTENCY_TOL - worst_cover)
 
     stencil = [k * step for k in (-1, 0, 1)]
     vals = [curve.length for curve in trace_levels(data, stencil, n_theta)]
@@ -613,9 +590,7 @@ def _theorem_4_3(report: MeasureReport, data, params: dict, n_theta: int):
 
     cat = CatenoidParams(f3=flux(data).f3, center=h0, cover=1)
     report.merge(
-        compare_lengths(
-            data, cat, slab, int(params["grid"]), expect="above", n_theta=n_theta
-        ),
+        compare_lengths(data, cat, slab, params["grid"], expect="above", n_theta=n_theta),
         quantities={"traced_margin_min": "length_margin_min"},
         verdicts=("traced_level_lengths",),
     )
@@ -636,11 +611,7 @@ def _theorem_4_3(report: MeasureReport, data, params: dict, n_theta: int):
 
     ustar = marginal_waist_ratio()
     report.quantities["marginal_ratio"] = ustar
-    report.add_check(
-        "marginal_ratio_oracle",
-        abs(ustar - 1.1996786402577338) <= 1e-6,
-        1e-6 - abs(ustar - 1.1996786402577338),
-    )
+    report.add_check("marginal_ratio_oracle", 1e-6 - abs(ustar - 1.1996786402577338))
 
 
 @_scenario({**_FIGURE_EIGHT, "slab_half": 0.25, "grid": 33}, "figure_eight")
@@ -649,9 +620,7 @@ def _step_two(report: MeasureReport, data, params: dict, n_theta: int):
     slab = _thin_slab(data, params)
     cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=2)
     report.merge(
-        compare_lengths(
-            data, cat, slab, int(params["grid"]), expect="below", n_theta=n_theta
-        )
+        compare_lengths(data, cat, slab, params["grid"], expect="below", n_theta=n_theta)
     )
     report.merge(
         compare_areas(data, cat, slab, expect="below", n_theta=n_theta),
@@ -665,13 +634,13 @@ def _total_curvature_8pi(report: MeasureReport, data, params: dict, n_theta: int
     """total curvature of the extended figure-eight surface"""
     if data is None:
         data = _build("figure_eight", params)
-    wide = AnnulusWindow(float(params["r_min"]), float(params["r_max"]))
+    wide = AnnulusWindow(params["r_min"], params["r_max"])
     tc = total_curvature(data, window=wide, n_theta=n_theta)
     target = -8.0 * math.pi
     rel = abs(tc - target) / abs(target)
     report.quantities["total_curvature"] = tc
     report.quantities["relative_error"] = rel
-    report.add_check("figure_eight_8pi", rel <= 0.02, 0.02 - rel)
+    report.add_check("figure_eight_8pi", 0.02 - rel)
 
     control, _ = catenoid_cover(1, TWO_PI)
     ctrl_window = AnnulusWindow(math.exp(-8.0), math.exp(8.0))
@@ -679,7 +648,19 @@ def _total_curvature_8pi(report: MeasureReport, data, params: dict, n_theta: int
     rel_ctrl = abs(tc_ctrl + 4.0 * math.pi) / (4.0 * math.pi)
     report.quantities["catenoid_total_curvature"] = tc_ctrl
     report.quantities["catenoid_relative_error"] = rel_ctrl
-    report.add_check("catenoid_4pi", rel_ctrl <= 0.001, 0.001 - rel_ctrl)
+    report.add_check("catenoid_4pi", 0.001 - rel_ctrl)
+
+
+def _typed(name: str, key: str, value, kind: type):
+    """``value`` as ``kind``: int (which takes an integral float), float or complex."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return operator.index(value) if kind is int else kind(value)
+    except (TypeError, ValueError):
+        raise PreconditionError(
+            f"{name} parameter {key} needs {kind.__name__}, got {value!r}"
+        ) from None
 
 
 def run_scenario(
@@ -715,7 +696,11 @@ def run_scenario(
             raise PreconditionError(
                 f"{name} runs on the given data and would ignore {sorted(ignored)}"
             )
-    params.update(overrides)
+    # Overrides take their default's type; a_0, which has no default, is complex.
+    params.update(
+        (key, _typed(name, key, value, type(params.get(key, 0j))))
+        for key, value in overrides.items()
+    )
     report = MeasureReport(name)
     try:
         if scenario.family is not None and data is None:
@@ -724,7 +709,7 @@ def run_scenario(
             scenario.measure(report, data, params, int(n_theta))
     except InadmissibleParametersError as exc:
         report = MeasureReport(name)
-        report.add_check("constructible", False, -math.inf)
+        report.add_check("constructible", -math.inf)
         report.provenance = _provenance(name, params, n_theta)
         report.provenance["error"] = str(exc)
         return report
@@ -742,8 +727,9 @@ def sweep_scenario(
 ) -> list:
     """Run a scenario across parameter values and collect verdict margins.
 
-    Consecutive sign changes of each margin are flagged so the output maps
-    where an inequality stops holding.
+    Verdicts whose margin changed sign since the previous value are flagged
+    so the output maps where an inequality stops holding.  A complex value
+    is echoed as [re, im].
     """
     rows = []
     previous = {}
@@ -751,19 +737,16 @@ def sweep_scenario(
         ov = dict(overrides or {})
         ov[param] = value
         report = run_scenario(name, ov, n_theta, data)
-        margins = {k: v.margin for k, v in report.verdicts.items()}
-        flipped = sorted(
-            k for k, m in margins.items()
-            if k in previous and (m > 0) != (previous[k] > 0)
-        )
+        passed = {k: v.passed for k, v in report.verdicts.items()}
+        flipped = sorted(k for k, p in passed.items() if previous.get(k, p) != p)
         rows.append(
             {
                 "param": param,
-                "value": float(value),
+                "value": [value.real, value.imag] if isinstance(value, complex) else float(value),
                 "all_pass": report.all_pass,
-                "margins": {k: float(v) for k, v in sorted(margins.items())},
+                "margins": {k: v.margin for k, v in sorted(report.verdicts.items())},
                 "sign_changes": flipped,
             }
         )
-        previous = margins
+        previous = passed
     return rows

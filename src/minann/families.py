@@ -21,10 +21,11 @@ from .errors import (
     SchemaError,
 )
 from .laurent import COEFF_REL_TOL, TWO_PI, AnnulusWindow, LaurentPoly, roots
-from .measures import CatenoidParams
+from .measures import CatenoidParams, _theta_grid
 from .weierstrass import Parity, Slab, WeierstrassData, _immersion, from_g_pair
 
 DEFAULT_MARGIN = 0.05
+HEIGHT_RANGE_NODES = 512  # boundary samples of attained_height_range
 
 
 def admissible_annulus(
@@ -259,14 +260,14 @@ def figure_eight_pair(
 # -- slab clipping -----------------------------------------------------------------
 
 
-def attained_height_range(data: WeierstrassData, n_theta: int = 512) -> tuple[float, float]:
+def attained_height_range(data: WeierstrassData) -> tuple[float, float]:
     """Heights whose full level curves fit inside the window.
 
     Along monotone rays a level exists for every theta exactly when h lies
     between the worst-case boundary heights.
     """
     imm = _immersion(data)
-    thetas = TWO_PI * np.arange(int(n_theta)) / int(n_theta)
+    thetas = _theta_grid(HEIGHT_RANGE_NODES)
     h_in = imm.height(data.window.r_inner * np.exp(1j * thetas))
     h_out = imm.height(data.window.r_outer * np.exp(1j * thetas))
     lo = float(np.max(np.minimum(h_in, h_out)))

@@ -76,9 +76,24 @@ class FluxVector:
 
 @dataclass(frozen=True)
 class PeriodVerdict:
-    well_defined: bool
-    vertical_flux: bool
+    """Relative slacks of the period conditions, each positive when it holds:
+    the circle means of f-/f+ and Im of the vertical dz residue."""
+
+    flux_slack: float
+    log_slack: float
     residues: tuple[complex, complex, complex]
+
+    @property
+    def vertical_flux(self) -> bool:
+        return self.flux_slack > 0.0
+
+    @property
+    def well_defined_slack(self) -> float:
+        return min(self.flux_slack, self.log_slack)
+
+    @property
+    def well_defined(self) -> bool:
+        return self.well_defined_slack > 0.0
 
 
 @dataclass(frozen=True)
@@ -181,18 +196,18 @@ def period_check(data: WeierstrassData) -> PeriodVerdict:
     flux; the second makes the third coordinate single-valued.
     """
     scale = max(data.f_minus.max_abs_coeff, data.f_plus.max_abs_coeff)
-    tol = COEFF_REL_TOL * scale
-    vertical = (
-        abs(data.f_minus.coefficient(0)) <= tol and abs(data.f_plus.coefficient(0)) <= tol
-    )
+    mean = max(abs(data.f_minus.coefficient(0)), abs(data.f_plus.coefficient(0)))
     residues = (
         data.phi1.coefficient(-1),
         data.phi2.coefficient(-1),
         data.phi3.coefficient(-1),
     )
     height_scale = max(data.phi3.max_abs_coeff, 1e-300)
-    well = vertical and abs(residues[2].imag) <= COEFF_REL_TOL * height_scale
-    return PeriodVerdict(well_defined=well, vertical_flux=vertical, residues=residues)
+    return PeriodVerdict(
+        flux_slack=COEFF_REL_TOL - mean / scale,
+        log_slack=COEFF_REL_TOL - abs(residues[2].imag) / height_scale,
+        residues=residues,
+    )
 
 
 def flux(data: WeierstrassData) -> FluxVector:
@@ -330,14 +345,20 @@ def metric_lambda_samples(data: WeierstrassData, z: np.ndarray) -> np.ndarray:
 
 
 def symmetry_check(data: WeierstrassData) -> bool:
-    """Does inversion through the unit circle act by a horizontal reflection?
+    """Does inversion through the unit circle act by a horizontal reflection?"""
+    return symmetry_margin(data) > 0.0
+
+
+def symmetry_margin(data: WeierstrassData) -> float:
+    """Relative slack of the reflection identities; positive when they hold.
 
     An exact coefficient criterion for either parity.  Even data: the plus
     factor is the conjugate-reflected minus factor.  Odd data: with
     w = 1/conj(z), g_plus(w) conj(g_plus(z)) = g_minus(w) conj(g_minus(z))
     and psi3(w) = conj(psi3(z)) on every circle; as Laurent expressions
     these read conj_reflect(g_plus) g_plus = conj_reflect(g_minus) g_minus
-    and conj_reflect(psi3) = psi3.
+    and conj_reflect(psi3) = psi3.  Each identity a = b contributes
+    COEFF_REL_TOL - |a - b| / max(|a|, |b|) in largest-coefficient norm.
     """
     gm, gp = data.g_minus, data.g_plus
     if data.parity is Parity.EVEN:
@@ -347,8 +368,8 @@ def symmetry_check(data: WeierstrassData) -> bool:
             (gp.conj_reflect() * gp, gm.conj_reflect() * gm),
             (data.psi3.conj_reflect(), data.psi3),
         ]
-    return all(
-        (a - b).max_abs_coeff <= COEFF_REL_TOL * max(a.max_abs_coeff, b.max_abs_coeff)
+    return min(
+        COEFF_REL_TOL - (a - b).max_abs_coeff / max(a.max_abs_coeff, b.max_abs_coeff)
         for a, b in identities
     )
 

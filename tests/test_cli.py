@@ -352,16 +352,26 @@ class TestReport:
         assert excinfo.value.code == 2
 
     def test_seed_flag_reaches_randomized_scenarios(self, capsys):
-        args = ["--seed", "7", "report", "--scenario", "lemma_3_4_identity"]
+        args = ["report", "--scenario", "lemma_3_4_identity", "--param", "seed=7"]
         assert main(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["provenance"]["inputs"]["seed"] == 7
 
-    def test_seed_flag_ignored_for_deterministic_scenarios(self, capsys):
-        args = ["--seed", "7", "report", "--scenario", "theorem_3_5"]
-        assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert "seed" not in doc["provenance"]["inputs"]
+    def test_global_seed_flag_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--seed", "7", "report", "--scenario", "lemma_3_4_identity"])
+        assert excinfo.value.code == 2
+
+    def test_badly_typed_parameter_is_usage_error(self, capsys):
+        cases = [
+            ("step_two", "slab_half=abc"),
+            ("lemma_3_1", "seed=abc"),
+            ("lemma_3_1", "count=2.5"),
+            ("theorem_3_5", "eps1=abc"),
+        ]
+        for scenario, param in cases:
+            assert main(["report", "--scenario", scenario, "--param", param]) == 2, param
+            assert "parameter" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -391,6 +401,20 @@ class TestSweep:
             ["--start", "0.1", "--stop", "0.3", "--count", "-1"],
         ):
             assert main(args + extra) == 2, extra
+
+    def test_badly_typed_values_are_usage_errors(self, capsys):
+        cases = [
+            ["--scenario", "step_two", "--param", "slab_half", "--values", "1,abc"],
+            ["--scenario", "lemma_3_1", "--param", "count", "--values", "2.5"],
+            ["--scenario", "lemma_3_1", "--param", "count", "--values", "2",
+             "--set", "seed=abc"],
+        ]
+        for extra in cases:
+            assert main(["sweep", *extra]) == 2, extra
+        err = capsys.readouterr().err
+        assert "--values must be numbers" in err
+        assert "count needs int, got 2.5" in err
+        assert "seed needs int, got 'abc'" in err
 
     def test_linear_range(self, capsys):
         args = [

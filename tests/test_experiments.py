@@ -28,7 +28,7 @@ from minann import (
     sweep_scenario,
 )
 from minann.families import admissible_annulus
-from minann.laurent import LaurentPoly
+from minann.laurent import COEFF_REL_TOL, LaurentPoly
 
 CATALOG_NAMES = {
     "lemma_3_1",
@@ -319,11 +319,12 @@ class TestRunScenario:
         assert not report.all_pass
         assert not report.verdicts["vertical_flux"].passed
         assert not report.verdicts["well_defined"].passed
-        # each squared factor keeps a mean of 0.1, and the second horizontal
-        # residue is half their sum
-        assert report.verdicts["vertical_flux"].margin == pytest.approx(
-            -0.1, abs=1e-12
-        )
+        # f- = (1/z + i sqrt(1.9) + z)^2 keeps the circle mean 2 - 1.9 = 0.1
+        # against its largest coefficient 2 sqrt(1.9), and f+ matches it
+        slack = COEFF_REL_TOL - 0.1 / (2.0 * math.sqrt(1.9))
+        assert slack == pytest.approx(-0.0362738125, abs=1e-10)
+        assert report.verdicts["vertical_flux"].margin == pytest.approx(slack, rel=1e-12)
+        assert report.verdicts["well_defined"].margin == pytest.approx(slack, rel=1e-12)
         # the runner stops before measuring anything downstream
         assert "dd_above_2L" not in report.verdicts
 
@@ -407,14 +408,78 @@ class TestGenerators:
         assert c.g_minus.terms == d.g_minus.terms
 
 
+class TestVerdictContract:
+    """A check passes exactly when its signed margin is positive."""
+
+    @staticmethod
+    def disagreeing(report):
+        doc = report.to_json()["verdicts"]
+        return sorted(k for k, v in doc.items() if v["pass"] != (v["margin"] > 0.0))
+
+    def test_default_catalog_at_512_nodes(self, catalog_reports):
+        for name, report in catalog_reports.items():
+            assert self.disagreeing(report) == [], name
+
+    def test_default_catalog_at_128_nodes(self):
+        for name in SCENARIOS:
+            assert self.disagreeing(run_scenario(name, n_theta=128)) == [], name
+
+    def test_failing_period_and_construction_reports(self):
+        inconsistent = run_scenario("theorem_4_1", {"a_0": complex(0.0, math.sqrt(1.9))})
+        inadmissible = run_scenario("theorem_3_5", {"eps1": 0.5 + 0.0j})
+        for report in (inconsistent, inadmissible):
+            assert not report.all_pass
+            assert self.disagreeing(report) == []
+
+    def test_integer_and_symmetry_checks_carry_positive_slack(self, catalog_reports):
+        assert catalog_reports["theorem_4_1"].verdicts["winding_class"].margin == 0.5
+        assert catalog_reports["theorem_4_1"].verdicts["expected_crossings"].margin == 0.5
+        symmetry = catalog_reports["prop_3_6_symmetry"].verdicts
+        for label in ("perturbed", "figure_eight"):
+            margin = symmetry[f"{label}_coefficient_symmetry"].margin
+            assert 0.0 < margin <= COEFF_REL_TOL
+
+
+class TestOverrideTypes:
+    def test_overrides_take_the_default_type(self):
+        report = run_scenario("lemma_3_1", {"count": 2.0, "seed": 3, "grid": 8})
+        inputs = report.provenance["inputs"]
+        assert inputs["count"] == 2 and isinstance(inputs["count"], int)
+        assert report.quantities["datasets"] == 2.0
+        report = run_scenario("theorem_3_5", {"eps1": 0.05, "c1": 1})
+        assert report.provenance["inputs"]["eps1"] == [0.05, 0.0]
+        assert report.provenance["inputs"]["c1"] == [1.0, 0.0]
+        assert run_scenario("step_two", {"slab_half": 1}).provenance["inputs"]["slab_half"] == 1.0
+
+    def test_badly_typed_overrides_are_rejected(self):
+        cases = [
+            ("lemma_3_1", {"count": 2.5}),
+            ("lemma_3_1", {"seed": "abc"}),
+            ("lemma_3_1", {"seed": math.inf}),
+            ("step_two", {"slab_half": "abc"}),
+            ("step_two", {"slab_half": 0.25j}),
+            ("step_two", {"grid": 33.5}),
+            ("theorem_3_5", {"eps1": "abc"}),
+            ("theorem_4_1", {"a_0": None}),
+        ]
+        for name, overrides in cases:
+            with pytest.raises(PreconditionError, match="parameter"):
+                run_scenario(name, overrides)
+
+    def test_sweep_echoes_complex_values_as_pairs(self):
+        rows = sweep_scenario("theorem_3_5", "eps1", [0.05j, 0.04 + 0.01j], n_theta=128)
+        assert [row["value"] for row in rows] == [[0.0, 0.05], [0.04, 0.01]]
+        assert all(row["all_pass"] for row in rows)
+
+
 class TestReportPrimitives:
     def test_verdict_json(self):
-        assert Verdict(True, 0.5).to_json() == {"pass": True, "margin": 0.5}
+        assert Verdict(0.5).to_json() == {"pass": True, "margin": 0.5}
 
     def test_all_pass_and_add_check(self):
         report = MeasureReport("demo")
         assert report.all_pass  # vacuously true with no verdicts
-        report.add_check("first", True, 1.0)
+        report.add_check("first", 1.0)
         assert report.all_pass
-        report.add_check("second", False, -1.0)
+        report.add_check("second", -1.0)
         assert not report.all_pass

@@ -23,17 +23,40 @@ def test_all_lists_exactly_the_imported_public_names():
     assert "sweep_scenario" in namespace
 
 
-def test_benchmark_tracer_finds_every_traced_layer():
-    # perfbench/tracer.py wraps minann functions by name and reads some of
-    # their parameters (circle_length's n_theta among them); install() fails
-    # when a traced layer or such a parameter is gone.
+def _run_with_perfbench(code: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracer; tracer.Tracer().install()"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_benchmark_tracer_finds_every_traced_layer():
+    # perfbench/tracer.py wraps minann functions by name and reads some of
+    # their parameters (circle_length's n_theta among them); install() fails
+    # when a traced layer or such a parameter is gone.
+    proc = _run_with_perfbench("import tracer; tracer.Tracer().install()")
     assert proc.returncode == 0, proc.stderr
+
+
+ORACLE_CHECK = """
+import minann, oracle, workloads
+seed, n = workloads.CATALOG_SEED, workloads.N_THETA
+for workload in ("traced_route", "circle_route"):
+    for name, overrides in workloads.scenario_calls(workload, seed):
+        doc = minann.run_scenario(name, overrides, n_theta=n).to_json()
+        for problem in oracle.check_report(name, doc, seed, n):
+            print(problem)
+"""
+
+
+def test_benchmark_oracle_accepts_the_catalog_reports():
+    # The benchmark rejects a run whose verdict set, pass pattern or pinned
+    # margins differ from perfbench/oracle.py; this fails first.
+    proc = _run_with_perfbench(ORACLE_CHECK)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
