@@ -102,8 +102,19 @@ def atomic_write(path: str, content: str) -> None:
         raise
 
 
+def _finite_or_null(doc):
+    """``doc`` with each non-finite float written as null, as JSON.stringify does."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(value) for value in doc]
+    return doc
+
+
 def emit_json(doc, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         atomic_write(path, text)
     else:

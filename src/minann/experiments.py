@@ -29,7 +29,7 @@ from . import measures
 from .errors import GeometryError, InadmissibleParametersError, PreconditionError
 from .families import (
     DEFAULT_MARGIN,
-    FigureEightParams,
+    _three_term_factor,
     admissible_annulus,
     catenoid_cover,
     clip_to_slab,
@@ -197,15 +197,7 @@ def random_three_term_pair(rng: np.random.Generator) -> WeierstrassData:
         )
         if 0 in (a_m1, a_1, b_m1, b_1):
             continue
-        params = FigureEightParams(
-            a_m1=a_m1,
-            a_0=np.sqrt(complex(-2.0 * a_m1 * a_1)),
-            a_1=a_1,
-            b_m1=b_m1,
-            b_0=np.sqrt(complex(-2.0 * b_m1 * b_1)),
-            b_1=b_1,
-        )
-        gm, gp = params.g_minus(), params.g_plus()
+        gm, gp = _three_term_factor(a_m1, a_1), _three_term_factor(b_m1, b_1)
         try:
             window = admissible_annulus(gm, gp)
             return from_g_pair(gm, gp, Parity.EVEN, window)
@@ -221,7 +213,7 @@ def compare_lengths(
     sigma: WeierstrassData,
     cat: CatenoidParams,
     slab: Slab,
-    grid=33,
+    grid: int = 33,
     expect: str = "below",
     n_theta: int = 512,
 ) -> MeasureReport:
@@ -246,12 +238,9 @@ def compare_lengths(
     report.quantities["cat_f3"] = cat.f3
     sign = 1.0 if expect == "below" else -1.0
 
-    if np.isscalar(grid):
-        heights = np.linspace(slab.h_minus, slab.h_plus, int(grid))
-    else:
-        heights = np.asarray(grid, dtype=float)
-        if heights.min() < slab.h_minus - 1e-12 or heights.max() > slab.h_plus + 1e-12:
-            raise PreconditionError("comparison heights must lie inside the slab")
+    if grid < 1:
+        raise PreconditionError(f"grid must be at least 1, got {grid!r}")
+    heights = np.linspace(slab.h_minus, slab.h_plus, grid)
     # At the waist the two lengths agree, so strictness is only meaningful
     # away from it; the skip width absorbs the tolerance of a numerically
     # located waist height.
@@ -652,15 +641,23 @@ def _total_curvature_8pi(report: MeasureReport, data, params: dict, n_theta: int
 
 
 def _typed(name: str, key: str, value, kind: type):
-    """``value`` as ``kind``: int (which takes an integral float), float or complex."""
+    """``value`` as ``kind``: int (which takes an integral float), float or
+    complex.  An int must be at least 1 (a seed at least 0), and fd_step
+    must be positive."""
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     try:
-        return operator.index(value) if kind is int else kind(value)
+        value = operator.index(value) if kind is int else kind(value)
     except (TypeError, ValueError):
         raise PreconditionError(
             f"{name} parameter {key} needs {kind.__name__}, got {value!r}"
         ) from None
+    lowest = 0 if key == "seed" else 1
+    if kind is int and value < lowest:
+        raise PreconditionError(f"{name} parameter {key} must be at least {lowest}, got {value}")
+    if key == "fd_step" and not value > 0.0:
+        raise PreconditionError(f"{name} parameter {key} must be positive, got {value!r}")
+    return value
 
 
 def run_scenario(

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -20,7 +18,7 @@ from .errors import (
     InadmissibleParametersError,
     SchemaError,
 )
-from .laurent import COEFF_REL_TOL, TWO_PI, AnnulusWindow, LaurentPoly, roots
+from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots
 from .measures import CatenoidParams, _theta_grid
 from .weierstrass import Parity, Slab, WeierstrassData, _immersion, from_g_pair
 
@@ -95,34 +93,6 @@ def catenoid_cover(
 # -- perturbed double covers -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbedCoverParams:
-    """Coefficients (c z + eps + delta/z, c'/z + eps' + delta' z) with the
-
-    vanishing-mean constraints eps^2 + 2 delta c = 0 on each factor.
-    """
-
-    c1: complex
-    eps1: complex
-    delta1: complex
-    c2: complex
-    eps2: complex
-    delta2: complex
-
-    def validate(self):
-        s = max(abs(self.c1), abs(self.c2), 1e-300)
-        if abs(self.eps1**2 + 2.0 * self.delta1 * self.c1) > COEFF_REL_TOL * s**2:
-            raise InadmissibleParametersError("first factor violates its mean constraint")
-        if abs(self.eps2**2 + 2.0 * self.delta2 * self.c2) > COEFF_REL_TOL * s**2:
-            raise InadmissibleParametersError("second factor violates its mean constraint")
-
-    def g_minus(self) -> LaurentPoly:
-        return LaurentPoly({1: self.c1, 0: self.eps1, -1: self.delta1})
-
-    def g_plus(self) -> LaurentPoly:
-        return LaurentPoly({-1: self.c2, 0: self.eps2, 1: self.delta2})
-
-
 def perturbed_two_cover(
     c1: complex, eps1: complex, margin: float = DEFAULT_MARGIN
 ) -> WeierstrassData:
@@ -151,16 +121,8 @@ def perturbed_two_cover_pair(
             raise InadmissibleParametersError(f"c{k} must be nonzero")
         if abs(eps) >= abs(c) / 4.0:
             raise InadmissibleParametersError(f"|eps{k}| must stay below |c{k}|/4")
-    params = PerturbedCoverParams(
-        c1=c1,
-        eps1=eps1,
-        delta1=-(eps1**2) / (2.0 * c1),
-        c2=c2,
-        eps2=eps2,
-        delta2=-(eps2**2) / (2.0 * c2),
-    )
-    params.validate()
-    gm, gp = params.g_minus(), params.g_plus()
+    gm = LaurentPoly({1: c1, 0: eps1, -1: -(eps1**2) / (2.0 * c1)})
+    gp = LaurentPoly({-1: c2, 0: eps2, 1: -(eps2**2) / (2.0 * c2)})
     window = admissible_annulus(gm, gp, margin)
     return from_g_pair(gm, gp, Parity.EVEN, window)
 
@@ -168,34 +130,13 @@ def perturbed_two_cover_pair(
 # -- figure-eight family -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FigureEightParams:
-    """Three-term factors with zero squared means; winding class zero."""
-
-    a_m1: complex
-    a_0: complex
-    a_1: complex
-    b_m1: complex
-    b_0: complex
-    b_1: complex
-
-    def validate(self):
-        s = max(abs(self.a_m1), abs(self.a_1), abs(self.b_m1), abs(self.b_1), 1e-300)
-        if abs(self.a_0**2 + 2.0 * self.a_m1 * self.a_1) > COEFF_REL_TOL * s**2:
-            raise InadmissibleParametersError("first factor violates its mean constraint")
-        if abs(self.b_0**2 + 2.0 * self.b_m1 * self.b_1) > COEFF_REL_TOL * s**2:
-            raise InadmissibleParametersError("second factor violates its mean constraint")
-
-    def g_minus(self) -> LaurentPoly:
-        return LaurentPoly({-1: self.a_m1, 0: self.a_0, 1: self.a_1})
-
-    def g_plus(self) -> LaurentPoly:
-        return LaurentPoly({-1: self.b_m1, 0: self.b_0, 1: self.b_1})
+def _three_term_factor(a_m1: complex, a_1: complex) -> LaurentPoly:
+    """a_m1/z + a_0 + a_1 z with a_0 the principal root of -2 a_m1 a_1, the
+    constant term that makes the factor's square have zero circle mean."""
+    return LaurentPoly({-1: a_m1, 0: cmath.sqrt(-2.0 * a_m1 * a_1), 1: a_1})
 
 
-def _figure_eight_data(params: FigureEightParams, margin: float) -> WeierstrassData:
-    params.validate()
-    gm, gp = params.g_minus(), params.g_plus()
+def _figure_eight_data(gm: LaurentPoly, gp: LaurentPoly, margin: float) -> WeierstrassData:
     window = admissible_annulus(gm, gp, margin)
     # Each factor must contribute one root inside and one outside the window,
     # otherwise the level curves do not close up into a figure-eight pattern.
@@ -220,16 +161,8 @@ def figure_eight(
     a_1 = complex(a_1)
     if a_m1 == 0 or a_1 == 0:
         raise InadmissibleParametersError("the outer coefficients must be nonzero")
-    a_0 = cmath.sqrt(-2.0 * a_m1 * a_1)
-    params = FigureEightParams(
-        a_m1=a_m1,
-        a_0=a_0,
-        a_1=a_1,
-        b_m1=a_1.conjugate(),
-        b_0=a_0.conjugate(),
-        b_1=a_m1.conjugate(),
-    )
-    return _figure_eight_data(params, margin)
+    gm = _three_term_factor(a_m1, a_1)
+    return _figure_eight_data(gm, gm.conj_reflect(), margin)
 
 
 def figure_eight_pair(
@@ -246,15 +179,9 @@ def figure_eight_pair(
     a_m1, a_1, b_m1, b_1 = map(complex, (a_m1, a_1, b_m1, b_1))
     if 0 in (a_m1, a_1, b_m1, b_1):
         raise InadmissibleParametersError("the outer coefficients must be nonzero")
-    params = FigureEightParams(
-        a_m1=a_m1,
-        a_0=cmath.sqrt(-2.0 * a_m1 * a_1),
-        a_1=a_1,
-        b_m1=b_m1,
-        b_0=cmath.sqrt(-2.0 * b_m1 * b_1),
-        b_1=b_1,
+    return _figure_eight_data(
+        _three_term_factor(a_m1, a_1), _three_term_factor(b_m1, b_1), margin
     )
-    return _figure_eight_data(params, margin)
 
 
 # -- slab clipping -----------------------------------------------------------------

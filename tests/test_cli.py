@@ -8,6 +8,15 @@ import pytest
 from minann import catenoid_area, CatenoidParams, Slab, data_from_json, figure_eight
 from minann.cli import main, parse_complex, parse_param
 
+def loads(text):
+    """Parse CLI output as RFC 8259 JSON: a NaN or Infinity token fails."""
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 FIG8_ARGS = ["gen", "--family", "figure_eight", "--a-m1", "1", "--a-1", "1"]
 
 
@@ -65,7 +74,7 @@ class TestArgumentHelpers:
 class TestGen:
     def test_roundtrip_matches_library_constructor(self, fig8_path):
         with open(fig8_path) as handle:
-            data = data_from_json(json.load(handle))
+            data = data_from_json(loads(handle.read()))
         ref = figure_eight(1.0, 1.0)
         assert data.g_minus.terms == ref.g_minus.terms
         assert data.g_plus.terms == ref.g_plus.terms
@@ -74,7 +83,7 @@ class TestGen:
 
     def test_stdout_output(self, capsys):
         assert main(FIG8_ARGS) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert "g_minus" in doc and "window" in doc
 
     def test_missing_required_parameter(self, capsys):
@@ -122,7 +131,7 @@ class TestGen:
 class TestCheck:
     def test_passing_data(self, fig8_path, capsys):
         assert main(["check", "--data", fig8_path]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert doc["well_defined"] and doc["vertical_flux"] and doc["symmetric"]
         assert doc["winding_class"] == 0
         assert doc["gauss_winding"] == 0
@@ -133,7 +142,7 @@ class TestCheck:
 
     def test_failing_data_exits_one_without_flux(self, broken_path, capsys):
         assert main(["check", "--data", broken_path]) == 1
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert not doc["vertical_flux"]
         assert "flux" not in doc
         assert "attained_heights" not in doc
@@ -149,7 +158,7 @@ class TestCheck:
     def test_out_file(self, fig8_path, tmp_path):
         out = tmp_path / "check.json"
         assert main(["check", "--data", fig8_path, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = loads(out.read_text())
         assert doc["symmetric"]
         leftovers = list(tmp_path.glob(".minann-*"))
         assert leftovers == []
@@ -159,7 +168,7 @@ class TestMeasure:
     def test_length_on_catenoid(self, catenoid_path, capsys):
         args = ["measure", "--data", catenoid_path, "--kind", "length", "--r", "1.2"]
         assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         expected = 2.0 * math.pi * math.cosh(math.log(1.2))
         assert doc["length"] == pytest.approx(expected, rel=1e-12)
         # the simple catenoid is its own second derivative in t = ln r
@@ -194,7 +203,7 @@ class TestMeasure:
             "measure", "--data", catenoid_path, "--kind", "area", "--slab-half", "0.5",
         ]
         assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         closed = catenoid_area(
             CatenoidParams(f3=2.0 * math.pi, center=0.0, cover=1), Slab(-0.5, 0.5)
         )
@@ -218,7 +227,7 @@ class TestMeasure:
             "measure", "--data", fig8_path, "--kind", "curvature",
         ]
         assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert doc["total_curvature"] < 0.0
         assert doc["total_curvature_over_pi"] == pytest.approx(
             doc["total_curvature"] / math.pi, rel=1e-15
@@ -248,7 +257,7 @@ class TestTrace:
     def test_summary_reports_crossings(self, fig8_path, capsys):
         args = ["--theta-nodes", "256", "trace", "--data", fig8_path, "--height", "0.1"]
         assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         (level,) = doc["levels"]
         assert level["height"] == 0.1
         assert level["self_intersections"] == 1
@@ -282,7 +291,7 @@ class TestCompare:
             "--out", str(out),
         ]
         assert main(args) == 0
-        doc = json.loads(out.read_text())
+        doc = loads(out.read_text())
         for name in (
             "traced_level_lengths",
             "circle_route_lengths",
@@ -299,7 +308,7 @@ class TestCompare:
             "--slab-half", "0.25", "--expect", "above",
         ]
         assert main(args) == 1
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert not doc["verdicts"]["traced_level_lengths"]["pass"]
 
     def test_marginal_flag_adds_verdict(self, fig8_path, capsys):
@@ -310,11 +319,17 @@ class TestCompare:
             "--expect", "above", "--marginal",
         ]
         main(args)
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert "area_above_marginal" in doc["verdicts"]
 
     def test_requires_slab(self, fig8_path):
         assert main(["compare", "--data", fig8_path]) == 2
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_is_usage_error(self, fig8_path, grid, capsys):
+        args = ["compare", "--data", fig8_path, "--slab-half", "0.25", "--grid", grid]
+        assert main(args) == 2
+        assert "grid must be at least 1" in capsys.readouterr().err
 
 
 class TestReport:
@@ -324,7 +339,7 @@ class TestReport:
             "report", "--scenario", "theorem_4_3", "--data", fig8_path,
         ]
         assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert doc["scenario"] == "theorem_4_3"
         assert all(v["pass"] for v in doc["verdicts"].values())
 
@@ -334,7 +349,7 @@ class TestReport:
             "--param", "a_0=0,1.3784048752090221",
         ]
         assert main(args) == 1
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert not doc["verdicts"]["vertical_flux"]["pass"]
 
     def test_unknown_parameter_is_validation_error(self, capsys):
@@ -354,7 +369,7 @@ class TestReport:
     def test_seed_flag_reaches_randomized_scenarios(self, capsys):
         args = ["report", "--scenario", "lemma_3_4_identity", "--param", "seed=7"]
         assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert doc["provenance"]["inputs"]["seed"] == 7
 
     def test_global_seed_flag_is_gone(self):
@@ -374,6 +389,30 @@ class TestReport:
             assert "parameter" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "scenario, param",
+        [
+            ("lemma_3_1", "count=0"),
+            ("lemma_3_4_identity", "count=0"),
+            ("theorem_4_1", "levels=0"),
+            ("prop_3_7", "grid=-1"),
+            ("prop_3_6_symmetry", "grid=0"),
+            ("lemma_3_1", "seed=-1"),
+            ("corollary_4_2", "fd_step=0"),
+        ],
+    )
+    def test_out_of_domain_parameter_is_usage_error(self, scenario, param, capsys):
+        assert main(["report", "--scenario", scenario, "--param", param]) == 2
+        key = param.split("=")[0]
+        assert f"{scenario} parameter {key} must be" in capsys.readouterr().err
+
+    def test_inadmissible_parameters_print_a_null_margin(self, capsys):
+        args = ["report", "--scenario", "theorem_3_5", "--param", "eps1=0.5"]
+        assert main(args) == 1
+        doc = loads(capsys.readouterr().out)
+        assert doc["verdicts"] == {"constructible": {"pass": False, "margin": None}}
+
+
 class TestSweep:
     def test_explicit_values(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -383,7 +422,7 @@ class TestSweep:
             "--values", "0.3,0.45", "--out", str(out),
         ]
         assert main(args) == 0
-        doc = json.loads(out.read_text())
+        doc = loads(out.read_text())
         assert doc["scenario"] == "step_two"
         assert [row["value"] for row in doc["rows"]] == [0.3, 0.45]
         assert doc["rows"][0]["all_pass"]
@@ -423,9 +462,22 @@ class TestSweep:
             "--start", "0.01", "--stop", "0.05", "--count", "3",
         ]
         assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = loads(capsys.readouterr().out)
         assert len(doc["rows"]) == 3
         assert all(row["all_pass"] for row in doc["rows"])
+
+
+    def test_inadmissible_row_prints_a_null_margin(self, capsys):
+        args = [
+            "--theta-nodes", "128",
+            "sweep", "--scenario", "theorem_3_5", "--param", "eps1",
+            "--values", "0.05,0.5",
+        ]
+        assert main(args) == 0
+        first, second = loads(capsys.readouterr().out)["rows"]
+        assert first["all_pass"]
+        assert second["margins"] == {"constructible": None}
+        assert not second["all_pass"]
 
 
 class TestTopLevel:

@@ -211,24 +211,25 @@ class TestCompareLengths:
         with pytest.raises(PreconditionError):
             compare_lengths(data, cat, Slab(-0.1, 0.1), expect="sideways")
 
-    def test_rejects_heights_outside_slab(self):
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_rejects_grid_below_one(self, grid):
         data, cat = catenoid_cover(2, 5.0)
-        with pytest.raises(PreconditionError):
-            compare_lengths(data, cat, Slab(-0.1, 0.1), grid=[0.0, 0.5])
+        with pytest.raises(PreconditionError, match="grid must be at least 1"):
+            compare_lengths(data, cat, Slab(-0.1, 0.1), grid=grid)
 
     def test_rejects_grid_with_only_the_waist(self):
-        data, cat = catenoid_cover(2, 5.0)
-        with pytest.raises(PreconditionError):
-            compare_lengths(data, cat, Slab(-0.1, 0.1), grid=[0.0])
+        # a one-point grid is h_minus, where this cover's waist sits
+        data, cat = catenoid_cover(2, 5.0, center=-0.1)
+        with pytest.raises(PreconditionError, match="no nonzero heights"):
+            compare_lengths(data, cat, Slab(-0.1, 0.1), grid=1)
 
     def test_explicit_grid_and_both_routes_reported(self):
         data = figure_eight(1.0, 1.0)
         f3 = 8.0 * math.pi
         cat = CatenoidParams(f3=f3, center=0.0, cover=2)
-        slab = clip_to_slab(data, Slab(-0.25, 0.25))
-        report = compare_lengths(
-            data, cat, slab, grid=[-0.2, -0.1, 0.1, 0.2], expect="below"
-        )
+        slab = clip_to_slab(data, Slab(-0.2, 0.2))
+        # heights -0.2, -0.1, 0.1, 0.2; the waist height 0 is skipped
+        report = compare_lengths(data, cat, slab, grid=5, expect="below")
         assert report.verdicts["traced_level_lengths"].passed
         assert report.verdicts["circle_route_lengths"].passed
         for key in (
@@ -465,6 +466,26 @@ class TestOverrideTypes:
         for name, overrides in cases:
             with pytest.raises(PreconditionError, match="parameter"):
                 run_scenario(name, overrides)
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("lemma_3_1", "count", 0),
+            ("lemma_3_4_identity", "count", 0),
+            ("theorem_4_1", "levels", 0),
+            ("prop_3_7", "grid", -1),
+            ("prop_3_6_symmetry", "grid", 0),
+            ("lemma_3_1", "seed", -1),
+            ("corollary_4_2", "fd_step", 0.0),
+        ],
+    )
+    def test_out_of_domain_overrides_are_rejected(self, name, key, value):
+        with pytest.raises(PreconditionError, match=f"{name} parameter {key} must be"):
+            run_scenario(name, {key: value})
+
+    def test_domain_edges_are_accepted(self):
+        report = run_scenario("lemma_3_1", {"seed": 0, "count": 1, "grid": 1})
+        assert report.quantities["datasets"] == 1.0
 
     def test_sweep_echoes_complex_values_as_pairs(self):
         rows = sweep_scenario("theorem_3_5", "eps1", [0.05j, 0.04 + 0.01j], n_theta=128)

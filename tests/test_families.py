@@ -1,6 +1,5 @@
 """Tests for the concrete family constructors and slab clipping."""
 
-import cmath
 import math
 
 import pytest
@@ -11,11 +10,9 @@ from minann import (
     DomainError,
     EmptySlabError,
     EmptyWindowError,
-    FigureEightParams,
     InadmissibleParametersError,
     LaurentPoly,
     Parity,
-    PerturbedCoverParams,
     SchemaError,
     Slab,
     admissible_annulus,
@@ -25,10 +22,13 @@ from minann import (
     family_from_spec,
     figure_eight,
     figure_eight_pair,
+    from_g_pair,
+    period_check,
     perturbed_two_cover,
     perturbed_two_cover_pair,
     roots,
 )
+from minann.laurent import COEFF_REL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,12 +171,15 @@ class TestPerturbedTwoCover:
         assert abs(data.f_minus.coefficient(0)) <= 1e-15
         assert abs(data.f_plus.coefficient(0)) <= 1e-15
 
-    def test_params_validate_catches_broken_constraint(self):
-        params = PerturbedCoverParams(
-            c1=1.0, eps1=0.1, delta1=0.2, c2=1.0, eps2=0.0, delta2=0.0
-        )
-        with pytest.raises(InadmissibleParametersError):
-            params.validate()
+    def test_period_check_catches_broken_constraint(self):
+        # delta = 0.2 instead of the derived -eps^2/(2c): f- = g-^2 keeps the
+        # circle mean eps^2 + 2 delta c = 0.41 against its largest
+        # coefficient 1 (of z^2), and f+ = conj_reflect(g-)^2 mirrors it
+        gm = LaurentPoly({1: 1.0, 0: 0.1, -1: 0.2})
+        gp = gm.conj_reflect()
+        verdict = period_check(from_g_pair(gm, gp, Parity.EVEN, admissible_annulus(gm, gp)))
+        assert verdict.flux_slack == pytest.approx(COEFF_REL_TOL - 0.41, abs=1e-15)
+        assert verdict.vertical_flux is False
 
 
 class TestFigureEight:
@@ -233,13 +236,6 @@ class TestFigureEight:
         # the shared gap, so its levels cannot close into a figure-eight
         with pytest.raises(InadmissibleParametersError):
             figure_eight_pair(1.0, 1.0, 10.0, 0.1)
-
-    def test_params_validate_catches_broken_constraint(self):
-        params = FigureEightParams(
-            a_m1=1.0, a_0=1.0, a_1=1.0, b_m1=1.0, b_0=cmath.sqrt(-2.0), b_1=1.0
-        )
-        with pytest.raises(InadmissibleParametersError):
-            params.validate()
 
 
 class TestSlabClipping:
