@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -27,11 +27,8 @@ PRUNE_EPS = 1e-300
 # Relative tolerance for coefficient-level predicates (exact division,
 # square roots, symmetry, vanishing constant terms).
 COEFF_REL_TOL = 1e-12
-# Aberth residual target (relative backward error), sweep cap per start, and
-# the seed of the restart perturbations.
+# Residual certificate of a root set: relative backward error per root.
 ROOT_RESIDUAL_TOL = 1e-12
-ROOT_MAX_ITER = 500
-ROOT_SEED = 0
 # winding_on_circle refuses circles closer than this (relative) to a root.
 CIRCLE_ROOT_TOL = 1e-9
 
@@ -64,10 +61,13 @@ class LaurentPoly:
             ni = int(n)
             if ni != n:
                 raise DomainError(f"exponent must be an integer, got {n!r}")
-            c = _finite_complex(c, f"coefficient of z^{ni}")
-            acc[ni] = acc.get(ni, 0j) + c
+            # _finite_complex inlined: construction is the hottest call site.
+            z = complex(c)
+            if not cmath.isfinite(z):
+                raise DomainError(f"coefficient of z^{ni} must be finite, got {c!r}")
+            acc[ni] = acc.get(ni, 0j) + z
         self.terms: tuple[tuple[int, complex], ...] = tuple(
-            (n, acc[n]) for n in sorted(acc) if abs(acc[n]) >= PRUNE_EPS
+            (n, c) for n, c in sorted(acc.items()) if abs(c) >= PRUNE_EPS
         )
 
     # -- construction helpers -------------------------------------------------
@@ -210,7 +210,7 @@ class LaurentPoly:
 
     @cached_property
     def _roots(self) -> tuple[complex, ...]:
-        # One Aberth solve per object; roots() copies it out on every call.
+        # One eigenvalue solve per object; roots() copies it out on every call.
         if self.is_zero:
             raise DomainError("the zero expression has no root set")
         deg = self.highest - self.lowest
@@ -219,7 +219,11 @@ class LaurentPoly:
         c = np.zeros(deg + 1, complex)
         for n, coeff in self.terms:
             c[n - self.lowest] = coeff
-        return tuple(_aberth(c))
+        z = np.roots(c[::-1])
+        if not _roots_accepted(c, z, ROOT_RESIDUAL_TOL):
+            raise ConvergenceError("companion eigenvalues fail the root residual certificate")
+        order = np.lexsort((z.imag, z.real, np.abs(z)))
+        return tuple(complex(v) for v in z[order])
 
     # -- exact division and square root -------------------------------------------
 
@@ -373,67 +377,19 @@ def trapezoid_circle(values: np.ndarray) -> complex:
 def roots(p: LaurentPoly) -> list[complex]:
     """All highest-lowest roots of p in the punctured plane, multiplicity
 
-    included, via the Aberth simultaneous iteration on the shifted ordinary
-    polynomial.  Deterministic; solved once per polynomial object and
-    returned as a fresh list.
+    included: the eigenvalues of the companion matrix of the shifted ordinary
+    polynomial (``np.roots``), accepted only when every root passes the scaled
+    residual test |q(z)| <= ROOT_RESIDUAL_TOL * sum |c_n| |z|^n, else
+    ConvergenceError.  Sorted by modulus, then real and imaginary part;
+    solved once per polynomial object and returned as a fresh list.
     """
     return list(p._roots)
-
-
-def _aberth(c: np.ndarray) -> list[complex]:
-    deg = len(c) - 1
-    dc = c[1:] * np.arange(1, deg + 1)
-    lead = abs(c[-1])
-    # Cauchy bounds for root moduli.
-    upper = 1.0 + max(abs(c[:-1])) / lead
-    lower = abs(c[0]) / (abs(c[0]) + max(abs(c[1:])))
-    radius = math.sqrt(upper * lower)
-    rng = np.random.default_rng(ROOT_SEED)
-    angles = TWO_PI * (np.arange(deg) + 0.372) / deg
-    z = radius * np.exp(1j * angles)
-    for _ in range(8):
-        z = _aberth_sweep(c, dc, z, ROOT_MAX_ITER)
-        if _roots_accepted(c, z, ROOT_RESIDUAL_TOL):
-            order = np.lexsort((z.imag, z.real, np.abs(z)))
-            return [complex(v) for v in z[order]]
-        # random perturbation restart on a dilated circle
-        jitter = np.exp(1j * TWO_PI * rng.random(deg))
-        z = radius * (0.5 + rng.random()) * jitter
-    raise ConvergenceError("root iteration exhausted its restart budget")
-
-
-def _horner(z, c):
-    # numpy's polyval, same operation order, without its argument handling.
-    out = c[-1] + z * 0
-    for ci in c[-2::-1]:
-        out = ci + out * z
-    return out
-
-
-def _aberth_sweep(c, dc, z, max_iter):
-    for _ in range(max_iter):
-        pv = _horner(z, c)
-        dpv = _horner(z, dc)
-        # Nudge exact critical points off zero to keep the correction finite.
-        bad = dpv == 0
-        if np.any(bad):
-            z = z + np.where(bad, 1e-12 * (1.0 + np.abs(z)), 0.0)
-            continue
-        w = pv / dpv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        corr = w / (1.0 - w * s)
-        z = z - corr
-        if np.max(np.abs(corr)) <= 1e-16 * np.max(1.0 + np.abs(z)):
-            break
-    return z
 
 
 def _roots_accepted(c, z, tol) -> bool:
     if not np.all(np.isfinite(z)):
         return False
-    pv = np.abs(_horner(z, c))
+    pv = np.abs(np.polynomial.polynomial.polyval(z, c))
     powers = np.abs(z[:, None]) ** np.arange(len(c))[None, :]
     scale = powers @ np.abs(c)
     return bool(np.all(pv <= tol * scale))

@@ -1,9 +1,9 @@
 """Geometric measurements: circle lengths, level curves, areas, curvature.
 
 The length of an image circle and its second log-derivative come from
-coefficient closed forms; level curves, slab areas and total curvature are
-obtained by combining exact radial antiderivatives with spectrally accurate
-circle quadrature.
+coefficient closed forms; level curves and slab areas combine exact radial
+antiderivatives with spectrally accurate circle quadrature, and total
+curvature is a Gauss-Bonnet integral over the two window circles.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ LEVEL_HEIGHT_TOL = 1e-9
 MAX_SOLVE_RAYS = 2048  # rays per batched level solve; bounds its peak memory
 CROSSING_MERGE_TOL = 1e-9
 TRAVERSAL_TOL = 1e-9  # node repeat distance, relative to the largest coordinate
-CURVATURE_TOL = 1e-10  # adaptive panel error budget, relative to the coarse sum
-CURVATURE_MAX_DEPTH = 24  # panel bisections before a panel is accepted as is
+# Root distance, relative to the modulus, at which a zero of g_- and one of
+# g_+ count as one common zero; wide enough for the spread of a double root.
+COMMON_ROOT_TOL = 1e-6
 MARGINAL_RATIO_TOL = 1e-12  # bracket width of the coth(u) = u bisection
 WAIST_COARSE_HEIGHTS = 17  # heights in the waist search's first scan
 WAIST_TOL = 1e-8  # golden-section bracket width, relative to its heights
@@ -72,13 +73,14 @@ def _length_sum(data: WeierstrassData, r, order: int):
 
     Every radius must lie strictly inside the window, or DomainError.
     """
-    radii = np.asarray(r, dtype=float)
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
     outside = ~((radii > data.window.r_inner) & (radii < data.window.r_outer))
     if np.any(outside):
         raise DomainError(f"radius {float(radii[outside][0])!r} outside the data window")
-    # Powers of ``r`` itself: a float radius keeps scalar pow, which numpy's
-    # vectorized power can differ from in the last bit.
-    return math.pi * sum(float(e**order) * w * r**e for e, w in _length_terms(data))
+    # One path for both: a scalar radius is a 1-element array, so it takes
+    # numpy's power like every array element (libm pow can differ in the last bit).
+    total = math.pi * sum(float(e**order) * w * radii**e for e, w in _length_terms(data))
+    return total if np.ndim(r) else float(total[0])
 
 
 def circle_length(data: WeierstrassData, r, n_theta: int = DEFAULT_THETA_NODES):
@@ -461,11 +463,6 @@ def slab_area(
 # -- total curvature ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def total_curvature(
     data: WeierstrassData,
     window: AnnulusWindow | None = None,
@@ -473,56 +470,33 @@ def total_curvature(
 ) -> float:
     """Integral of the Gauss curvature over the window (a negative number).
 
-    The integrand is the squared spherical derivative of the Gauss direction;
-    written with the numerator W = N'D - ND' and denominator |N|^2 + |D|^2 it
-    stays bounded at zeros and poles.  Radial integration is adaptive
-    Gauss-Legendre in log r; circles use the periodic trapezoid rule.
+    Gauss-Bonnet on the window annulus: K dA = -Laplacian(log lambda) dx dy,
+    and the |z|^p factor of lambda = (|g_-|^2 + |g_+|^2)|z|^p / 2 is harmonic,
+    so the divergence theorem leaves two circle integrals,
+
+        -[ integral of r d/dr log(|g_-|^2 + |g_+|^2) dtheta ] from r_inner to r_outer,
+
+    with r d/dr log(|a|^2 + |b|^2) = 2 Re(z a' conj(a) + z b' conj(b)) /
+    (|a|^2 + |b|^2).  The integrand is smooth and periodic, so the trapezoid
+    rule on n_theta nodes converges spectrally.  The identity needs
+    |g_-|^2 + |g_+|^2 > 0 on the closed window: a common zero of the factors
+    there would add 4 pi per zero, so it raises DomainError.
     """
     window = window or data.window
-    num = data.g_plus
-    den = data.g_minus
-    wpoly = num.derivative() * den - num * den.derivative()
-    phases = np.exp(1j * _theta_grid(n_theta))
-
-    def density(t: float) -> float:
-        z = math.exp(t) * phases
-        w2 = np.abs(wpoly.evaluate(z)) ** 2
-        s = np.abs(num.evaluate(z)) ** 2 + np.abs(den.evaluate(z)) ** 2
-        return float((4.0 * w2 / s**2).mean()) * TWO_PI * math.exp(2.0 * t)
-
-    lo, hi = window.log_span()
-    # Seed panel boundaries at the root moduli, where the density peaks.
-    cuts = {lo, hi}
-    for g in (num, den):
-        for z in roots(g):
-            t = math.log(abs(z))
-            if lo < t < hi:
-                cuts.add(t)
-    edges = sorted(cuts)
-    nodes, weights = _gl_nodes(15)
-
-    def panel(a: float, b: float) -> float:
-        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        return 0.5 * (b - a) * sum(w * density(t) for w, t in zip(weights, x))
-
-    coarse = sum(panel(a, b) for a, b in zip(edges, edges[1:]))
-    budget = CURVATURE_TOL * max(abs(coarse), 1.0)
-
-    def refine(a: float, b: float, whole: float, local_tol: float, depth: int) -> float:
-        m = 0.5 * (a + b)
-        left = panel(a, m)
-        right = panel(m, b)
-        if abs(left + right - whole) <= local_tol or depth >= CURVATURE_MAX_DEPTH:
-            return left + right
-        return refine(a, m, left, 0.5 * local_tol, depth + 1) + refine(
-            m, b, right, 0.5 * local_tol, depth + 1
-        )
-
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        share = budget * (b - a) / (hi - lo)
-        total += refine(a, b, panel(a, b), max(share, 1e-16), 0)
-    return -total
+    for u in roots(data.g_minus):
+        if window.r_inner <= abs(u) <= window.r_outer and any(
+            abs(u - w) <= COMMON_ROOT_TOL * abs(u) for w in roots(data.g_plus)
+        ):
+            raise DomainError(f"g_minus and g_plus share the zero {u:.12g} in the window")
+    z = np.array([[window.r_inner], [window.r_outer]]) * np.exp(1j * _theta_grid(n_theta))
+    num = np.zeros(z.shape)
+    den = np.zeros(z.shape)
+    for g in (data.g_minus, data.g_plus):
+        v = g.evaluate(z)
+        num += (z * g.derivative().evaluate(z) * v.conj()).real
+        den += v.real**2 + v.imag**2
+    inner, outer = 2.0 * TWO_PI * (num / den).mean(axis=1)
+    return -float(outer - inner)
 
 
 # -- catenoid references ------------------------------------------------------------

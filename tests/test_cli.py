@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from minann import catenoid_area, CatenoidParams, Slab, data_from_json, figure_eight
+from minann import SCENARIOS, catenoid_area, CatenoidParams, Slab, data_from_json, figure_eight
 from minann.cli import main, parse_complex, parse_param
 
 def loads(text):
@@ -411,6 +415,34 @@ class TestReport:
         assert main(args) == 1
         doc = loads(capsys.readouterr().out)
         assert doc["verdicts"] == {"constructible": {"pass": False, "margin": None}}
+
+
+REPORT_EVERY_SCENARIO = """
+from minann import SCENARIOS
+from minann.cli import main
+for name in sorted(SCENARIOS):
+    print(name, main(["report", "--scenario", name]), flush=True)
+"""
+
+
+def test_reports_are_byte_identical_across_fresh_processes():
+    # The window ends come from LAPACK eigenvalues and each process has its
+    # own hash seed, so two cold runs must still print the same bytes.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", REPORT_EVERY_SCENARIO],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count('"provenance":') == len(SCENARIOS)
 
 
 class TestSweep:

@@ -22,7 +22,7 @@ from minann.families import (
     figure_eight,
     perturbed_two_cover,
 )
-from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly
+from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots
 from minann.measures import (
     CatenoidParams,
     CircleLengthProfile,
@@ -102,7 +102,7 @@ class TestCircleLength:
                 array = fn(data, radii)
                 scalar = np.array([fn(data, float(r)) for r in radii])
                 assert array.shape == radii.shape
-                assert np.all(np.abs(array - scalar) <= 2.0 * np.spacing(np.abs(scalar)))
+                assert np.array_equal(array, scalar)
             outside = radii.copy()
             outside[17] = data.window.r_outer
             for fn in (circle_length, circle_length_dd):
@@ -273,6 +273,69 @@ class TestAreas:
             slab_area(data, Slab(-5.0, 5.0))
 
 
+def _adaptive_curvature(data, window, n_theta=512, tol=1e-10, max_depth=24):
+    """Reference: the area integral of K over the window, adaptive in log r.
+
+    Gauss-Legendre panels in t = log r, cut at the factor root moduli and
+    bisected until two halves agree with their parent; each circle is a
+    trapezoid sum of the squared spherical derivative of the Gauss map
+    g_plus/g_minus.
+    """
+    num, den = data.g_plus, data.g_minus
+    wpoly = num.derivative() * den - num * den.derivative()
+    phases = np.exp(1j * TWO_PI * np.arange(n_theta) / n_theta)
+
+    def density(t):
+        z = math.exp(t) * phases
+        w2 = np.abs(wpoly.evaluate(z)) ** 2
+        q = np.abs(num.evaluate(z)) ** 2 + np.abs(den.evaluate(z)) ** 2
+        return float((4.0 * w2 / q**2).mean()) * TWO_PI * math.exp(2.0 * t)
+
+    lo, hi = window.log_span()
+    cuts = {lo, hi}
+    for g in (num, den):
+        for z in roots(g):
+            if lo < math.log(abs(z)) < hi:
+                cuts.add(math.log(abs(z)))
+    edges = sorted(cuts)
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+
+    def panel(a, b):
+        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        return 0.5 * (b - a) * sum(w * density(t) for w, t in zip(weights, x))
+
+    def refine(a, b, whole, local_tol, depth):
+        m = 0.5 * (a + b)
+        left, right = panel(a, m), panel(m, b)
+        if abs(left + right - whole) <= local_tol or depth >= max_depth:
+            return left + right
+        return refine(a, m, left, 0.5 * local_tol, depth + 1) + refine(
+            m, b, right, 0.5 * local_tol, depth + 1
+        )
+
+    coarse = sum(panel(a, b) for a, b in zip(edges, edges[1:]))
+    budget = tol * max(abs(coarse), 1.0)
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        share = budget * (b - a) / (hi - lo)
+        total += refine(a, b, panel(a, b), max(share, 1e-16), 0)
+    return -total
+
+
+def _curvature_cases():
+    cases = [
+        (figure_eight(1.0, 1.0), None),
+        (figure_eight(1.0, 1.0), AnnulusWindow(1e-3, 1e3)),
+        (perturbed_two_cover(1.0, 0.05), None),
+        (catenoid_cover(1, TWO_PI)[0], AnnulusWindow(math.exp(-8.0), math.exp(8.0))),
+    ]
+    cases += [(catenoid_cover(k, 4.0)[0], None) for k in (1, 2, 3)]
+    rng = np.random.default_rng(11)
+    cases += [(random_three_term_pair(rng), None) for _ in range(4)]
+    cases += [(random_even_vertical_flux(rng), None) for _ in range(4)]
+    return cases
+
+
 class TestTotalCurvature:
     def test_catenoid_wide_window(self):
         data, _ = catenoid_cover(1, TWO_PI)
@@ -289,6 +352,47 @@ class TestTotalCurvature:
     def test_negative_on_any_window(self):
         data = perturbed_two_cover(1.0, 0.05)
         assert total_curvature(data) < 0.0
+
+    def test_boundary_integral_matches_adaptive_area_integral(self):
+        for data, window in _curvature_cases():
+            window = window or data.window
+            got = total_curvature(data, window=window, n_theta=512)
+            want = _adaptive_curvature(data, window)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_spectral_in_the_node_count(self):
+        for data, window in _curvature_cases():
+            fine = total_curvature(data, window=window, n_theta=512)
+            coarse = total_curvature(data, window=window, n_theta=256)
+            assert abs(fine - coarse) <= 1e-14 * abs(fine)
+
+    @pytest.mark.parametrize(
+        "data",
+        [catenoid_cover(k, 4.0)[0] for k in (1, 2, 3)] + [figure_eight(1.0, 1.0)],
+        ids=["cover1", "cover2", "cover3", "figure_eight"],
+    )
+    def test_complete_surface_limit(self, data):
+        # As the window widens, the boundary terms tend to 2 * top and
+        # 2 * lowest exponent, so the total tends to -4 pi (top - lowest);
+        # the truncation error of the window (c/s, c s) is O(1/s^2).
+        factors = (data.g_minus, data.g_plus)
+        top, lowest = max(g.highest for g in factors), min(g.lowest for g in factors)
+        limit = -4.0 * math.pi * (top - lowest)
+        center = data.window.geometric_mean
+        for s in (1e1, 1e2, 1e3, 1e6):
+            tc = total_curvature(data, AnnulusWindow(center / s, center * s), 256)
+            assert abs(tc - limit) <= (4.0 / s**2 + 1e-14) * abs(limit)
+
+    def test_window_holding_a_common_zero_raises(self):
+        # Both factors vanish at z = 2, outside the data window (0.5, 1.5).
+        g_minus = LaurentPoly({0: -2.0, 1: 1.0})
+        g_plus = LaurentPoly({-1: -2.0, 0: 1.0})
+        data = from_g_pair(g_minus, g_plus, Parity.EVEN, AnnulusWindow(0.5, 1.5))
+        assert total_curvature(data) < 0.0
+        for outer in (3.0, 2.0):  # the window is closed: a zero on its edge counts
+            with pytest.raises(DomainError, match="share the zero"):
+                total_curvature(data, window=AnnulusWindow(0.5, outer))
+        assert total_curvature(data, window=AnnulusWindow(0.5, 1.999)) < 0.0
 
 
 class TestNodeCounts:
