@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DomainError,
     HeightRangeError,
     NumericalError,
@@ -187,13 +188,17 @@ def level_radii(
     bit.  The sign of d(height)/dr is certified once per data set on the
     whole closed window (``ray_sign`` of the cached immersion).
 
-    Bracket-safeguarded Newton in t = log r: every ray starts from the
-    window's bracket at the secant point of its end heights, keeps the
-    bracket around the root, and bisects whenever a Newton step would leave
-    it.  A ray is frozen after a step below LEVEL_SOLVE_TOL * max(1, |t|); Newton
-    converges quadratically, so that step leaves the ray at round-off.
-    Raises HeightRangeError if a height is not attained on every ray and
-    NonMonotoneRayError if the ray direction cannot be certified.
+    Bracket-safeguarded Newton in t = log r on the height's ray modes (see
+    _ray_modes): every ray starts from the window's bracket at the secant
+    point of its end heights, keeps the bracket around the root, and bisects
+    whenever a Newton step would leave it.  A ray is frozen after a step
+    below LEVEL_SOLVE_TOL * max(1, |t|); Newton converges quadratically, so
+    that step leaves the ray at round-off.  The solved radii must then meet
+    their heights within LEVEL_HEIGHT_TOL under the complex evaluator of the
+    immersion.  Raises HeightRangeError if a height is not attained on every
+    ray, NonMonotoneRayError if the ray direction cannot be certified, and
+    ConvergenceError if a ray is still moving after LEVEL_SOLVE_MAX_STEPS
+    steps.
     """
     heights = np.asarray(h, dtype=float)
     if heights.ndim > 1:
@@ -209,47 +214,90 @@ def level_radii(
     return out if heights.ndim else out[0]
 
 
+def _ray_modes(data: WeierstrassData, phase: np.ndarray):
+    """The height on the rays z = e^{t + i theta_j} as real exponential sums in t.
+
+    ``phase`` holds e^{i theta_j}.  With (n, c_n) the terms of the height's
+    polynomial part and c its log coefficient,
+    height = sum_n A_n(theta_j) e^{n t} + Re(c) t + b, where
+    A_n(theta) = Re(c_n e^{i n theta}) and b is height_offset less the
+    immersion's centring shift.
+    Returns (exponents, amplitudes of shape (terms, rays), Re(c), b).
+    """
+    imm = _immersion(data)
+    imm._check_single_valued(2, "the vertical log coefficient is not real")
+    part = imm.parts[2]
+    exponents = np.array([n for n, _ in part.poly_part.terms], dtype=float)
+    coeffs = np.array([c for _, c in part.poly_part.terms], dtype=complex)
+    amplitudes = (coeffs[:, None] * phase ** exponents[:, None]).real
+    offset = data.height_offset - imm.shifts[2]
+    return exponents, amplitudes, part.log_coefficient.real, offset
+
+
+def _ray_height(modes, t: np.ndarray):
+    """Height and d(height)/dt at log radii t (rows of rays) from _ray_modes.
+
+    Both sums share one array of e^{n t}, in real arithmetic.  Every element
+    adds its terms in the same order, so a row never depends on its batch.
+    With no polynomial part, d(height)/dt is the number Re(c).
+    """
+    exponents, amplitudes, log_slope, offset = modes
+    powers = np.exp(exponents[:, None, None] * t)
+    value = log_slope * t + offset
+    slope = log_slope
+    for n, a, e in zip(exponents, amplitudes, powers):
+        term = a * e
+        value += term
+        slope = slope + n * term
+    return value, slope
+
+
 def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
     """One batched Newton solve: radii of shape (len(hs), len(thetas))."""
     imm = _immersion(data)
     sign = imm.ray_sign
-    lo, hi = data.window.log_span()
     phase = np.exp(1j * thetas)
-    f_in = sign * (imm.height(math.exp(lo) * phase) - hs[:, None])
-    f_out = sign * (imm.height(math.exp(hi) * phase) - hs[:, None])
+    modes = _ray_modes(data, phase)
+    lo, hi = data.window.log_span()
+    target = hs[:, None]
+    ends, _ = _ray_height(modes, np.repeat([[lo], [hi]], thetas.size, axis=1))
+    f_in = sign * (ends[0] - target)
+    f_out = sign * (ends[1] - target)
     missed = np.any(f_in > 0, axis=1) | np.any(f_out < 0, axis=1)
     if np.any(missed):
         raise HeightRangeError(f"height {float(hs[missed][0])!r} is not attained on every ray")
-    shape = f_in.shape
-    target = np.repeat(hs, phase.size)
-    phase = np.tile(phase, hs.size)
-    t = (lo + (hi - lo) * f_in / (f_in - f_out)).ravel()
+    t = lo + (hi - lo) * f_in / (f_in - f_out)
     tlo = np.full(t.shape, lo)
     thi = np.full(t.shape, hi)
-    active = np.arange(t.size)
+    active = np.ones(t.shape, dtype=bool)
+    # Every ray is evaluated at every step but only active rays move, so a
+    # frozen ray keeps the bits it had when its own test froze it.
     for _ in range(LEVEL_SOLVE_MAX_STEPS):
-        ta = t[active]
-        z = np.exp(ta) * phase[active]
-        resid = imm.height(z) - target[active]
+        value, slope = _ray_height(modes, t)
+        resid = value - target
         above = sign * resid > 0
-        a_lo = np.where(above, tlo[active], ta)
-        a_hi = np.where(above, ta, thi[active])
-        tlo[active], thi[active] = a_lo, a_hi
-        step = resid / (np.abs(z) * imm.height_slope(z))  # d(height)/dt = r d(height)/dr
-        t_new = ta - step
-        newton = (t_new >= a_lo) & (t_new <= a_hi)
-        t[active] = np.where(newton, t_new, 0.5 * (a_lo + a_hi))
-        scale = np.maximum(1.0, np.abs(ta))
+        tlo = np.where(above, tlo, t)
+        thi = np.where(above, t, thi)
+        step = resid / slope
+        t_new = t - step
+        newton = (t_new >= tlo) & (t_new <= thi)
+        scale = np.maximum(1.0, np.abs(t))
         done = newton & (np.abs(step) <= LEVEL_SOLVE_TOL * scale)
-        done |= a_hi - a_lo <= 4.0 * np.spacing(scale)
-        active = active[~done]
-        if active.size == 0:
+        done |= thi - tlo <= 4.0 * np.spacing(scale)
+        np.copyto(t, np.where(newton, t_new, 0.5 * (tlo + thi)), where=active)
+        active &= ~done
+        if not active.any():
             break
+    else:
+        raise ConvergenceError(
+            f"level solve left {int(active.sum())} rays moving after "
+            f"{LEVEL_SOLVE_MAX_STEPS} steps"
+        )
     r = np.exp(t)
-    resid = np.abs(imm.height(r * phase) - target).reshape(shape)
+    resid = np.abs(imm.height(r * phase) - target)
     if np.any(resid.max(axis=1) > LEVEL_HEIGHT_TOL * np.maximum(1.0, np.abs(hs))):
         raise NumericalError("level solve failed to reach its height tolerance")
-    return r.reshape(shape)
+    return r
 
 
 def _periodic_derivative(values: np.ndarray) -> np.ndarray:
@@ -578,6 +626,8 @@ def waist_height(
 
     The coarse scan traces its heights in one batch; the golden-section
     steps trace one height each.  Returns the minimizing height and the length there.
+    Raises ConvergenceError if the final bracket still holds a slab endpoint:
+    the length then falls toward that edge, and the edge is not a waist.
     """
     heights = np.linspace(slab.h_minus, slab.h_plus, WAIST_COARSE_HEIGHTS)
     lengths = [curve.length for curve in trace_levels(data, heights, n_theta)]
@@ -599,5 +649,8 @@ def waist_height(
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = trace_level(data, d, n_theta).length
+    held = [edge for edge in (slab.h_minus, slab.h_plus) if a <= edge <= b]
+    if held:
+        raise ConvergenceError(f"the level length falls toward the slab edge h = {held[0]!r}")
     h_best = 0.5 * (a + b)
     return h_best, trace_level(data, h_best, n_theta).length

@@ -263,10 +263,6 @@ class _Immersion:
         coords = [self.coordinate(idx, zarr) + np.zeros(zarr.shape) for idx in range(3)]
         return np.stack(coords, axis=-1)
 
-    def height_slope(self, z: np.ndarray) -> np.ndarray:
-        """d(height)/dr along rays: Re psi3(z) / |z|."""
-        return self.data.psi3.evaluate(z).real / np.abs(z)
-
     @cached_property
     def ray_sign(self) -> float:
         """Sign of d(height)/dr, the same on every ray of the closed window."""

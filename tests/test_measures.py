@@ -1,5 +1,6 @@
 """Circle lengths, level curves, areas, curvature, catenoid references."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minann import measures, weierstrass
-from minann.errors import DomainError, HeightRangeError, NonMonotoneRayError
+from minann.errors import (
+    ConvergenceError,
+    DomainError,
+    GeometryError,
+    HeightRangeError,
+    NonMonotoneRayError,
+)
 from minann.experiments import (
     classify_levels,
     compare_lengths,
@@ -467,6 +474,14 @@ class TestWaistSearch:
         assert abs(h0) <= 1e-6
         assert length == pytest.approx(flux(data).f3, rel=1e-6)
 
+    def test_minimum_on_a_slab_edge_raises(self):
+        # The figure-eight's waist is at h = 0, outside both slabs, so the
+        # length falls toward the lower edge of the first and the upper of the second.
+        data = figure_eight(1.0, 1.0)
+        for slab, edge in ((Slab(0.05, 0.2), "0.05"), (Slab(-0.2, -0.05), "-0.05")):
+            with pytest.raises(ConvergenceError, match=f"slab edge h = {edge}$"):
+                waist_height(data, slab)
+
 
 def _all_pairs_crossings(xy, merge_tol=measures.CROSSING_MERGE_TOL):
     """Reference crossing count: every non-adjacent segment pair in (i, j) order.
@@ -597,6 +612,87 @@ def _bisection_radii(data, h, thetas, steps=60):
     return np.exp(0.5 * (tlo + thi))
 
 
+def _complex_newton_radii(data, hs, thetas):
+    """Reference level solve: bracket-safeguarded Newton on the complex evaluator.
+
+    The iteration the ray-mode solve replaced: every step evaluates the
+    immersion's height and d(height)/dt = Re psi3(z) at complex points, and
+    gathers the active rays by index.  Same start, bracket, bisection and
+    freezing rule, so the two differ only by round-off.
+    """
+    imm = _immersion(data)
+    sign = imm.ray_sign
+    hs = np.atleast_1d(np.asarray(hs, dtype=float))
+    lo, hi = data.window.log_span()
+    phase = np.exp(1j * np.asarray(thetas, dtype=float))
+    f_in = sign * (imm.height(math.exp(lo) * phase) - hs[:, None])
+    f_out = sign * (imm.height(math.exp(hi) * phase) - hs[:, None])
+    if np.any(f_in > 0) or np.any(f_out < 0):
+        raise HeightRangeError("a height is not attained on every ray")
+    shape = f_in.shape
+    target = np.repeat(hs, phase.size)
+    phase = np.tile(phase, hs.size)
+    t = (lo + (hi - lo) * f_in / (f_in - f_out)).ravel()
+    tlo = np.full(t.shape, lo)
+    thi = np.full(t.shape, hi)
+    active = np.arange(t.size)
+    for _ in range(measures.LEVEL_SOLVE_MAX_STEPS):
+        ta = t[active]
+        z = np.exp(ta) * phase[active]
+        resid = imm.height(z) - target[active]
+        above = sign * resid > 0
+        a_lo = np.where(above, tlo[active], ta)
+        a_hi = np.where(above, ta, thi[active])
+        tlo[active], thi[active] = a_lo, a_hi
+        step = resid / data.psi3.evaluate(z).real
+        t_new = ta - step
+        newton = (t_new >= a_lo) & (t_new <= a_hi)
+        t[active] = np.where(newton, t_new, 0.5 * (a_lo + a_hi))
+        scale = np.maximum(1.0, np.abs(ta))
+        done = newton & (np.abs(step) <= measures.LEVEL_SOLVE_TOL * scale)
+        done |= a_hi - a_lo <= 4.0 * np.spacing(scale)
+        active = active[~done]
+        if active.size == 0:
+            break
+    return np.exp(t).reshape(shape)
+
+
+def _single_valued(data):
+    """The data with g_plus turned by the unit phase that makes the vertical residue real.
+
+    The turn keeps the roots, the window and the zero circle means of f_-
+    and f_+; it only rotates psi3, so the height becomes single valued.
+    """
+    turn = cmath.exp(-1j * cmath.phase(data.phi3.coefficient(-1)))
+    return from_g_pair(
+        data.g_minus, data.g_plus * turn, data.parity, data.window, data.height_offset
+    )
+
+
+def _outcome(solve, *args):
+    """The solve's radii, or the type of the error it raises."""
+    try:
+        return solve(*args)
+    except GeometryError as exc:
+        return type(exc)
+
+
+def _offset_figure_eight():
+    data = figure_eight(1.0, 1.0)
+    return from_g_pair(data.g_minus, data.g_plus, data.parity, data.window, height_offset=0.37)
+
+
+_ORACLE_CASES = {
+    "figure_eight": lambda: figure_eight(1.0, 1.0),
+    "figure_eight_rho_0.9": lambda: figure_eight(1.0, 0.9),
+    "perturbed_two_cover": lambda: perturbed_two_cover(1.0, 0.05),
+    "catenoid_1_cover_odd": lambda: catenoid_cover(1, TWO_PI)[0],
+    "catenoid_2_cover_even": lambda: catenoid_cover(2, 4.0, center=-0.2)[0],
+    "catenoid_3_cover_odd": lambda: catenoid_cover(3, 4.0, center=0.1)[0],
+    "figure_eight_offset": _offset_figure_eight,
+}
+
+
 class TestLevelSolve:
     @pytest.mark.parametrize(
         "data",
@@ -608,23 +704,28 @@ class TestLevelSolve:
         lo, hi = attained_height_range(data)
         heights = (lo + 1e-3, lo + 1e-7, hi - 1e-7, hi - 1e-3)
         imm = _immersion(data)
-        original = imm.height
-        evaluations = []
+        evaluations = []  # per solve: [ray-mode evaluations, complex height evaluations]
 
-        def counting(z):
-            evaluations[-1] += 1
-            return original(z)
+        def counted(owner, name, slot):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(imm, "height", counting)
+            def wrapper(*args):
+                evaluations[-1][slot] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(measures, "_ray_height", 0)
+        counted(imm, "height", 1)
         solved = []
         for h in heights:
-            evaluations.append(0)
+            evaluations.append([0, 0])
             solved.append(level_radii(data, h, thetas))
-        evaluations.append(0)
+        evaluations.append([0, 0])
         batched = level_radii(data, np.array(heights), thetas)
         monkeypatch.undo()
-        assert max(evaluations[:-1]) <= 12
-        assert evaluations[-1] <= 12  # four heights, one batched solve
+        assert max(modal for modal, _ in evaluations) <= 12  # the last: four heights in one solve
+        assert all(complex_ == 1 for _, complex_ in evaluations)  # the residual certificate
         assert np.array_equal(batched, np.array(solved))
         for h, r in zip(heights, solved):
             reference = _bisection_radii(data, h, thetas)
@@ -692,6 +793,102 @@ class TestLevelSolve:
         assert all(k * n <= measures.MAX_SOLVE_RAYS for k, n in sizes)
 
 
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_matches_the_complex_newton_oracle(self, name):
+        data = _ORACLE_CASES[name]()
+        lo, hi = attained_height_range(data)
+        heights = np.linspace(lo, hi, 11)[1:-1]
+        grids = [TWO_PI * np.arange(n) / n for n in (256, 512, 4096)]
+        grids += [np.array([1.1]), np.array([0.3, 1.1, 2.0, 5.9])]  # non-uniform rays
+        for thetas in grids:
+            got = level_radii(data, heights, thetas)
+            want = _complex_newton_radii(data, heights, thetas)
+            assert np.max(np.abs(got - want) / want) <= 4e-15
+
+    @pytest.mark.parametrize(
+        "draw",
+        [random_three_term_pair, lambda rng: random_even_vertical_flux(rng, 1)],
+        ids=["three_term_pair", "even_vertical_flux"],
+    )
+    def test_random_draws_match_the_complex_newton_oracle(self, draw):
+        # Raw draws have a complex vertical residue; turned draws are single
+        # valued, and most still have a ray on which the height turns back.
+        # Both solves must refuse the same draws with the same error, and agree
+        # on four that they solve.  Both are backward stable, so they differ by
+        # a few ulps of the largest height term over the slope: a flat 4e-15
+        # fails on draws whose terms are 50 times their slope, where the
+        # complex solve itself is 1e-14 from a 40-digit solution.
+        rng = np.random.default_rng(2026)
+        thetas = TWO_PI * np.arange(512) / 512
+        phase = np.exp(1j * thetas)
+        solved = 0
+        for _ in range(400):
+            raw = draw(rng)
+            data = _single_valued(raw)
+            h0 = float(height(data, data.window.geometric_mean))
+            for case in (raw, data):
+                got = _outcome(level_radii, case, [h0], thetas)
+                want = _outcome(_complex_newton_radii, case, [h0], thetas)
+                if isinstance(got, type) or isinstance(want, type):
+                    assert got is want
+            if isinstance(got, type):
+                continue
+            lo, hi = attained_height_range(data)
+            heights = np.linspace(lo, hi, 11)[1:-1]
+            got = level_radii(data, heights, thetas)
+            want = _complex_newton_radii(data, heights, thetas)
+            part = _immersion(data).parts[2]
+            z = want * phase
+            terms = sum(abs(c) * np.abs(z) ** n for n, c in part.poly_part.terms)
+            terms = terms + abs(part.log_coefficient) * np.abs(np.log(want)) + 1.0
+            condition = terms / np.abs(data.psi3.evaluate(z).real)
+            assert np.all(np.abs(got - want) / want <= 32 * np.finfo(float).eps * condition)
+            solved += 1
+            if solved == 4:
+                break
+        assert solved == 4
+
+    def test_step_budget_exhausted_raises_before_the_residual_check(self, monkeypatch):
+        data = figure_eight(1.0, 1.0)
+        thetas = TWO_PI * np.arange(64) / 64
+        monkeypatch.setattr(measures, "LEVEL_SOLVE_MAX_STEPS", 1)
+        imm = _immersion(data)
+
+        def refuse(z):
+            raise AssertionError("residual check reached with rays still moving")
+
+        monkeypatch.setattr(imm, "height", refuse)
+        with pytest.raises(ConvergenceError, match="after 1 steps"):
+            level_radii(data, 0.1, thetas)
+        with pytest.raises(ConvergenceError):
+            trace_level(data, 0.1, 64)
+
+class TestRayModes:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        draw=st.sampled_from([random_three_term_pair, random_even_vertical_flux]),
+        parity=st.sampled_from(list(Parity)),
+        offset=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_match_the_complex_evaluator(self, seed, draw, parity, offset):
+        rng = np.random.default_rng(seed)
+        drawn = draw(rng)
+        data = _single_valued(
+            from_g_pair(drawn.g_minus, drawn.g_plus, parity, drawn.window, offset)
+        )
+        thetas = rng.uniform(0.0, TWO_PI, 7)
+        lo, hi = data.window.log_span()
+        t = np.vstack([np.full(7, lo), rng.uniform(lo, hi, (3, 7)), np.full(7, hi)])
+        modes = measures._ray_modes(data, np.exp(1j * thetas))
+        value, slope = measures._ray_height(modes, t)
+        z = np.exp(t + 1j * thetas)
+        want_value = _immersion(data).height(z)
+        want_slope = data.psi3.evaluate(z).real  # d(height)/dt = r d(height)/dr
+        assert np.max(np.abs(value - want_value)) <= 1e-13 * (1.0 + np.max(np.abs(want_value)))
+        assert np.max(np.abs(slope - want_slope)) <= 1e-13 * (1.0 + np.max(np.abs(want_slope)))
+
+
 def _psi3_data(psi3: LaurentPoly, window: AnnulusWindow):
     """Period-free even data with g_minus = z^-4 and g_plus = z^4 psi3.
 
@@ -722,7 +919,7 @@ class TestRayDirection:
         lo, hi = data.window.log_span()
         grid = np.exp(np.linspace(lo, hi, 32))[:, None] * np.exp(1j * thetas)[None, :]
         assert period_check(data).well_defined
-        assert np.all(_immersion(data).height_slope(grid) > 0)  # a sampled probe passes
+        assert np.all(data.psi3.evaluate(grid).real / np.abs(grid) > 0)  # a sampled probe passes
         h = height(data, 1.1)
         with pytest.raises(NonMonotoneRayError):
             level_radii(data, h, thetas)

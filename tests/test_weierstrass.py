@@ -159,6 +159,11 @@ class TestPeriodsAndFlux:
         m2 = float(np.mean(immerse(data, r2 * np.exp(1j * theta))[:, 2]))
         slope = (m2 - m1) / (math.log(r2) - math.log(r1))
         assert f3 == pytest.approx(TWO_PI * slope, rel=1e-10)
+        # The ray slope d(height)/dr = Re psi3(z) / |z|, times r, has circle mean f3 / (2 pi).
+        for r in (r1, r2):
+            z = r * np.exp(1j * theta)
+            ray_slope = data.psi3.evaluate(z).real / np.abs(z)
+            assert f3 == pytest.approx(TWO_PI * r * float(np.mean(ray_slope)), rel=1e-12)
 
     def test_nonvanishing_mean_fails_vertical_flux(self):
         data = make_even({0: 1.0, 1: 0.25}, {0: 1.0, -1: 0.25})
