@@ -189,11 +189,11 @@ def level_radii(
     whole closed window (``ray_sign`` of the cached immersion).
 
     Bracket-safeguarded Newton in t = log r on the height's ray modes (see
-    _ray_modes): every ray starts from the window's bracket at the secant
-    point of its end heights, keeps the bracket around the root, and bisects
-    whenever a Newton step would leave it.  A ray is frozen after a step
-    below LEVEL_SOLVE_TOL * max(1, |t|); Newton converges quadratically, so
-    that step leaves the ray at round-off.  The solved radii must then meet
+    _Immersion.ray_modes): every ray starts from the window's bracket at the
+    secant point of its end heights, keeps the bracket around the root, and
+    bisects whenever a Newton step would leave it.  A ray is frozen after a
+    step below LEVEL_SOLVE_TOL * max(1, |t|); Newton converges quadratically,
+    so that step leaves the ray at round-off.  The solved radii must then meet
     their heights within LEVEL_HEIGHT_TOL under the complex evaluator of the
     immersion.  Raises HeightRangeError if a height is not attained on every
     ray, NonMonotoneRayError if the ray direction cannot be certified, and
@@ -214,28 +214,8 @@ def level_radii(
     return out if heights.ndim else out[0]
 
 
-def _ray_modes(data: WeierstrassData, phase: np.ndarray):
-    """The height on the rays z = e^{t + i theta_j} as real exponential sums in t.
-
-    ``phase`` holds e^{i theta_j}.  With (n, c_n) the terms of the height's
-    polynomial part and c its log coefficient,
-    height = sum_n A_n(theta_j) e^{n t} + Re(c) t + b, where
-    A_n(theta) = Re(c_n e^{i n theta}) and b is height_offset less the
-    immersion's centring shift.
-    Returns (exponents, amplitudes of shape (terms, rays), Re(c), b).
-    """
-    imm = _immersion(data)
-    imm._check_single_valued(2, "the vertical log coefficient is not real")
-    part = imm.parts[2]
-    exponents = np.array([n for n, _ in part.poly_part.terms], dtype=float)
-    coeffs = np.array([c for _, c in part.poly_part.terms], dtype=complex)
-    amplitudes = (coeffs[:, None] * phase ** exponents[:, None]).real
-    offset = data.height_offset - imm.shifts[2]
-    return exponents, amplitudes, part.log_coefficient.real, offset
-
-
 def _ray_height(modes, t: np.ndarray):
-    """Height and d(height)/dt at log radii t (rows of rays) from _ray_modes.
+    """Height and d(height)/dt at log radii t (rows of rays) from ray modes.
 
     Both sums share one array of e^{n t}, in real arithmetic.  Every element
     adds its terms in the same order, so a row never depends on its batch.
@@ -257,7 +237,7 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
     imm = _immersion(data)
     sign = imm.ray_sign
     phase = np.exp(1j * thetas)
-    modes = _ray_modes(data, phase)
+    modes = imm.ray_modes(phase)
     lo, hi = data.window.log_span()
     target = hs[:, None]
     ends, _ = _ray_height(modes, np.repeat([[lo], [hi]], thetas.size, axis=1))

@@ -255,6 +255,24 @@ class _Immersion:
         self._check_single_valued(2, "the vertical log coefficient is not real")
         return self.coordinate(2, np.asarray(z, dtype=complex))
 
+    def ray_modes(self, phase: np.ndarray):
+        """The height on the rays z = e^{t + i theta_j} as real exponential sums in t.
+
+        ``phase`` holds e^{i theta_j}.  With (n, c_n) the terms of the height's
+        polynomial part and c its log coefficient, coordinate(2, z) is
+        sum_n A_n(theta_j) e^{n t} + Re(c) t + b, where
+        A_n(theta) = Re(c_n e^{i n theta}) and b is height_offset less the
+        centring shift.
+        Returns (exponents, amplitudes of shape (terms, rays), Re(c), b).
+        """
+        self._check_single_valued(2, "the vertical log coefficient is not real")
+        part = self.parts[2]
+        exponents = np.array([n for n, _ in part.poly_part.terms], dtype=float)
+        coeffs = np.array([c for _, c in part.poly_part.terms], dtype=complex)
+        amplitudes = (coeffs[:, None] * phase ** exponents[:, None]).real
+        offset = self.data.height_offset - self.shifts[2]
+        return exponents, amplitudes, part.log_coefficient.real, offset
+
     def point(self, z) -> np.ndarray:
         self._check_single_valued(2, "the vertical log coefficient is not real")
         for idx in (0, 1):
