@@ -158,12 +158,16 @@ def _provenance(name: str, params: dict, n_theta: int) -> dict:
 
 
 def random_even_vertical_flux(rng: np.random.Generator, max_exponent: int = 2) -> WeierstrassData:
-    """Random even-parity data whose period check passes with vertical flux.
+    """Random even-parity data with vertical flux (``vertical_flux`` holds).
 
     Coefficients away from the constant term are standard complex normals;
     the constant term of each factor is then solved from the requirement that
     the factor's square has zero circle mean.  Draws that leave no admissible
-    annulus are rejected and retried.
+    annulus are rejected and retried.  Only the flux half of the period check
+    holds: the z^0 coefficient of psi3 (the vertical dz residue) is complex in
+    general, so ``well_defined`` is false, and the height and every
+    height-based measure raise MultivaluedDataError on the draws.  The
+    closed-form length measures need no height.
     """
 
     def factor() -> LaurentPoly:
@@ -382,8 +386,7 @@ def _thin_slab(data: WeierstrassData, params: dict) -> Slab:
 
 def _lengths_on_profile(data: WeierstrassData, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form L and L'' on the grid of profile radii."""
-    radii = profile_radii(data.window, grid, inset=1e-3)
-    return circle_length(data, radii), circle_length_dd(data, radii)
+    return measures._lengths(data, profile_radii(data.window, grid, inset=1e-3))
 
 
 def _three_term_residual(data: WeierstrassData, grid: int) -> tuple[float, float]:

@@ -216,11 +216,16 @@ class LaurentPoly:
         deg = self.highest - self.lowest
         if deg == 0:
             return ()
-        c = np.zeros(deg + 1, complex)
+        # Descending coefficients of the shifted polynomial, then numpy.roots'
+        # companion matrix and eigenvalue call without its wrapper (both end
+        # coefficients are nonzero, so it would strip none).
+        p = np.zeros(deg + 1, complex)
         for n, coeff in self.terms:
-            c[n - self.lowest] = coeff
-        z = np.roots(c[::-1])
-        if not _roots_accepted(c, z, ROOT_RESIDUAL_TOL):
+            p[self.highest - n] = coeff
+        companion = np.diag(np.ones(deg - 1, complex), -1)
+        companion[0, :] = -p[1:] / p[0]
+        z = np.linalg.eigvals(companion)
+        if not _roots_accepted(p, z, ROOT_RESIDUAL_TOL):
             raise ConvergenceError("companion eigenvalues fail the root residual certificate")
         order = np.lexsort((z.imag, z.real, np.abs(z)))
         return tuple(complex(v) for v in z[order])
@@ -377,22 +382,32 @@ def trapezoid_circle(values: np.ndarray) -> complex:
 def roots(p: LaurentPoly) -> list[complex]:
     """All highest-lowest roots of p in the punctured plane, multiplicity
 
-    included: the eigenvalues of the companion matrix of the shifted ordinary
-    polynomial (``np.roots``), accepted only when every root passes the scaled
-    residual test |q(z)| <= ROOT_RESIDUAL_TOL * sum |c_n| |z|^n, else
-    ConvergenceError.  Sorted by modulus, then real and imaginary part;
+    included: the eigenvalues (``np.linalg.eigvals``) of the companion matrix
+    of the shifted ordinary polynomial, accepted only when every root passes
+    the scaled residual test |q(z)| <= ROOT_RESIDUAL_TOL * sum |c_n| |z|^n,
+    else ConvergenceError.  Sorted by modulus, then real and imaginary part;
     solved once per polynomial object and returned as a fresh list.
     """
     return list(p._roots)
 
 
-def _roots_accepted(c, z, tol) -> bool:
+def _roots_accepted(p, z, tol) -> bool:
+    """|q(u)| <= tol * sum |c_n| |u|^n for every root u, both sides by Horner
+    on the descending coefficients p."""
     if not np.all(np.isfinite(z)):
         return False
-    pv = np.abs(np.polynomial.polynomial.polyval(z, c))
-    powers = np.abs(z[:, None]) ** np.arange(len(c))[None, :]
-    scale = powers @ np.abs(c)
-    return bool(np.all(pv <= tol * scale))
+    coeffs = p.tolist()
+    moduli = [abs(a) for a in coeffs]
+    for u in z.tolist():
+        value = 0j
+        scale = 0.0
+        m = abs(u)
+        for a, b in zip(coeffs, moduli):
+            value = value * u + a
+            scale = scale * m + b
+        if not abs(value) <= tol * scale:
+            return False
+    return True
 
 
 def winding_on_circle(p: LaurentPoly, r: float) -> int:

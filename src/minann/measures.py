@@ -69,8 +69,9 @@ def _length_terms(data: WeierstrassData) -> list[tuple[int, float]]:
     return [(2 * n + shift, abs(c) ** 2) for g in (data.g_minus, data.g_plus) for n, c in g.terms]
 
 
-def _length_sum(data: WeierstrassData, r, order: int):
-    """pi * sum |c|^2 e^order r^e over _length_terms, for a radius or an array of radii.
+def _lengths(data: WeierstrassData, r):
+    """(L, L'') at a radius or an array of radii: pi * sum |c|^2 r^e and
+    pi * sum e^2 |c|^2 r^e over _length_terms, one r^e per term for both.
 
     Every radius must lie strictly inside the window, or DomainError.
     """
@@ -80,8 +81,15 @@ def _length_sum(data: WeierstrassData, r, order: int):
         raise DomainError(f"radius {float(radii[outside][0])!r} outside the data window")
     # One path for both: a scalar radius is a 1-element array, so it takes
     # numpy's power like every array element (libm pow can differ in the last bit).
-    total = math.pi * sum(float(e**order) * w * radii**e for e, w in _length_terms(data))
-    return total if np.ndim(r) else float(total[0])
+    length = dd = 0
+    for e, w in _length_terms(data):
+        power = radii**e
+        length = length + w * power
+        dd = dd + float(e * e) * w * power
+    length, dd = math.pi * length, math.pi * dd
+    if np.ndim(r):
+        return length, dd
+    return float(length[0]), float(dd[0])
 
 
 def circle_length(data: WeierstrassData, r, n_theta: int = DEFAULT_THETA_NODES):
@@ -92,7 +100,7 @@ def circle_length(data: WeierstrassData, r, n_theta: int = DEFAULT_THETA_NODES):
     has its shape.  ``n_theta`` is ignored; it stays in the signature because
     span tracers read it by name as this layer's node count.
     """
-    return _length_sum(data, r, 0)
+    return _lengths(data, r)[0]
 
 
 def circle_length_dd(data: WeierstrassData, r):
@@ -102,7 +110,7 @@ def circle_length_dd(data: WeierstrassData, r):
     log-derivative just multiplies it by e^2.  ``r`` is a radius or an array
     of radii.
     """
-    return _length_sum(data, r, 2)
+    return _lengths(data, r)[1]
 
 
 def circle_length_dd_fd(
@@ -149,20 +157,20 @@ def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.
 
     An even n_grid straddles the central circle without sampling it, which is
     the right default for strict-convexity checks whose defect may vanish at
-    isolated radii.
+    isolated radii.  Fewer than two radii cannot span the window: DomainError.
     """
+    n_grid = int(n_grid)
+    if n_grid < 2:
+        raise DomainError(f"a profile needs at least 2 radii, got {n_grid}")
     lo, hi = window.log_span()
     span = hi - lo
-    return np.exp(np.linspace(lo + inset * span, hi - inset * span, int(n_grid)))
+    return np.exp(np.linspace(lo + inset * span, hi - inset * span, n_grid))
 
 
 def length_profile(data: WeierstrassData, n_grid: int = 32) -> CircleLengthProfile:
     radii = profile_radii(data.window, n_grid, inset=1e-3)
-    samples = zip(
-        np.log(radii).tolist(),
-        circle_length(data, radii).tolist(),
-        circle_length_dd(data, radii).tolist(),
-    )
+    length, dd = _lengths(data, radii)
+    samples = zip(np.log(radii).tolist(), length.tolist(), dd.tolist())
     return CircleLengthProfile(tuple(samples))
 
 

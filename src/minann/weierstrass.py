@@ -147,8 +147,14 @@ def from_g_pair(
         f_minus = f_minus.shifted(1)
         f_plus = f_plus.shifted(1)
         psi3 = psi3.shifted(1)
-    phi1 = (f_minus - f_plus).shifted(-1) * 0.5
-    phi2 = (f_minus + f_plus).shifted(-1) * 0.5j
+    # phi1 = (f_minus - f_plus)/(2z) and phi2 = i(f_minus + f_plus)/(2z), each
+    # in one construction; scaling by 0.5 and 0.5j is exact.
+    phi1 = LaurentPoly(
+        [(n - 1, 0.5 * c) for n, c in f_minus.terms] + [(n - 1, -0.5 * c) for n, c in f_plus.terms]
+    )
+    phi2 = LaurentPoly(
+        [(n - 1, 0.5j * c) for n, c in f_minus.terms] + [(n - 1, 0.5j * c) for n, c in f_plus.terms]
+    )
     phi3 = psi3.shifted(-1)
     return WeierstrassData(
         g_minus=g_minus,

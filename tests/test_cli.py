@@ -365,6 +365,12 @@ class TestReport:
         assert main(["--theta-nodes", "0", "report", "--scenario", "total_curvature_8pi"]) == 2
         assert "at least 16 circle nodes" in capsys.readouterr().err
 
+    def test_one_profile_radius_is_usage_error(self, capsys):
+        # One radius cannot span the window: every convexity verdict would
+        # pass on the inner end alone.
+        assert main(["report", "--scenario", "theorem_4_1", "--param", "grid=1"]) == 2
+        assert "at least 2 radii" in capsys.readouterr().err
+
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["report", "--scenario", "lemma_9_9"])

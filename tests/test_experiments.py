@@ -21,12 +21,14 @@ from minann import (
     compare_lengths,
     figure_eight,
     from_g_pair,
+    height,
     period_check,
     random_even_vertical_flux,
     random_three_term_pair,
     run_scenario,
     sweep_scenario,
 )
+from minann.errors import MultivaluedDataError
 from minann.families import admissible_annulus
 from minann.laurent import COEFF_REL_TOL, LaurentPoly
 
@@ -392,6 +394,17 @@ class TestGenerators:
         assert abs(data.f_minus.coefficient(0)) <= 1e-12
         assert abs(data.f_plus.coefficient(0)) <= 1e-12
 
+    def test_random_even_vertical_flux_height_is_multivalued(self):
+        # Only the flux half of the period check holds: psi3's z^0 coefficient
+        # (the vertical residue) is complex, so the height is not single valued.
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            data = random_even_vertical_flux(rng)
+            verdict = period_check(data)
+            assert verdict.vertical_flux and not verdict.well_defined
+            with pytest.raises(MultivaluedDataError):
+                height(data, 1.0)
+
     def test_random_three_term_identity_inputs(self):
         rng = np.random.default_rng(11)
         data = random_three_term_pair(rng)
@@ -484,7 +497,8 @@ class TestOverrideTypes:
             run_scenario(name, {key: value})
 
     def test_domain_edges_are_accepted(self):
-        report = run_scenario("lemma_3_1", {"seed": 0, "count": 1, "grid": 1})
+        # A profile needs two radii to span the window, so grid's edge is 2.
+        report = run_scenario("lemma_3_1", {"seed": 0, "count": 1, "grid": 2})
         assert report.quantities["datasets"] == 1.0
 
     def test_sweep_echoes_complex_values_as_pairs(self):

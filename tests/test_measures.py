@@ -124,6 +124,11 @@ class TestCircleLength:
         center = w.geometric_mean
         assert all(abs(r - center) > 1e-6 for r in radii)
 
+    @pytest.mark.parametrize("n_grid", [-1, 0, 1])
+    def test_profile_needs_two_radii(self, n_grid):
+        with pytest.raises(DomainError, match="at least 2 radii"):
+            profile_radii(AnnulusWindow(0.5, 2.0), n_grid)
+
     def test_profile_type_rejects_disorder(self):
         with pytest.raises(DomainError):
             CircleLengthProfile(((0.0, 1.0, 1.0), (0.0, 1.0, 1.0)))

@@ -11,6 +11,7 @@ from minann.errors import (
     ParityUndeterminedError,
     SchemaError,
 )
+from minann.experiments import random_even_vertical_flux, random_three_term_pair
 from minann.families import (
     admissible_annulus,
     catenoid_cover,
@@ -44,7 +45,29 @@ def make_even(gm_coeffs, gp_coeffs, window=WINDOW):
     )
 
 
+def _differentials_by_ring_operations(data):
+    """phi1, phi2, phi3 as difference or sum, shift and scale, one at a time."""
+    return (
+        (data.f_minus - data.f_plus).shifted(-1) * 0.5,
+        (data.f_minus + data.f_plus).shifted(-1) * 0.5j,
+        data.psi3.shifted(-1),
+    )
+
+
 class TestAssembly:
+    def test_differentials_match_ring_operations(self):
+        cases = [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05)]
+        cases += [catenoid_cover(k, 1.0)[0] for k in (1, 2, 3)]
+        rng = np.random.default_rng(5)
+        cases += [random_even_vertical_flux(rng) for _ in range(4)]
+        cases += [random_three_term_pair(rng) for _ in range(4)]
+        assert {data.parity for data in cases} == set(Parity)
+        for data in cases:
+            expected = _differentials_by_ring_operations(data)
+            assert data.phi1.terms == expected[0].terms
+            assert data.phi2.terms == expected[1].terms
+            assert data.phi3.terms == expected[2].terms
+
     def test_squared_combinations_and_product_channel(self):
         data = make_even({0: 1.0, 1: 0.3}, {-1: 3.0})
         # conformality: the product channel squared equals the product of
