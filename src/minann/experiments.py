@@ -645,8 +645,9 @@ def _total_curvature_8pi(report: MeasureReport, data, params: dict, n_theta: int
 
 def _typed(name: str, key: str, value, kind: type):
     """``value`` as ``kind``: int (which takes an integral float), float or
-    complex.  An int must be at least 1 (a seed at least 0), and fd_step
-    must be positive."""
+    complex.  An int must be at least 1 (a seed at least 0, a grid at least
+    2, the fewest points that span a window or a slab), and fd_step must be
+    positive."""
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     try:
@@ -655,7 +656,7 @@ def _typed(name: str, key: str, value, kind: type):
         raise PreconditionError(
             f"{name} parameter {key} needs {kind.__name__}, got {value!r}"
         ) from None
-    lowest = 0 if key == "seed" else 1
+    lowest = {"seed": 0, "grid": 2}.get(key, 1)
     if kind is int and value < lowest:
         raise PreconditionError(f"{name} parameter {key} must be at least {lowest}, got {value}")
     if key == "fd_step" and not value > 0.0:

@@ -227,6 +227,20 @@ def _complex_from_json(value, what: str) -> complex:
     raise SchemaError(f"{what} must be a number or an [re, im] pair")
 
 
+def _real_from_json(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _int_from_json(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 # The params each family reads, keyed by (family, symmetric).
 _SPEC_PARAMS = {
     ("catenoid_cover", True): {"k", "f3", "center"},
@@ -255,7 +269,7 @@ def family_from_spec(spec) -> WeierstrassData:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("family params must be an object")
-    margin = float(spec.get("margin", DEFAULT_MARGIN))
+    margin = _real_from_json(spec.get("margin", DEFAULT_MARGIN), "margin")
     symmetric = bool(spec.get("symmetric", True))
     kind = "symmetric" if symmetric else "asymmetric"
     if (name, symmetric) not in _SPEC_PARAMS:
@@ -270,9 +284,9 @@ def family_from_spec(spec) -> WeierstrassData:
             raise SchemaError(f"asymmetric {name} needs params {sorted(missing)}")
     if name == "catenoid_cover":
         return catenoid_cover(
-            int(params.get("k", 1)),
-            float(params.get("f3", TWO_PI)),
-            center=float(params.get("center", 0.0)),
+            _int_from_json(params.get("k", 1), "k"),
+            _real_from_json(params.get("f3", TWO_PI), "f3"),
+            center=_real_from_json(params.get("center", 0.0), "center"),
             margin=margin,
         )[0]
     if name == "perturbed_two_cover":

@@ -42,6 +42,15 @@ def _finite_complex(value, what: str = "value") -> complex:
     return z
 
 
+def _check_points(arr: np.ndarray) -> None:
+    """DomainError unless every point of the complex array is finite and nonzero."""
+    if arr.size:
+        if not np.isfinite(arr).all():
+            raise DomainError("evaluation point must be finite")
+        if (arr == 0).any():
+            raise DomainError("Laurent expressions are undefined at z = 0")
+
+
 def _positive_radius(r) -> float:
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
@@ -185,23 +194,27 @@ class LaurentPoly:
     def evaluate(self, z):
         """Evaluate at a nonzero point or array (split Horner in z and 1/z)."""
         arr = np.asarray(z, dtype=complex)
-        if arr.size:
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("evaluation point must be finite")
-            if np.any(arr == 0):
-                raise DomainError("Laurent expressions are undefined at z = 0")
+        _check_points(arr)
+        out = self._horner(arr, 1.0 / arr if self._split[1].size else None)
+        if arr.ndim == 0:
+            return complex(out)
+        return out
+
+    def _horner(self, arr: np.ndarray, w) -> np.ndarray:
+        """Split Horner at checked complex points ``arr``, with w = 1/arr.
+
+        w is read only when an exponent is negative.  Callers that evaluate
+        several expressions at the same points check them and form w once.
+        """
         pos, neg = self._split
         out = np.full(arr.shape, pos[-1], dtype=complex)
         for c in pos[-2::-1]:
             out = out * arr + c
         if neg.size:
-            w = 1.0 / arr
             acc = np.full(arr.shape, neg[-1], dtype=complex)
             for c in neg[-2::-1]:
                 acc = acc * w + c
             out = out + acc * w
-        if arr.ndim == 0:
-            return complex(out)
         return out
 
     __call__ = evaluate

@@ -289,13 +289,13 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
 
 
 def _periodic_derivative(values: np.ndarray) -> np.ndarray:
-    """Spectral d/d theta of a uniformly sampled periodic signal."""
-    n = len(values)
-    spec = np.fft.rfft(values)
-    spec *= 1j * np.arange(spec.size)
+    """Spectral d/d theta of uniformly sampled periodic signals (last axis)."""
+    n = values.shape[-1]
+    spec = np.fft.rfft(values, axis=-1)
+    spec *= 1j * np.arange(spec.shape[-1])
     if n % 2 == 0:
-        spec[-1] = 0.0
-    return np.fft.irfft(spec, n)
+        spec[..., -1] = 0.0
+    return np.fft.irfft(spec, n, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,8 +352,9 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
     Each curve length integrates the conformal factor against the exact
     parameter speed sqrt(r'^2 + r^2); r' comes from spectral differentiation
     of the solved radii.  The radii of whole levels are solved together, at
-    most MAX_SOLVE_RAYS rays per solve, and each curve equals its one-height
-    trace bit for bit.  Planar self-crossings are counted transversally when
+    most MAX_SOLVE_RAYS rays per solve, and their derivatives and lengths are
+    taken per batch, row by row, so each curve equals its one-height trace
+    bit for bit.  Planar self-crossings are counted transversally when
     a returned curve is first asked for them.  The solve's residual check
     keeps every node within LEVEL_HEIGHT_TOL of its level.
     """
@@ -368,11 +369,11 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
         batch = heights[i : i + step]
         radii = level_radii(data, batch, thetas)
         lam = metric_lambda_samples(data, radii * phase)
-        for h, r, lm in zip(batch, radii, lam):
-            dr = _periodic_derivative(r)
-            speed = np.sqrt(dr**2 + r**2)
-            length = float(trapezoid_circle(lm * speed).real)
-            curves.append(LevelCurve(h=float(h), theta=thetas, r=r, length=length, data=data))
+        dr = _periodic_derivative(radii)
+        # The periodic trapezoid rule of trapezoid_circle, one row per level.
+        lengths = (lam * np.sqrt(dr**2 + radii**2)).mean(axis=-1) * TWO_PI
+        for h, r, length in zip(batch.tolist(), radii, lengths.tolist()):
+            curves.append(LevelCurve(h=h, theta=thetas, r=r, length=length, data=data))
     return curves
 
 
@@ -471,7 +472,8 @@ def _area_terms(data: WeierstrassData) -> tuple[tuple[int, int, complex], ...]:
 
 
 def _area_antiderivative(data: WeierstrassData, thetas: np.ndarray, r: np.ndarray) -> np.ndarray:
-    total = np.zeros(thetas.shape, dtype=complex)
+    """The radial antiderivative at radii ``r`` on the rays ``thetas`` (last axis)."""
+    total = np.zeros(r.shape, dtype=complex)
     logr = np.log(r)
     for s, d, w in _area_terms(data):
         radial = logr if s == 0 else (r**s) / s
@@ -490,10 +492,11 @@ def slab_area(
     """
     thetas = _theta_grid(n_theta)
     r_a, r_b = level_radii(data, [slab.h_minus, slab.h_plus], thetas)
-    r_lo = np.minimum(r_a, r_b)
-    r_hi = np.maximum(r_a, r_b)
-    vals = _area_antiderivative(data, thetas, r_hi) - _area_antiderivative(data, thetas, r_lo)
-    return float(trapezoid_circle(vals).real)
+    # Both level radii in one pass, so each phase e^{i(m-n)theta} is formed once.
+    lower, upper = _area_antiderivative(
+        data, thetas, np.stack((np.minimum(r_a, r_b), np.maximum(r_a, r_b)))
+    )
+    return float(trapezoid_circle(upper - lower).real)
 
 
 # -- total curvature ---------------------------------------------------------------

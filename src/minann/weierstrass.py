@@ -30,6 +30,7 @@ from .laurent import (
     TWO_PI,
     AnnulusWindow,
     LaurentPoly,
+    _check_points,
     antiderivative,
     poly_from_triples,
     poly_to_triples,
@@ -357,10 +358,16 @@ def immerse(data: WeierstrassData, z):
 
 
 def metric_lambda_samples(data: WeierstrassData, z: np.ndarray) -> np.ndarray:
-    """Vectorized conformal factor for tracing and quadrature."""
-    total = np.zeros(np.shape(z), dtype=float)
+    """Vectorized conformal factor for tracing and quadrature.
+
+    The points are checked and inverted once for all three differentials.
+    """
+    arr = np.asarray(z, dtype=complex)
+    _check_points(arr)
+    w = 1.0 / arr
+    total = np.zeros(arr.shape, dtype=float)
     for p in (data.phi1, data.phi2, data.phi3):
-        total += np.abs(p.evaluate(z)) ** 2
+        total += np.abs(p._horner(arr, w)) ** 2
     return np.sqrt(0.5 * total)
 
 

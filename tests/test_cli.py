@@ -369,7 +369,7 @@ class TestReport:
         # One radius cannot span the window: every convexity verdict would
         # pass on the inner end alone.
         assert main(["report", "--scenario", "theorem_4_1", "--param", "grid=1"]) == 2
-        assert "at least 2 radii" in capsys.readouterr().err
+        assert "theorem_4_1 parameter grid must be at least 2" in capsys.readouterr().err
 
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -407,6 +407,8 @@ class TestReport:
             ("theorem_4_1", "levels=0"),
             ("prop_3_7", "grid=-1"),
             ("prop_3_6_symmetry", "grid=0"),
+            ("prop_3_6_symmetry", "grid=1"),
+            ("theorem_4_1", "grid=1"),
             ("lemma_3_1", "seed=-1"),
             ("corollary_4_2", "fd_step=0"),
         ],

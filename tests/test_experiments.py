@@ -488,6 +488,8 @@ class TestOverrideTypes:
             ("theorem_4_1", "levels", 0),
             ("prop_3_7", "grid", -1),
             ("prop_3_6_symmetry", "grid", 0),
+            ("prop_3_6_symmetry", "grid", 1),
+            ("theorem_4_1", "grid", 1),
             ("lemma_3_1", "seed", -1),
             ("corollary_4_2", "fd_step", 0.0),
         ],

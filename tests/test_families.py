@@ -276,6 +276,15 @@ class TestFamilyFromSpec:
         assert data.g_plus.terms == ref.g_plus.terms
         assert data.height_offset == ref.height_offset == 0.1
 
+    def test_catenoid_spec_takes_integral_numbers(self):
+        # JSON writes 3.0 for an integral k; integers stand for real fields.
+        data = family_from_spec(
+            {"family": "catenoid_cover", "params": {"k": 3.0, "f3": 5, "center": 0}}
+        )
+        ref, _ = catenoid_cover(3, 5.0)
+        assert data.g_minus.terms == ref.g_minus.terms
+        assert data.g_plus.terms == ref.g_plus.terms
+
     def test_perturbed_spec_with_complex_pairs(self):
         data = family_from_spec(
             {
@@ -319,6 +328,15 @@ class TestFamilyFromSpec:
             {"family": "catenoid_cover", "symmetric": False},
             {"family": "figure_eight", "symmetric": False, "params": {"a_m1": 1, "a_1": 1}},
             {"family": "perturbed_two_cover", "symmetric": False, "params": {"c1": 1}},
+            {"family": "catenoid_cover", "params": {"k": 2.5}},
+            {"family": "catenoid_cover", "params": {"k": True}},
+            {"family": "catenoid_cover", "params": {"k": "2"}},
+            {"family": "catenoid_cover", "params": {"f3": "x"}},
+            {"family": "catenoid_cover", "params": {"f3": [1, 0]}},
+            {"family": "catenoid_cover", "params": {"center": "x"}},
+            {"family": "catenoid_cover", "params": {"center": True}},
+            {"family": "figure_eight", "margin": "x"},
+            {"family": "figure_eight", "margin": None},
         ],
     )
     def test_schema_rejections(self, spec):

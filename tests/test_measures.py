@@ -29,7 +29,7 @@ from minann.families import (
     figure_eight,
     perturbed_two_cover,
 )
-from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots
+from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots, trapezoid_circle
 from minann.measures import (
     CatenoidParams,
     CircleLengthProfile,
@@ -278,6 +278,24 @@ class TestAreas:
         lower = np.trapezoid(lengths**2 / f3, heights)
         area = slab_area(data, slab)
         assert area >= lower * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("n_theta", [16, 17, 512, 4096])
+    def test_one_antiderivative_pass_equals_two(self, n_theta):
+        # The old route: one antiderivative call per level radius.
+        for data in (
+            catenoid_cover(1, TWO_PI)[0],
+            catenoid_cover(2, TWO_PI)[0],
+            figure_eight(1.0, 1.0),
+            perturbed_two_cover(1.0, 0.05),
+        ):
+            lo, hi = attained_height_range(data)
+            slab = Slab(0.6 * lo + 0.4 * hi, 0.1 * lo + 0.9 * hi)
+            thetas = TWO_PI * np.arange(n_theta) / n_theta
+            r_a, r_b = level_radii(data, [slab.h_minus, slab.h_plus], thetas)
+            upper = measures._area_antiderivative(data, thetas, np.maximum(r_a, r_b))
+            lower = measures._area_antiderivative(data, thetas, np.minimum(r_a, r_b))
+            expected = float(trapezoid_circle(upper - lower).real)
+            assert slab_area(data, slab, n_theta) == expected
 
     def test_area_requires_attained_slab(self):
         data, _ = catenoid_cover(1, TWO_PI)
@@ -766,6 +784,32 @@ class TestLevelSolve:
                 assert np.array_equal(curve.r, single.r)
                 assert np.array_equal(curve.points, single.points)
         assert trace_levels(data, [], 64) == []
+
+    @pytest.mark.parametrize("n_theta", [16, 17, 512, 513])
+    @pytest.mark.parametrize("levels", [1, 5])
+    def test_batch_lengths_equal_per_curve_quadrature(self, n_theta, levels):
+        # The per-curve route: one row FFT, lambda from three evaluate calls
+        # and one trapezoid_circle sum per level.
+        for data in (figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05)):
+            lo, hi = attained_height_range(data)
+            heights = np.linspace(0.9 * lo + 0.1 * hi, 0.1 * lo + 0.9 * hi, levels)
+            thetas = TWO_PI * np.arange(n_theta) / n_theta
+            curves = trace_levels(data, heights, n_theta)
+            assert [c.h for c in curves] == heights.tolist()
+            for h, curve in zip(heights, curves):
+                r = level_radii(data, float(h), thetas)
+                spec = np.fft.rfft(r)
+                spec *= 1j * np.arange(spec.size)
+                if n_theta % 2 == 0:
+                    spec[-1] = 0.0
+                dr = np.fft.irfft(spec, n_theta)
+                z = r * np.exp(1j * thetas)
+                lam = np.sqrt(
+                    0.5 * sum(np.abs(p.evaluate(z)) ** 2 for p in (data.phi1, data.phi2, data.phi3))
+                )
+                assert np.array_equal(curve.theta, thetas)
+                assert np.array_equal(curve.r, r)
+                assert curve.length == float(trapezoid_circle(lam * np.sqrt(dr**2 + r**2)).real)
 
     def test_batch_with_one_unattained_height_raises(self):
         data = figure_eight(1.0, 1.0)

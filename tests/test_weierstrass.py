@@ -54,6 +54,14 @@ def _differentials_by_ring_operations(data):
     )
 
 
+def _lambda_by_three_evaluations(data, z):
+    """The conformal factor from three separately checked evaluate calls."""
+    total = np.zeros(np.shape(z), dtype=float)
+    for p in (data.phi1, data.phi2, data.phi3):
+        total += np.abs(p.evaluate(z)) ** 2
+    return np.sqrt(0.5 * total)
+
+
 class TestAssembly:
     def test_differentials_match_ring_operations(self):
         cases = [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05)]
@@ -158,6 +166,32 @@ class TestImmersion:
         data, _ = catenoid_cover(1, TWO_PI)
         with pytest.raises(DomainError):
             immerse(data, 0.0)
+
+    def test_metric_factor_equals_three_evaluations(self):
+        cases = [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05)]
+        cases += [catenoid_cover(k, 1.0)[0] for k in (1, 2, 3)]
+        rng = np.random.default_rng(17)
+        cases += [random_even_vertical_flux(rng) for _ in range(4)]
+        cases += [random_three_term_pair(rng) for _ in range(4)]
+        assert {data.parity for data in cases} == set(Parity)
+        for data in cases:
+            lo, hi = data.window.log_span()
+            t = rng.uniform(lo, hi, size=(3, 37))
+            z = np.exp(t + 1j * rng.uniform(0.0, TWO_PI, size=t.shape))
+            for points in (z[0], z, z[0, 0], complex(z[1, 2])):  # (n,), (k, n), 0-d
+                got = metric_lambda_samples(data, points)
+                expected = _lambda_by_three_evaluations(data, points)
+                assert np.shape(got) == np.shape(expected)
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "points",
+        [0.0, np.array([1.0, 0.0]), np.array([[1.0, np.inf]]), complex(math.nan, 1.0)],
+        ids=["origin", "origin_in_array", "infinite", "nan"],
+    )
+    def test_metric_factor_rejects_bad_points(self, points):
+        with pytest.raises(DomainError):
+            metric_lambda_samples(figure_eight(1.0, 1.0), points)
 
 
 class TestPeriodsAndFlux:
