@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -19,11 +18,10 @@ from .errors import (
     SchemaError,
 )
 from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots
-from .measures import CatenoidParams, _theta_grid
+from .measures import CatenoidParams
 from .weierstrass import Parity, Slab, WeierstrassData, _immersion, from_g_pair
 
 DEFAULT_MARGIN = 0.05
-HEIGHT_RANGE_NODES = 512  # boundary samples of attained_height_range
 
 
 def admissible_annulus(
@@ -188,17 +186,12 @@ def figure_eight_pair(
 
 
 def attained_height_range(data: WeierstrassData) -> tuple[float, float]:
-    """Heights whose full level curves fit inside the window.
+    """Heights whose full level curves fit inside the closed window.
 
     Along monotone rays a level exists for every theta exactly when h lies
-    between the worst-case boundary heights.
+    between the exact boundary extremes of ``_Immersion.attained_range``.
     """
-    imm = _immersion(data)
-    thetas = _theta_grid(HEIGHT_RANGE_NODES)
-    h_in = imm.height(data.window.r_inner * np.exp(1j * thetas))
-    h_out = imm.height(data.window.r_outer * np.exp(1j * thetas))
-    lo = float(np.max(np.minimum(h_in, h_out)))
-    hi = float(np.min(np.maximum(h_in, h_out)))
+    lo, hi = _immersion(data).attained_range
     if not lo < hi:
         raise EmptySlabError("no height is attained on every ray of the window")
     return lo, hi

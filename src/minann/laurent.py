@@ -42,13 +42,15 @@ def _finite_complex(value, what: str = "value") -> complex:
     return z
 
 
-def _check_points(arr: np.ndarray) -> None:
-    """DomainError unless every point of the complex array is finite and nonzero."""
+def _check_points(z) -> np.ndarray:
+    """``z`` as a complex array; DomainError unless every point is finite and nonzero."""
+    arr = np.asarray(z, dtype=complex)
     if arr.size:
         if not np.isfinite(arr).all():
             raise DomainError("evaluation point must be finite")
         if (arr == 0).any():
             raise DomainError("Laurent expressions are undefined at z = 0")
+    return arr
 
 
 def _positive_radius(r) -> float:
@@ -193,8 +195,7 @@ class LaurentPoly:
 
     def evaluate(self, z):
         """Evaluate at a nonzero point or array (split Horner in z and 1/z)."""
-        arr = np.asarray(z, dtype=complex)
-        _check_points(arr)
+        arr = _check_points(z)
         out = self._horner(arr, 1.0 / arr if self._split[1].size else None)
         if arr.ndim == 0:
             return complex(out)
@@ -386,10 +387,9 @@ def circle_l2(p: LaurentPoly, r: float) -> float:
     return TWO_PI * sum(abs(c) ** 2 * r ** (2 * n) for n, c in p.terms)
 
 
-def trapezoid_circle(values: np.ndarray) -> complex:
-    """Periodic trapezoid rule over [0, 2pi) for uniformly sampled values."""
-    values = np.asarray(values)
-    return values.mean() * TWO_PI
+def trapezoid_circle(values: np.ndarray):
+    """Periodic trapezoid rule over [0, 2pi), one integral per row of uniform samples."""
+    return np.asarray(values).mean(axis=-1) * TWO_PI
 
 
 def roots(p: LaurentPoly) -> list[complex]:

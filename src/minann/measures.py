@@ -138,20 +138,6 @@ def circle_length_dd_fd(
     return (lp - 2.0 * l0 + lm) / step**2
 
 
-@dataclass(frozen=True)
-class CircleLengthProfile:
-    """Samples (t, L, L'') along log-spaced circles, t strictly increasing."""
-
-    samples: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        ts = [s[0] for s in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise DomainError("profile abscissae must increase strictly")
-        if any(s[1] <= 0 for s in self.samples):
-            raise DomainError("circle lengths must be positive")
-
-
 def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.ndarray:
     """Log-uniform grid of radii spanning the window.
 
@@ -167,11 +153,11 @@ def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.
     return np.exp(np.linspace(lo + inset * span, hi - inset * span, n_grid))
 
 
-def length_profile(data: WeierstrassData, n_grid: int = 32) -> CircleLengthProfile:
+def length_profile(data: WeierstrassData, n_grid: int = 32) -> list[tuple[float, float, float]]:
+    """Triples (t, L, L'') on log-uniform circles, t = ln r increasing."""
     radii = profile_radii(data.window, n_grid, inset=1e-3)
     length, dd = _lengths(data, radii)
-    samples = zip(np.log(radii).tolist(), length.tolist(), dd.tolist())
-    return CircleLengthProfile(tuple(samples))
+    return list(zip(np.log(radii).tolist(), length.tolist(), dd.tolist()))
 
 
 # -- level curves ----------------------------------------------------------------
@@ -203,10 +189,11 @@ def level_radii(
     step below LEVEL_SOLVE_TOL * max(1, |t|); Newton converges quadratically,
     so that step leaves the ray at round-off.  The solved radii must then meet
     their heights within LEVEL_HEIGHT_TOL under the complex evaluator of the
-    immersion.  Raises HeightRangeError if a height is not attained on every
-    ray, NonMonotoneRayError if the ray direction cannot be certified, and
-    ConvergenceError if a ray is still moving after LEVEL_SOLVE_MAX_STEPS
-    steps.
+    immersion.  A height within LEVEL_HEIGHT_TOL of a window circle's height
+    on a ray is solved on that circle.  Raises HeightRangeError if a height is
+    not attained on every ray, NonMonotoneRayError if the ray direction
+    cannot be certified, and ConvergenceError if a ray is still moving after
+    LEVEL_SOLVE_MAX_STEPS steps.
     """
     heights = np.asarray(h, dtype=float)
     if heights.ndim > 1:
@@ -251,10 +238,12 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
     ends, _ = _ray_height(modes, np.repeat([[lo], [hi]], thetas.size, axis=1))
     f_in = sign * (ends[0] - target)
     f_out = sign * (ends[1] - target)
-    missed = np.any(f_in > 0, axis=1) | np.any(f_out < 0, axis=1)
+    # The ends of the attained range are levels that touch the closed window.
+    tol = LEVEL_HEIGHT_TOL * np.maximum(1.0, np.abs(target))
+    missed = np.any(f_in > tol, axis=1) | np.any(f_out < -tol, axis=1)
     if np.any(missed):
         raise HeightRangeError(f"height {float(hs[missed][0])!r} is not attained on every ray")
-    t = lo + (hi - lo) * f_in / (f_in - f_out)
+    t = np.clip(lo + (hi - lo) * f_in / (f_in - f_out), lo, hi)
     tlo = np.full(t.shape, lo)
     thi = np.full(t.shape, hi)
     active = np.ones(t.shape, dtype=bool)
@@ -283,7 +272,7 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
         )
     r = np.exp(t)
     resid = np.abs(imm.height(r * phase) - target)
-    if np.any(resid.max(axis=1) > LEVEL_HEIGHT_TOL * np.maximum(1.0, np.abs(hs))):
+    if np.any(resid > tol):
         raise NumericalError("level solve failed to reach its height tolerance")
     return r
 
@@ -293,8 +282,6 @@ def _periodic_derivative(values: np.ndarray) -> np.ndarray:
     n = values.shape[-1]
     spec = np.fft.rfft(values, axis=-1)
     spec *= 1j * np.arange(spec.shape[-1])
-    if n % 2 == 0:
-        spec[..., -1] = 0.0
     return np.fft.irfft(spec, n, axis=-1)
 
 
@@ -370,8 +357,7 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
         radii = level_radii(data, batch, thetas)
         lam = metric_lambda_samples(data, radii * phase)
         dr = _periodic_derivative(radii)
-        # The periodic trapezoid rule of trapezoid_circle, one row per level.
-        lengths = (lam * np.sqrt(dr**2 + radii**2)).mean(axis=-1) * TWO_PI
+        lengths = trapezoid_circle(lam * np.sqrt(dr**2 + radii**2))
         for h, r, length in zip(batch.tolist(), radii, lengths.tolist()):
             curves.append(LevelCurve(h=h, theta=thetas, r=r, length=length, data=data))
     return curves
@@ -534,7 +520,7 @@ def total_curvature(
         v = g.evaluate(z)
         num += (z * g.derivative().evaluate(z) * v.conj()).real
         den += v.real**2 + v.imag**2
-    inner, outer = 2.0 * TWO_PI * (num / den).mean(axis=1)
+    inner, outer = 2.0 * trapezoid_circle(num / den)
     return -float(outer - inner)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import DomainError
-from .measures import CircleLengthProfile, LevelCurve
+from .measures import LevelCurve
 
 PALETTE = (
     "#1f77b4",
@@ -44,15 +44,15 @@ def _polyline(points, stroke: str, width: float, dash: str | None = None) -> str
 
 def level_curves_svg(
     curves: Sequence[LevelCurve],
-    profile: CircleLengthProfile | None = None,
+    profile: Sequence[tuple[float, float, float]] | None = None,
 ) -> str:
     """Render the horizontal projections of level curves, equal aspect.
 
     Curves are drawn in the (x1, x2) plane with a five-percent margin around
     the joint bounding box; self-intersection points get cross markers.  When
-    a profile is supplied, an inset in the upper right corner shows the
-    circle length (solid) and its second log-derivative (dashed) against the
-    log radius.
+    a profile of (t, L, L'') triples from ``length_profile`` is supplied, an
+    inset in the upper right corner shows the circle length (solid) and its
+    second log-derivative (dashed) against the log radius t.
     """
     curves = list(curves)
     if not curves:
@@ -106,12 +106,11 @@ def level_curves_svg(
     return "\n".join(parts) + "\n"
 
 
-def _profile_inset(profile: CircleLengthProfile) -> list[str]:
+def _profile_inset(samples: Sequence[tuple[float, float, float]]) -> list[str]:
     box_w = 0.30 * WIDTH
     box_h = 0.22 * WIDTH
     box_x = WIDTH - box_w - 0.02 * WIDTH
     box_y = 0.02 * WIDTH
-    samples = profile.samples
     ts = [s[0] for s in samples]
     lvals = [s[1] for s in samples]
     ddvals = [s[2] for s in samples]

@@ -293,40 +293,66 @@ class _Immersion:
         """Sign of d(height)/dr, the same on every ray of the closed window."""
         return _ray_sign(self.data)
 
+    @cached_property
+    def attained_range(self) -> tuple[float, float]:
+        """The largest height on the lower window circle and the smallest on the upper.
 
-RAY_SIGN_NODES = 512  # boundary nodes of the first ray-sign certificate
-RAY_SIGN_REFINE = 8  # node factor per inconclusive certificate
-RAY_SIGN_MAX_NODES = 32768
+        The height's circle mean is Re(c) log r + const, so on monotone rays
+        the lower circle is the inner one exactly when Re(c) > 0; ordering the
+        circles by Re(c) needs no ray-sign certificate.
+        """
+        self._check_single_valued(2, "the vertical log coefficient is not real")
+        part = self.parts[2]
+        slope = part.log_coefficient.real
+        circles = (self.data.window.r_inner, self.data.window.r_outer)
+        lower, upper = circles if slope >= 0.0 else circles[::-1]
+        # coordinate(2, z)'s order of operations on |z| = r
+        lower_max = _circle_extremes(part.poly_part, lower)[1] + slope * math.log(lower)
+        upper_min = _circle_extremes(part.poly_part, upper)[0] + slope * math.log(upper)
+        shift, offset = self.shifts[2], self.data.height_offset
+        return lower_max - shift + offset, upper_min - shift + offset
+
+
+def _circle_extremes(p: LaurentPoly, r: float) -> tuple[float, float]:
+    """Exact min and max of Re p on the circle |z| = r.
+
+    With q(u) = p(r u) = sum c_n r^n u^n, the theta-derivative of Re q on
+    |u| = 1 is Re D for D = sum i n c_n r^n u^n, and there conj(D) equals
+    D.conj_reflect(), so the critical points are roots of the Laurent
+    expression D + D.conj_reflect().  Re q is evaluated at every root pushed
+    onto |u| = 1: the critical points are among them, and no value there
+    lies outside the range.  A zero derivative means Re q is constant.
+    """
+    deriv = LaurentPoly(tuple((n, 1j * n * c * r**n) for n, c in p.terms))
+    critical = deriv + deriv.conj_reflect()
+    if critical.is_zero:
+        u = np.ones(1, dtype=complex)
+    else:
+        u = np.array(roots(critical))
+        u /= np.abs(u)
+    values = p.evaluate(r * u).real
+    return float(values.min()), float(values.max())
 
 
 def _ray_sign(data: WeierstrassData) -> float:
     """Certified sign of Re psi3 on the closed window.
 
     d(height)/dr = Re psi3(z) / |z| along rays, and Re psi3 is harmonic, so
-    its extremes on the annulus lie on the two boundary circles.  On |z| = r
-    it is a trigonometric polynomial of degree N = max |n| bounded by
-    B = sum |c_n| r^n, so by Bernstein's inequality it moves by at most
-    (pi N / M) B between a point and the nearest of M equispaced nodes.
-    Samples of one sign whose slack leaves the sign open are refined, up to
-    RAY_SIGN_MAX_NODES; a sign change or an unresolved sign raises.
+    its extremes on the annulus lie on the two boundary circles, where
+    _circle_extremes finds them.  The sign is decided when the extremes on
+    both circles clear zero by COEFF_REL_TOL * B, with B = sum |c_n| r^n the
+    bound of |psi3| on the circle; otherwise NonMonotoneRayError.
     """
     psi3 = data.psi3
-    degree = max(abs(n) for n, _ in psi3.terms)
-    radii = (data.window.r_inner, data.window.r_outer)
-    bounds = [sum(abs(c) * r**n for n, c in psi3.terms) for r in radii]
-    m = RAY_SIGN_NODES
-    while True:
-        phase = np.exp(1j * TWO_PI * np.arange(m) / m)
-        samples = [psi3.evaluate(r * phase).real for r in radii]
-        slacks = [math.pi * degree / m * b for b in bounds]
-        if all(v.min() > s for v, s in zip(samples, slacks)):
-            return 1.0
-        if all(v.max() < -s for v, s in zip(samples, slacks)):
-            return -1.0
-        both = np.concatenate(samples)
-        if both.min() <= 0.0 <= both.max() or m >= RAY_SIGN_MAX_NODES:
-            raise NonMonotoneRayError("height is not monotone along some ray of the window")
-        m *= RAY_SIGN_REFINE
+    extremes, slacks = [], []
+    for r in (data.window.r_inner, data.window.r_outer):
+        extremes.append(_circle_extremes(psi3, r))
+        slacks.append(COEFF_REL_TOL * sum(abs(c) * r**n for n, c in psi3.terms))
+    if all(lo > s for (lo, _), s in zip(extremes, slacks)):
+        return 1.0
+    if all(hi < -s for (_, hi), s in zip(extremes, slacks)):
+        return -1.0
+    raise NonMonotoneRayError("height is not monotone along some ray of the window")
 
 
 @lru_cache(maxsize=64)
@@ -334,26 +360,16 @@ def _immersion(data: WeierstrassData) -> _Immersion:
     return _Immersion(data)
 
 
-def _check_point(z):
-    arr = np.asarray(z, dtype=complex)
-    if arr.size:
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("evaluation point must be finite")
-        if np.any(arr == 0):
-            raise DomainError("evaluation point must be nonzero")
-    return arr
-
-
 def height(data: WeierstrassData, z):
     """Third coordinate of the immersion (normalized, offset applied)."""
-    arr = _check_point(z)
+    arr = _check_points(z)
     val = _immersion(data).height(arr)
     return float(val) if arr.ndim == 0 else val
 
 
 def immerse(data: WeierstrassData, z):
     """Immersion point(s) in R^3; shape (..., 3)."""
-    arr = _check_point(z)
+    arr = _check_points(z)
     return _immersion(data).point(arr)
 
 
@@ -362,8 +378,7 @@ def metric_lambda_samples(data: WeierstrassData, z: np.ndarray) -> np.ndarray:
 
     The points are checked and inverted once for all three differentials.
     """
-    arr = np.asarray(z, dtype=complex)
-    _check_points(arr)
+    arr = _check_points(z)
     w = 1.0 / arr
     total = np.zeros(arr.shape, dtype=float)
     for p in (data.phi1, data.phi2, data.phi3):

@@ -32,7 +32,6 @@ from minann.families import (
 from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots, trapezoid_circle
 from minann.measures import (
     CatenoidParams,
-    CircleLengthProfile,
     catenoid_area,
     catenoid_level_length,
     circle_length,
@@ -128,12 +127,6 @@ class TestCircleLength:
     def test_profile_needs_two_radii(self, n_grid):
         with pytest.raises(DomainError, match="at least 2 radii"):
             profile_radii(AnnulusWindow(0.5, 2.0), n_grid)
-
-    def test_profile_type_rejects_disorder(self):
-        with pytest.raises(DomainError):
-            CircleLengthProfile(((0.0, 1.0, 1.0), (0.0, 1.0, 1.0)))
-        with pytest.raises(DomainError):
-            CircleLengthProfile(((0.0, -1.0, 1.0),))
 
     def test_closed_form_matches_quadrature_oracle(self, monkeypatch):
         # Reference: 4096-node trapezoid rule on |f_minus| + |f_plus|, exact
@@ -968,46 +961,58 @@ class TestRayDirection:
         with pytest.raises(NonMonotoneRayError):
             trace_level(data, h, 16)
 
-    @pytest.fixture
-    def evaluated_sizes(self, monkeypatch):
-        """Sizes of the point arrays LaurentPoly.evaluate receives."""
-        sizes = []
-        original = LaurentPoly.evaluate
-
-        def counting(self, z):
-            sizes.append(np.size(z))
-            return original(self, z)
-
-        monkeypatch.setattr(LaurentPoly, "evaluate", counting)
-        return sizes
-
-    def test_inconclusive_bound_is_refined_before_deciding(self, evaluated_sizes):
+    def test_extremes_between_nodes_decide_the_sign(self):
         # Re psi3 = 1 + r^16 cos(16 theta + alpha).  Its minimum 1 - r^16 on each
-        # circle sits between nodes of the 512-node grid when alpha = pi - pi/32,
-        # and on a node of the 4096-node grid; the 512-node slack is about 0.197.
+        # circle sits between the nodes of every 512-node grid when
+        # alpha = pi - pi/32, and the exact extremes find it.
         def data_for(alpha, r_in, r_out):
             psi3 = LaurentPoly({0: 1.0, 16: complex(math.cos(alpha), math.sin(alpha))})
             return _psi3_data(psi3, AnnulusWindow(r_in, r_out))
 
-        positive = data_for(0.0, 0.9, 0.95 ** (1 / 16))  # min 0.05: certified at 4096
+        positive = data_for(0.0, 0.9, 0.95 ** (1 / 16))  # min 0.05
         dipping = data_for(math.pi - math.pi / 32, 1.002 ** (1 / 16), 1.003 ** (1 / 16))
-        evaluated_sizes.clear()
         assert weierstrass._ray_sign(positive) == 1.0
-        assert evaluated_sizes == [512, 512, 4096, 4096]
-        evaluated_sizes.clear()
         with pytest.raises(NonMonotoneRayError):
             weierstrass._ray_sign(dipping)  # every 512-node sample is positive
-        assert evaluated_sizes == [512, 512, 4096, 4096]
+        for r, low in ((dipping.window.r_inner, -0.002), (dipping.window.r_outer, -0.003)):
+            lo, hi = weierstrass._circle_extremes(dipping.psi3, r)
+            assert lo == pytest.approx(low, abs=1e-14)
+            assert hi == pytest.approx(2.0 - low, abs=1e-14)
 
-    def test_catalog_surfaces_certify_on_the_first_grid(self, evaluated_sizes):
+    def test_catalog_surfaces_certify_a_positive_sign(self):
         for data in (
             figure_eight(1.0, 1.0),
             perturbed_two_cover(1.0, 0.05),
             catenoid_cover(2, TWO_PI)[0],
         ):
-            evaluated_sizes.clear()
             assert weierstrass._ray_sign(data) == 1.0
-            assert evaluated_sizes == [weierstrass.RAY_SIGN_NODES] * 2
+
+    def test_circle_extremes_bound_dense_samples(self):
+        # No sample of a 2^14-node grid leaves [min, max], and each extreme
+        # lies within the grid's own error (1/2)(pi N / M)^2 B of a sample,
+        # N the degree and B = sum |c_n| r^n.
+        rng = np.random.default_rng(11)
+        m = 2**14
+        phase = np.exp(1j * TWO_PI * np.arange(m) / m)
+        for _ in range(40):
+            exponents = rng.choice(np.arange(-6, 7), size=rng.integers(2, 8), replace=False)
+            p = LaurentPoly({int(n): complex(*rng.normal(size=2)) for n in exponents})
+            r = float(rng.uniform(0.4, 2.5))
+            bound = sum(abs(c) * r**n for n, c in p.terms)
+            degree = max(abs(n) for n, _ in p.terms)
+            samples = p.evaluate(r * phase).real
+            lo, hi = weierstrass._circle_extremes(p, r)
+            assert samples.min() >= lo - 1e-12 * bound
+            assert samples.max() <= hi + 1e-12 * bound
+            grid_error = 0.5 * (math.pi * degree / m) ** 2 * bound
+            assert lo >= samples.min() - grid_error
+            assert hi <= samples.max() + grid_error
+
+    def test_circle_extremes_of_a_constant_real_part(self):
+        assert weierstrass._circle_extremes(LaurentPoly.constant(2.0 + 1.0j), 0.7) == (2.0, 2.0)
+        assert weierstrass._circle_extremes(LaurentPoly(), 1.3) == (0.0, 0.0)
+        # Re(z - 1/z) vanishes on the unit circle: the derivative is the zero expression.
+        assert weierstrass._circle_extremes(LaurentPoly({1: 1.0, -1: -1.0}), 1.0) == (0.0, 0.0)
 
     def test_sign_is_computed_once_per_data_set(self, monkeypatch):
         calls = []
@@ -1024,3 +1029,70 @@ class TestRayDirection:
             trace_level(data, 0.1, n)
         slab_area(data, Slab(-0.2, 0.2))
         assert calls == [data]
+
+
+def _range_surfaces():
+    named = [
+        perturbed_two_cover(1.0, 0.05),
+        figure_eight(1.0, 0.5),
+        figure_eight(cmath.exp(1j), cmath.exp(2j)),  # a rotated figure_eight(1, 1)
+        perturbed_two_cover(1.0, 0.05 - 0.01j),
+    ]
+    rng = np.random.default_rng(5)
+    drawn = []
+    while len(drawn) < 10:
+        try:
+            drawn.append(figure_eight(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))))
+        except GeometryError:
+            continue
+    return named, drawn
+
+
+class TestAttainedRange:
+    def test_rotated_figure_eights_share_the_range(self):
+        # figure_eight(e^{i(b - f)}, e^{i(b + f)}) is figure_eight(1, 1) turned
+        # by z -> e^{if} z (and z -> -z when a_0 takes the other root), with
+        # its square-root factors multiplied by a phase: the same heights.
+        lo, hi = attained_height_range(figure_eight(1.0, 1.0))
+        for b, f in ((1.5, 0.5), (0.3, -1.1), (2.0, 0.25)):
+            data = figure_eight(cmath.exp(1j * (b - f)), cmath.exp(1j * (b + f)))
+            rot_lo, rot_hi = attained_height_range(data)
+            assert rot_lo == pytest.approx(lo, abs=1e-12)
+            assert rot_hi == pytest.approx(hi, abs=1e-12)
+
+    @pytest.mark.parametrize("n_theta", [4096, 8192])
+    def test_heights_just_inside_the_ends_are_attained(self, n_theta):
+        named, drawn = _range_surfaces()
+        thetas = TWO_PI * np.arange(n_theta) / n_theta
+        for data in named + drawn:
+            lo, hi = attained_height_range(data)
+            inset = 1e-9 * (hi - lo)
+            radii = level_radii(data, [lo + inset, hi - inset], thetas)
+            assert np.all((radii >= data.window.r_inner) & (radii <= data.window.r_outer))
+
+    def test_full_range_clip_is_measurable(self):
+        # The clipped slab's levels touch the window circles; the solve accepts
+        # them there, and the area converges in the node count.
+        named, _ = _range_surfaces()
+        for data in named:
+            slab = clip_to_slab(data, Slab(-5.0, 5.0))
+            areas = [slab_area(data, slab, n) for n in (512, 4096, 8192)]
+            assert areas[0] > 0.0
+            assert areas[1] == pytest.approx(areas[2], rel=1e-9)
+
+    def test_range_is_computed_once_per_data_set(self, monkeypatch):
+        calls = []
+        original = weierstrass._circle_extremes
+
+        def counting(p, r):
+            calls.append(r)
+            return original(p, r)
+
+        monkeypatch.setattr(weierstrass, "_circle_extremes", counting)
+        _immersion.cache_clear()
+        data = figure_eight(1.0, 1.0)
+        for _ in range(3):
+            attained_height_range(data)
+        clip_to_slab(data, Slab(-0.2, 0.2))
+        clip_to_slab(data, Slab(-5.0, 5.0))
+        assert sorted(calls) == [data.window.r_inner, data.window.r_outer]
