@@ -27,7 +27,13 @@ from .experiments import (
     run_scenario,
     sweep_scenario,
 )
-from .families import DEFAULT_MARGIN, attained_height_range, clip_to_slab, family_from_spec
+from .families import (
+    DEFAULT_MARGIN,
+    FAMILIES,
+    attained_height_range,
+    clip_to_slab,
+    family_from_spec,
+)
 from .measures import (
     DEFAULT_THETA_NODES,
     CatenoidParams,
@@ -135,16 +141,35 @@ def load_data(path: str):
 # -- subcommands -----------------------------------------------------------------
 
 
-# Family flags that gen hands to family_from_spec when given; the spec loader
-# rejects those the family does not read and requires an asymmetric spec's
-# second factor.  gen requires the flags below even though the spec loader
-# would default them.
-_GEN_PARAMS = ("k", "f3", "center", "c1", "eps1", "c2", "eps2", "a_m1", "a_1", "b_m1", "b_1")
+# gen requires the flags below even though the spec loader would default them.
 _GEN_REQUIRED = {
     "catenoid_cover": ("f3",),
     "perturbed_two_cover": ("c1", "eps1"),
     "figure_eight": ("a_m1", "a_1"),
 }
+
+
+_FLAG_TYPES = {int: int, float: float, complex: parse_complex}
+
+
+def _gen_flags() -> dict[str, tuple[type, str]]:
+    """(kind, help) of the gen flag of each FAMILIES param, in table order.
+
+    The help names the family that reads the param and its spec default, or
+    says that gen requires it.  A second factor's param, complex and without
+    default, is required with --asymmetric.
+    """
+    flags: dict[str, tuple[type, list[str]]] = {}
+    for family, entry in FAMILIES.items():
+        for key, default in {**entry.params, **dict.fromkeys(entry.pair_params)}.items():
+            note = (
+                "required" if key in _GEN_REQUIRED[family]
+                else "required with --asymmetric" if default is None
+                else f"default {default!r}"
+            )
+            kind = complex if default is None else type(default)
+            flags.setdefault(key, (kind, []))[1].append(f"{family}, {note}")
+    return {key: (kind, "; ".join(notes)) for key, (kind, notes) in flags.items()}
 
 
 def cmd_gen(args) -> int:
@@ -154,7 +179,7 @@ def cmd_gen(args) -> int:
         raise ValidationError(f"{args.family} requires {flags}")
     spec = {
         "family": args.family,
-        "params": {k: getattr(args, k) for k in _GEN_PARAMS if getattr(args, k) is not None},
+        "params": {k: getattr(args, k) for k in _gen_flags() if getattr(args, k) is not None},
         "margin": args.margin,
         "symmetric": not args.asymmetric,
     }
@@ -314,22 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate family data as JSON")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["catenoid_cover", "perturbed_two_cover", "figure_eight"],
-    )
-    p.add_argument("--k", type=int, help="cover degree (catenoid_cover, default 1)")
-    p.add_argument("--f3", type=float, help="vertical flux (catenoid_cover)")
-    p.add_argument("--center", type=float, help="waist height (catenoid_cover, default 0)")
-    p.add_argument("--c1", type=parse_complex, help="leading coefficient")
-    p.add_argument("--eps1", type=parse_complex, help="perturbation size")
-    p.add_argument("--c2", type=parse_complex, help="second leading coefficient (pair)")
-    p.add_argument("--eps2", type=parse_complex, help="second perturbation size (pair)")
-    p.add_argument("--a-m1", dest="a_m1", type=parse_complex, help="z^-1 coefficient")
-    p.add_argument("--a-1", dest="a_1", type=parse_complex, help="z coefficient")
-    p.add_argument("--b-m1", dest="b_m1", type=parse_complex, help="second z^-1 (pair)")
-    p.add_argument("--b-1", dest="b_1", type=parse_complex, help="second z coefficient (pair)")
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
+    for key, (kind, text) in _gen_flags().items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES[kind], help=text)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument(
         "--asymmetric",

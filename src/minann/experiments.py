@@ -29,16 +29,16 @@ from . import measures
 from .errors import GeometryError, InadmissibleParametersError, PreconditionError
 from .families import (
     DEFAULT_MARGIN,
+    FAMILIES,
     _three_term_factor,
     admissible_annulus,
     catenoid_cover,
     clip_to_slab,
-    family_from_spec,
 )
 from .laurent import TWO_PI, AnnulusWindow, LaurentPoly
 from .measures import (
     CatenoidParams,
-    profile_radii,
+    _profile_lengths,
     catenoid_area,
     catenoid_level_length,
     circle_length,
@@ -345,7 +345,6 @@ def _period_checks(report: MeasureReport, data: WeierstrassData) -> bool:
 
 _PERTURBED = {"c1": 1.0 + 0.0j, "eps1": 0.05 + 0.0j, "margin": DEFAULT_MARGIN}
 _FIGURE_EIGHT = {"a_m1": 1.0 + 0.0j, "a_1": 1.0 + 0.0j, "margin": DEFAULT_MARGIN}
-_FAMILY_DEFAULTS = {"perturbed_two_cover": _PERTURBED, "figure_eight": _FIGURE_EIGHT}
 
 SCENARIOS: dict[str, Scenario] = {}
 
@@ -363,7 +362,8 @@ def _scenario(defaults: dict, family: str | None = None):
 
 
 def _build(family: str, params: dict) -> WeierstrassData:
-    """The family instance that a scenario's parameters describe."""
+    """The family instance that a scenario's parameters describe; a family
+    param the scenario does not list takes its spec default."""
     if family == "figure_eight" and "a_0" in params:
         # Explicit a_0 bypasses the derived constraint so that deliberately
         # inconsistent data can be fed to the period checks.
@@ -371,22 +371,14 @@ def _build(family: str, params: dict) -> WeierstrassData:
         g_plus = g_minus.conj_reflect()
         window = admissible_annulus(g_minus, g_plus, params["margin"])
         return from_g_pair(g_minus, g_plus, Parity.EVEN, window)
-    spec = {
-        "family": family,
-        "params": {k: params[k] for k in _FAMILY_DEFAULTS[family] if k != "margin"},
-        "margin": params["margin"],
-    }
-    return family_from_spec(spec)
+    entry = FAMILIES[family]
+    args = {key: params.get(key, default) for key, default in entry.params.items()}
+    return entry.symmetric(**args, margin=params["margin"])
 
 
 def _thin_slab(data: WeierstrassData, params: dict) -> Slab:
     half = abs(params["slab_half"])
     return clip_to_slab(data, Slab(-half, half))
-
-
-def _lengths_on_profile(data: WeierstrassData, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form L and L'' on the grid of profile radii."""
-    return measures._lengths(data, profile_radii(data.window, grid, inset=1e-3))
 
 
 def _three_term_residual(data: WeierstrassData, grid: int) -> tuple[float, float]:
@@ -396,7 +388,7 @@ def _three_term_residual(data: WeierstrassData, grid: int) -> tuple[float, float
     c_minus = TWO_PI * data.g_minus.coefficient(0)
     c_plus = TWO_PI * data.g_plus.coefficient(0)
     defect = (abs(c_minus) ** 2 + abs(c_plus) ** 2) / math.pi
-    length, dd = _lengths_on_profile(data, grid)
+    _, length, dd = _profile_lengths(data, grid)
     return defect, float(np.max(np.abs(dd - (4.0 * length - defect)) / length))
 
 
@@ -408,7 +400,7 @@ def _lemma_3_1(report: MeasureReport, data, params: dict, n_theta: int):
     worst = math.inf
     for _ in range(count):
         sample = random_even_vertical_flux(rng, params["max_exponent"])
-        length, dd = _lengths_on_profile(sample, params["grid"])
+        _, length, dd = _profile_lengths(sample, params["grid"])
         worst = min(worst, float(np.min(dd - 2.0 * length)))
     report.quantities["datasets"] = float(count)
     report.quantities["min_defect"] = worst
@@ -436,7 +428,7 @@ def _theorem_3_5(report: MeasureReport, data, params: dict, n_theta: int):
     eps1 = complex(data.g_minus.coefficient(0))
     eps2 = complex(data.g_plus.coefficient(0))
     expected = -4.0 * math.pi * (abs(eps1) ** 2 + abs(eps2) ** 2)
-    length, dd = _lengths_on_profile(data, 50)
+    _, length, dd = _profile_lengths(data, 50)
     defect = dd - 4.0 * length
     worst_residual = float(np.max(np.abs(defect - expected) / length))
     worst_defect = float(np.max(defect))
@@ -523,7 +515,7 @@ def _theorem_3_8(report: MeasureReport, data, params: dict, n_theta: int):
 def _theorem_4_1(report: MeasureReport, data, params: dict, n_theta: int):
     """figure-eight convexity band and single self-crossing per level"""
     _winding_check(report, data, 0)
-    length, dd = _lengths_on_profile(data, params["grid"])
+    _, length, dd = _profile_lengths(data, params["grid"])
     above_2l = float(np.min(dd - 2.0 * length))
     below_4l = float(np.max(dd - 4.0 * length))
     report.quantities["dd_minus_2L_min"] = above_2l
@@ -692,7 +684,8 @@ def run_scenario(
     if data is not None:
         if "seed" in params:
             raise PreconditionError("scenario draws its own random ensemble")
-        ignored = set(overrides) & {*_PERTURBED, *_FIGURE_EIGHT, "a_0"}
+        family_params = {key for entry in FAMILIES.values() for key in entry.params}
+        ignored = set(overrides) & {*family_params, "margin", "a_0"}
         if ignored:
             raise PreconditionError(
                 f"{name} runs on the given data and would ignore {sorted(ignored)}"

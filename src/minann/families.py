@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .errors import (
     DomainError,
@@ -234,13 +236,35 @@ def _int_from_json(value, what: str) -> int:
     return value
 
 
-# The params each family reads, keyed by (family, symmetric).
-_SPEC_PARAMS = {
-    ("catenoid_cover", True): {"k", "f3", "center"},
-    ("perturbed_two_cover", True): {"c1", "eps1"},
-    ("perturbed_two_cover", False): {"c1", "eps1", "c2", "eps2"},
-    ("figure_eight", True): {"a_m1", "a_1"},
-    ("figure_eight", False): {"a_m1", "a_1", "b_m1", "b_1"},
+_FROM_JSON = {int: _int_from_json, float: _real_from_json, complex: _complex_from_json}
+
+
+@dataclass(frozen=True)
+class Family:
+    """A family's constructors, which take their params and ``margin`` by
+    keyword and return the data; ``params`` maps each symmetric param to its
+    spec default, whose type (int, float or complex) is the param's kind, and
+    the second factor's ``pair_params`` are complex with no default."""
+
+    symmetric: Callable[..., WeierstrassData]
+    pair: Callable[..., WeierstrassData] | None
+    params: dict
+    pair_params: tuple[str, ...] = ()
+
+
+# The one list of family params: family_from_spec, the gen flags and the
+# scenario builds all read it.
+FAMILIES = {
+    "catenoid_cover": Family(
+        lambda k, f3, center, margin: catenoid_cover(k, f3, center, margin)[0],
+        None, {"k": 1, "f3": TWO_PI, "center": 0.0},
+    ),
+    "perturbed_two_cover": Family(
+        perturbed_two_cover, perturbed_two_cover_pair, {"c1": 1 + 0j, "eps1": 0j}, ("c2", "eps2")
+    ),
+    "figure_eight": Family(
+        figure_eight, figure_eight_pair, {"a_m1": 1 + 0j, "a_1": 1 + 0j}, ("b_m1", "b_1")
+    ),
 }
 
 
@@ -265,35 +289,20 @@ def family_from_spec(spec) -> WeierstrassData:
     margin = _real_from_json(spec.get("margin", DEFAULT_MARGIN), "margin")
     symmetric = bool(spec.get("symmetric", True))
     kind = "symmetric" if symmetric else "asymmetric"
-    if (name, symmetric) not in _SPEC_PARAMS:
+    family = FAMILIES.get(name)
+    if family is None or not (symmetric or family.pair):
         raise SchemaError(f"unknown {kind} family {name!r}")
-    unread = set(params) - _SPEC_PARAMS[name, symmetric]
+    second = () if symmetric else family.pair_params
+    unread = set(params) - {*family.params, *second}
     if unread:
         raise SchemaError(f"{kind} {name} does not read params {sorted(unread)}")
-    if not symmetric:
-        # The second factor's params, which the symmetric spec derives, have no default.
-        missing = _SPEC_PARAMS[name, False] - _SPEC_PARAMS[name, True] - set(params)
-        if missing:
-            raise SchemaError(f"asymmetric {name} needs params {sorted(missing)}")
-    if name == "catenoid_cover":
-        return catenoid_cover(
-            _int_from_json(params.get("k", 1), "k"),
-            _real_from_json(params.get("f3", TWO_PI), "f3"),
-            center=_real_from_json(params.get("center", 0.0), "center"),
-            margin=margin,
-        )[0]
-    if name == "perturbed_two_cover":
-        c1 = _complex_from_json(params.get("c1", 1.0), "c1")
-        eps1 = _complex_from_json(params.get("eps1", 0.0), "eps1")
-        if symmetric:
-            return perturbed_two_cover(c1, eps1, margin=margin)
-        c2 = _complex_from_json(params["c2"], "c2")
-        eps2 = _complex_from_json(params["eps2"], "eps2")
-        return perturbed_two_cover_pair(c1, eps1, c2, eps2, margin=margin)
-    a_m1 = _complex_from_json(params.get("a_m1", 1.0), "a_m1")
-    a_1 = _complex_from_json(params.get("a_1", 1.0), "a_1")
-    if symmetric:
-        return figure_eight(a_m1, a_1, margin=margin)
-    b_m1 = _complex_from_json(params["b_m1"], "b_m1")
-    b_1 = _complex_from_json(params["b_1"], "b_1")
-    return figure_eight_pair(a_m1, a_1, b_m1, b_1, margin=margin)
+    missing = set(second) - set(params)
+    if missing:
+        raise SchemaError(f"asymmetric {name} needs params {sorted(missing)}")
+    args = {
+        key: _FROM_JSON[type(default)](params.get(key, default), key)
+        for key, default in family.params.items()
+    }
+    args.update((key, _complex_from_json(params[key], key)) for key in second)
+    build = family.symmetric if symmetric else family.pair
+    return build(**args, margin=margin)

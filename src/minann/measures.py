@@ -113,31 +113,6 @@ def circle_length_dd(data: WeierstrassData, r):
     return _lengths(data, r)[1]
 
 
-def circle_length_dd_fd(
-    data: WeierstrassData, r: float, step: float = 1e-3, n_theta: int = DEFAULT_THETA_NODES
-) -> float:
-    """Central finite-difference cross-check of circle_length_dd.
-
-    The lengths come from periodic trapezoid quadrature of |f_minus| +
-    |f_plus| on n_theta nodes, not from the closed form, so the check
-    compares two independent routes.
-    """
-    phase = np.exp(1j * _theta_grid(n_theta))
-
-    def length(rr: float) -> float:
-        if not data.window.contains(rr):
-            raise DomainError(f"radius {rr!r} outside the data window")
-        z = rr * phase
-        vals = np.abs(data.f_minus.evaluate(z)) + np.abs(data.f_plus.evaluate(z))
-        return float(trapezoid_circle(vals).real) * 0.5
-
-    l0 = length(r)  # checks the window before log(r)
-    t = math.log(r)
-    lm = length(math.exp(t - step))
-    lp = length(math.exp(t + step))
-    return (lp - 2.0 * l0 + lm) / step**2
-
-
 def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.ndarray:
     """Log-uniform grid of radii spanning the window.
 
@@ -153,10 +128,17 @@ def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.
     return np.exp(np.linspace(lo + inset * span, hi - inset * span, n_grid))
 
 
+def _profile_lengths(data: WeierstrassData, n_grid: int) -> tuple[np.ndarray, ...]:
+    """(radii, L, L'') on the n_grid profile radii, inset 1e-3 of the window's
+    log span from each end: the circles of the convexity checks and of
+    length_profile."""
+    radii = profile_radii(data.window, n_grid, inset=1e-3)
+    return (radii, *_lengths(data, radii))
+
+
 def length_profile(data: WeierstrassData, n_grid: int = 32) -> list[tuple[float, float, float]]:
     """Triples (t, L, L'') on log-uniform circles, t = ln r increasing."""
-    radii = profile_radii(data.window, n_grid, inset=1e-3)
-    length, dd = _lengths(data, radii)
+    radii, length, dd = _profile_lengths(data, n_grid)
     return list(zip(np.log(radii).tolist(), length.tolist(), dd.tolist()))
 
 

@@ -40,7 +40,6 @@ from minann import (
     circle_l2,
     circle_length,
     circle_length_dd,
-    circle_length_dd_fd,
     clip_to_slab,
     figure_eight,
     flux,
@@ -53,6 +52,8 @@ from minann import (
     trapezoid_circle,
 )
 from minann.laurent import TWO_PI, LaurentPoly
+
+from fd_oracle import circle_length_dd_fd
 
 SEED = 20260814
 

@@ -1,5 +1,7 @@
 """Tests for the concrete family constructors and slab clipping."""
 
+import argparse
+import json
 import math
 
 import pytest
@@ -13,12 +15,14 @@ from minann import (
     InadmissibleParametersError,
     LaurentPoly,
     Parity,
+    SCENARIOS,
     SchemaError,
     Slab,
     admissible_annulus,
     attained_height_range,
     catenoid_cover,
     clip_to_slab,
+    data_from_json,
     family_from_spec,
     figure_eight,
     figure_eight_pair,
@@ -28,6 +32,9 @@ from minann import (
     perturbed_two_cover_pair,
     roots,
 )
+from minann import cli
+from minann.experiments import _build
+from minann.families import DEFAULT_MARGIN, FAMILIES
 from minann.laurent import COEFF_REL_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -342,3 +349,86 @@ class TestFamilyFromSpec:
     def test_schema_rejections(self, spec):
         with pytest.raises(SchemaError):
             family_from_spec(spec)
+
+
+# One catalog instance per family: the table's spec defaults, overridden by
+# the defaults of the scenarios that build that family.
+CATALOG_PARAMS = {
+    family: {
+        key: next(
+            (s.defaults[key] for s in SCENARIOS.values() if s.family == family), default
+        )
+        for key, default in entry.params.items()
+    }
+    for family, entry in FAMILIES.items()
+}
+PAIRS = {
+    "perturbed_two_cover": {"c1": 1 + 0j, "eps1": 0.05 + 0j, "c2": 1 + 0.2j, "eps2": 0.03 - 0.01j},
+    "figure_eight": {"a_m1": 1 + 0j, "a_1": 1 + 0j, "b_m1": 1.1 + 0.1j, "b_1": 0.9 + 0j},
+}
+
+
+def _gen(family: str, params: dict, capsys, asymmetric: bool = False):
+    """The data that ``minann gen`` writes, given one flag per param."""
+    argv = ["gen", "--family", family] + (["--asymmetric"] if asymmetric else [])
+    for key, value in params.items():
+        text = f"{value.real!r},{value.imag!r}" if isinstance(value, complex) else repr(value)
+        argv.append(f"--{key.replace('_', '-')}={text}")
+    assert cli.main(argv) == 0
+    return data_from_json(json.loads(capsys.readouterr().out))
+
+
+def _spec(family: str, params: dict, symmetric: bool = True):
+    """The same params written as a JSON family spec, complex as [re, im]."""
+    as_json = {
+        key: [value.real, value.imag] if isinstance(value, complex) else value
+        for key, value in params.items()
+    }
+    return family_from_spec({"family": family, "params": as_json, "symmetric": symmetric})
+
+
+def _assert_same(*instances):
+    first, *rest = instances
+    for data in rest:
+        assert data.g_minus.terms == first.g_minus.terms
+        assert data.g_plus.terms == first.g_plus.terms
+        assert data.window == first.window
+        assert data.parity is first.parity
+        assert data.height_offset == first.height_offset
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_gen_spec_and_scenario_build_agree(self, family, capsys):
+        params = CATALOG_PARAMS[family]
+        _assert_same(
+            _gen(family, params, capsys),
+            _spec(family, params),
+            _build(family, {**params, "margin": DEFAULT_MARGIN}),
+        )
+
+    @pytest.mark.parametrize("family", list(PAIRS))
+    def test_asymmetric_gen_and_spec_agree(self, family, capsys):
+        params = PAIRS[family]
+        _assert_same(
+            _gen(family, params, capsys, asymmetric=True),
+            _spec(family, params, symmetric=False),
+            FAMILIES[family].pair(**params),
+        )
+
+    def test_every_table_param_has_one_gen_flag_of_its_kind(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        gen = sub.choices["gen"]
+        flags = {a.dest: a for a in gen._actions}
+        assert flags["family"].choices == list(FAMILIES)
+        kinds = {int: int, float: float, complex: cli.parse_complex}
+        table = set()
+        for family, entry in FAMILIES.items():
+            for key, default in {**entry.params, **dict.fromkeys(entry.pair_params, 0j)}.items():
+                table.add(key)
+                [flag] = [a for a in gen._actions if a.dest == key]
+                assert flag.option_strings == ["--" + key.replace("_", "-")]
+                assert flag.type is kinds[type(default)]
+                assert family in flag.help
+        assert set(flags) - table == {"help", "family", "margin", "asymmetric", "out"}

@@ -23,10 +23,10 @@ def test_all_lists_exactly_the_imported_public_names():
     assert "sweep_scenario" in namespace
 
 
-def _run_with_perfbench(code: str) -> subprocess.CompletedProcess:
+def _run_with_perfbench(code: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -58,5 +58,27 @@ def test_benchmark_oracle_accepts_the_catalog_reports():
     # The benchmark rejects a run whose verdict set, pass pattern or pinned
     # margins differ from perfbench/oracle.py; this fails first.
     proc = _run_with_perfbench(ORACLE_CHECK)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+CLI_CHECK = """
+import pathlib, sys
+import oracle, run, workloads
+seed = workloads.CATALOG_SEED
+ref = run.cli_reference(seed)
+for label, argv in workloads.cli_commands(seed):
+    child, files, _ = run.cli_command(pathlib.Path(sys.argv[1]), label, argv, traced=False)
+    for problem in oracle.check_cli(label, child.returncode, child.stdout.decode(), files,
+                                    ref, seed):
+        print(problem)
+"""
+
+
+def test_benchmark_oracle_accepts_one_cold_cli_pass(tmp_path):
+    # One cli_cold pass: each command of the workload in a fresh
+    # ``python -m minann.cli`` child in tmp_path, checked as the benchmark
+    # checks it, so a gen flag or CLI output the oracle rejects fails here.
+    proc = _run_with_perfbench(CLI_CHECK, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
