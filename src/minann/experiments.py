@@ -364,13 +364,6 @@ def _scenario(defaults: dict, family: str | None = None):
 def _build(family: str, params: dict) -> WeierstrassData:
     """The family instance that a scenario's parameters describe; a family
     param the scenario does not list takes its spec default."""
-    if family == "figure_eight" and "a_0" in params:
-        # Explicit a_0 bypasses the derived constraint so that deliberately
-        # inconsistent data can be fed to the period checks.
-        g_minus = LaurentPoly({-1: params["a_m1"], 0: params["a_0"], 1: params["a_1"]})
-        g_plus = g_minus.conj_reflect()
-        window = admissible_annulus(g_minus, g_plus, params["margin"])
-        return from_g_pair(g_minus, g_plus, Parity.EVEN, window)
     entry = FAMILIES[family]
     args = {key: params.get(key, default) for key, default in entry.params.items()}
     return entry.symmetric(**args, margin=params["margin"])
@@ -676,24 +669,21 @@ def run_scenario(
     scenario = SCENARIOS[name]
     params = dict(scenario.defaults)
     overrides = dict(overrides or {})
-    # An explicit a_0 is read wherever a figure-eight is built.
-    accepted = set(params) | ({"a_0"} if "a_m1" in params else set())
-    unknown = set(overrides) - accepted
+    unknown = set(overrides) - set(params)
     if unknown:
         raise PreconditionError(f"unknown parameters for {name}: {sorted(unknown)}")
     if data is not None:
         if "seed" in params:
             raise PreconditionError("scenario draws its own random ensemble")
         family_params = {key for entry in FAMILIES.values() for key in entry.params}
-        ignored = set(overrides) & {*family_params, "margin", "a_0"}
+        ignored = set(overrides) & {*family_params, "margin"}
         if ignored:
             raise PreconditionError(
                 f"{name} runs on the given data and would ignore {sorted(ignored)}"
             )
-    # Overrides take their default's type; a_0, which has no default, is complex.
+    # Overrides take their default's type.
     params.update(
-        (key, _typed(name, key, value, type(params.get(key, 0j))))
-        for key, value in overrides.items()
+        (key, _typed(name, key, value, type(params[key]))) for key, value in overrides.items()
     )
     report = MeasureReport(name)
     try:

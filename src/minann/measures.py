@@ -73,10 +73,15 @@ def _lengths(data: WeierstrassData, r):
     """(L, L'') at a radius or an array of radii: pi * sum |c|^2 r^e and
     pi * sum e^2 |c|^2 r^e over _length_terms, one r^e per term for both.
 
-    Every radius must lie strictly inside the window, or DomainError.
+    Every radius must lie on the closed window, within LEVEL_HEIGHT_TOL
+    relative, or DomainError: from_g_pair rejects factor roots there, and a
+    slab edge clipped to the attained range maps onto a window circle give
+    or take an ulp.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
-    outside = ~((radii > data.window.r_inner) & (radii < data.window.r_outer))
+    lo = data.window.r_inner * (1.0 - LEVEL_HEIGHT_TOL)
+    hi = data.window.r_outer * (1.0 + LEVEL_HEIGHT_TOL)
+    outside = ~((radii >= lo) & (radii <= hi))
     if np.any(outside):
         raise DomainError(f"radius {float(radii[outside][0])!r} outside the data window")
     # One path for both: a scalar radius is a 1-element array, so it takes

@@ -99,25 +99,57 @@ class PeriodVerdict:
 
 @dataclass(frozen=True)
 class WeierstrassData:
-    """Admissible data on an annulus window, with derived differentials.
+    """Admissible data on an annulus window: the square-root pair, its parity
+    and window, and ``height_offset``, which shifts the normalized third
+    coordinate (family constructors use it to place a waist at a prescribed
+    height).  Build it with ``from_g_pair``.
 
+    Everything else is derived on first read and cached on the value:
     ``f_minus``/``f_plus`` are the squared combinations, ``psi3`` the product
     channel, and ``phi1..phi3`` the coordinate differentials (coefficients of
-    dz).  ``height_offset`` shifts the normalized third coordinate; family
-    constructors use it to place a waist at a prescribed height.
+    dz).  Equality and hashing read the five fields only.
     """
 
     g_minus: LaurentPoly
     g_plus: LaurentPoly
     parity: Parity
     window: AnnulusWindow
-    f_minus: LaurentPoly
-    f_plus: LaurentPoly
-    psi3: LaurentPoly
-    phi1: LaurentPoly
-    phi2: LaurentPoly
-    phi3: LaurentPoly
     height_offset: float = 0.0
+
+    def _odd_shift(self, p: LaurentPoly) -> LaurentPoly:
+        return p.shifted(1) if self.parity is Parity.ODD else p
+
+    @cached_property
+    def f_minus(self) -> LaurentPoly:
+        return self._odd_shift(self.g_minus * self.g_minus)
+
+    @cached_property
+    def f_plus(self) -> LaurentPoly:
+        return self._odd_shift(self.g_plus * self.g_plus)
+
+    @cached_property
+    def psi3(self) -> LaurentPoly:
+        return self._odd_shift(self.g_minus * self.g_plus)
+
+    # phi1 = (f_minus - f_plus)/(2z) and phi2 = i(f_minus + f_plus)/(2z), each
+    # in one construction; scaling by 0.5 and 0.5j is exact.
+    @cached_property
+    def phi1(self) -> LaurentPoly:
+        return LaurentPoly(
+            [(n - 1, 0.5 * c) for n, c in self.f_minus.terms]
+            + [(n - 1, -0.5 * c) for n, c in self.f_plus.terms]
+        )
+
+    @cached_property
+    def phi2(self) -> LaurentPoly:
+        return LaurentPoly(
+            [(n - 1, 0.5j * c) for n, c in self.f_minus.terms]
+            + [(n - 1, 0.5j * c) for n, c in self.f_plus.terms]
+        )
+
+    @cached_property
+    def phi3(self) -> LaurentPoly:
+        return self.psi3.shifted(-1)
 
 
 def from_g_pair(
@@ -141,35 +173,7 @@ def from_g_pair(
     ]
     if offending:
         raise InadmissibleWindowError(offending)
-    f_minus = g_minus * g_minus
-    f_plus = g_plus * g_plus
-    psi3 = g_minus * g_plus
-    if parity is Parity.ODD:
-        f_minus = f_minus.shifted(1)
-        f_plus = f_plus.shifted(1)
-        psi3 = psi3.shifted(1)
-    # phi1 = (f_minus - f_plus)/(2z) and phi2 = i(f_minus + f_plus)/(2z), each
-    # in one construction; scaling by 0.5 and 0.5j is exact.
-    phi1 = LaurentPoly(
-        [(n - 1, 0.5 * c) for n, c in f_minus.terms] + [(n - 1, -0.5 * c) for n, c in f_plus.terms]
-    )
-    phi2 = LaurentPoly(
-        [(n - 1, 0.5j * c) for n, c in f_minus.terms] + [(n - 1, 0.5j * c) for n, c in f_plus.terms]
-    )
-    phi3 = psi3.shifted(-1)
-    return WeierstrassData(
-        g_minus=g_minus,
-        g_plus=g_plus,
-        parity=parity,
-        window=window,
-        f_minus=f_minus,
-        f_plus=f_plus,
-        psi3=psi3,
-        phi1=phi1,
-        phi2=phi2,
-        phi3=phi3,
-        height_offset=float(height_offset),
-    )
+    return WeierstrassData(g_minus, g_plus, parity, window, float(height_offset))
 
 
 def from_fg(
@@ -202,14 +206,14 @@ def period_check(data: WeierstrassData) -> PeriodVerdict:
     The first condition kills both horizontal periods and the horizontal
     flux; the second makes the third coordinate single-valued.
     """
+    m, p = data.f_minus.coefficient(0), data.f_plus.coefficient(0)
     scale = max(data.f_minus.max_abs_coeff, data.f_plus.max_abs_coeff)
-    mean = max(abs(data.f_minus.coefficient(0)), abs(data.f_plus.coefficient(0)))
-    residues = (
-        data.phi1.coefficient(-1),
-        data.phi2.coefficient(-1),
-        data.phi3.coefficient(-1),
-    )
-    height_scale = max(data.phi3.max_abs_coeff, 1e-300)
+    mean = max(abs(m), abs(p))
+    # The dz residues of phi1..phi3, summed from 0j in the order phi1 and phi2
+    # are constructed in, so they keep its bits (and its signed zeros).
+    residues = (0j + 0.5 * m + -0.5 * p, 0j + 0.5j * m + 0.5j * p, data.psi3.coefficient(0))
+    # phi3 = psi3 / z has psi3's coefficients.
+    height_scale = max(data.psi3.max_abs_coeff, 1e-300)
     return PeriodVerdict(
         flux_slack=COEFF_REL_TOL - mean / scale,
         log_slack=COEFF_REL_TOL - abs(residues[2].imag) / height_scale,

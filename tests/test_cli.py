@@ -67,7 +67,7 @@ class TestArgumentHelpers:
     def test_parse_param(self):
         assert parse_param("grid=50") == ("grid", 50)
         assert parse_param("slab_half=0.3") == ("slab_half", 0.3)
-        assert parse_param("a_0=0,1.5") == ("a_0", 1.5j)
+        assert parse_param("eps1=0,1.5") == ("eps1", 1.5j)
         assert parse_param("mode=fast") == ("mode", "fast")
         import argparse
 
@@ -326,6 +326,12 @@ class TestCompare:
         doc = loads(capsys.readouterr().out)
         assert "area_above_marginal" in doc["verdicts"]
 
+    def test_catenoid_cover_clipped_to_its_range(self, tmp_path, capsys):
+        path = str(tmp_path / "cat2.json")
+        assert main(["gen", "--family", "catenoid_cover", "--k", "2", "--f3", "4", "--out", path]) == 0
+        assert main(["compare", "--data", path, "--slab-half", "50"]) in (0, 1)
+        assert "circle_route_lengths" in loads(capsys.readouterr().out)["verdicts"]
+
     def test_requires_slab(self, fig8_path):
         assert main(["compare", "--data", fig8_path]) == 2
 
@@ -347,11 +353,8 @@ class TestReport:
         assert doc["scenario"] == "theorem_4_3"
         assert all(v["pass"] for v in doc["verdicts"].values())
 
-    def test_deliberate_violation_exits_one(self, capsys):
-        args = [
-            "report", "--scenario", "theorem_4_1",
-            "--param", "a_0=0,1.3784048752090221",
-        ]
+    def test_deliberate_violation_exits_one(self, broken_path, capsys):
+        args = ["report", "--scenario", "theorem_4_1", "--data", broken_path]
         assert main(args) == 1
         doc = loads(capsys.readouterr().out)
         assert not doc["verdicts"]["vertical_flux"]["pass"]

@@ -243,6 +243,15 @@ class TestCompareLengths:
             assert key in report.quantities
         assert report.quantities["traced_waist_length"] == pytest.approx(f3, rel=1e-9)
 
+    def test_covers_clipped_to_their_attained_range(self):
+        # the clipped slab edges map onto the window circles, give or take an ulp
+        for k in (1, 2, 3, 4):
+            for f3 in (1.0, 2.0, 2.0 * math.pi, 4.0, 10.0):
+                data, cat = catenoid_cover(k, f3)
+                report = compare_lengths(data, cat, clip_to_slab(data, Slab(-50.0, 50.0)))
+                for key in ("traced_margin_min", "traced_margin_max", "circle_margin_min"):
+                    assert abs(report.quantities[key]) <= 1e-13 * f3, (k, f3, key)
+
 
 class TestCompareAreasAndLevels:
     def test_area_comparison_on_exact_cover(self):
@@ -287,6 +296,13 @@ class TestCompareAreasAndLevels:
         assert "degenerate_cover" not in report.quantities
 
 
+def _violating_figure_eight():
+    """figure_eight(1, 1) with a_0 = i sqrt(1.9) in place of its derived i sqrt(2)."""
+    g_minus = LaurentPoly({-1: 1.0, 0: complex(0.0, math.sqrt(1.9)), 1: 1.0})
+    g_plus = g_minus.conj_reflect()
+    return from_g_pair(g_minus, g_plus, Parity.EVEN, admissible_annulus(g_minus, g_plus))
+
+
 class TestRunScenario:
     def test_unknown_scenario(self):
         with pytest.raises(PreconditionError):
@@ -316,9 +332,7 @@ class TestRunScenario:
 
     def test_deliberate_constraint_violation_fails_periods(self):
         # a_0 = i sqrt(1.9) leaves the squared factors with nonzero means
-        report = run_scenario(
-            "theorem_4_1", {"a_0": complex(0.0, math.sqrt(1.9))}
-        )
+        report = run_scenario("theorem_4_1", data=_violating_figure_eight())
         assert not report.all_pass
         assert not report.verdicts["vertical_flux"].passed
         assert not report.verdicts["well_defined"].passed
@@ -439,7 +453,7 @@ class TestVerdictContract:
             assert self.disagreeing(run_scenario(name, n_theta=128)) == [], name
 
     def test_failing_period_and_construction_reports(self):
-        inconsistent = run_scenario("theorem_4_1", {"a_0": complex(0.0, math.sqrt(1.9))})
+        inconsistent = run_scenario("theorem_4_1", data=_violating_figure_eight())
         inadmissible = run_scenario("theorem_3_5", {"eps1": 0.5 + 0.0j})
         for report in (inconsistent, inadmissible):
             assert not report.all_pass
@@ -474,7 +488,7 @@ class TestOverrideTypes:
             ("step_two", {"slab_half": 0.25j}),
             ("step_two", {"grid": 33.5}),
             ("theorem_3_5", {"eps1": "abc"}),
-            ("theorem_4_1", {"a_0": None}),
+            ("theorem_4_1", {"a_1": None}),
         ]
         for name, overrides in cases:
             with pytest.raises(PreconditionError, match="parameter"):

@@ -110,9 +110,13 @@ class TestCircleLength:
                 scalar = np.array([fn(data, float(r)) for r in radii])
                 assert array.shape == radii.shape
                 assert np.array_equal(array, scalar)
+            # the closed window is measured; beyond LEVEL_HEIGHT_TOL it is refused
+            edge = radii.copy()
+            edge[17] = data.window.r_outer
             outside = radii.copy()
-            outside[17] = data.window.r_outer
+            outside[17] = data.window.r_outer * (1.0 + 1e-6)
             for fn in (circle_length, circle_length_dd):
+                assert np.all(np.isfinite(fn(data, edge)))
                 with pytest.raises(DomainError):
                     fn(data, outside)
 

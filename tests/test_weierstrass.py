@@ -1,5 +1,6 @@
 """Surface data assembly, immersion, periods, flux, symmetry, windings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from minann.errors import (
     ParityUndeterminedError,
     SchemaError,
 )
-from minann.experiments import random_even_vertical_flux, random_three_term_pair
+from minann.experiments import SCENARIOS, _build, random_even_vertical_flux, random_three_term_pair
 from minann.families import (
     admissible_annulus,
     catenoid_cover,
@@ -19,9 +20,12 @@ from minann.families import (
     perturbed_two_cover,
 )
 from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly
+from minann.measures import circle_length, total_curvature
 from minann.weierstrass import (
     Parity,
     Slab,
+    WeierstrassData,
+    _immersion,
     data_from_json,
     data_to_json,
     flux,
@@ -97,6 +101,74 @@ class TestAssembly:
     def test_rejects_zero_factor(self):
         with pytest.raises(DomainError):
             from_g_pair(LaurentPoly(), LaurentPoly({0: 1.0}), Parity.EVEN, WINDOW)
+
+
+DIFFERENTIALS = ("phi1", "phi2", "phi3")
+
+
+def _with_parity(data, parity):
+    """The same factor pair and window under the given parity; admissible,
+    since admissibility reads only the factors and the window."""
+    return from_g_pair(data.g_minus, data.g_plus, parity, data.window, data.height_offset)
+
+
+def _residue_cases():
+    """Catalog surfaces, catenoid covers, seeded random draws, and each one's
+    copy under the other parity."""
+    cases = [_build(s.family, s.defaults) for s in SCENARIOS.values() if s.family]
+    cases += [catenoid_cover(k, f3)[0] for k in (1, 2, 3, 4) for f3 in (1.0, TWO_PI, 10.0)]
+    rng = np.random.default_rng(11)
+    cases += [random_even_vertical_flux(rng) for _ in range(20)]
+    cases += [random_three_term_pair(rng) for _ in range(20)]
+    other = {Parity.EVEN: Parity.ODD, Parity.ODD: Parity.EVEN}
+    return cases + [_with_parity(data, other[data.parity]) for data in cases]
+
+
+class TestDataModel:
+    def test_fields_are_the_defining_five(self):
+        names = [field.name for field in dataclasses.fields(WeierstrassData)]
+        assert names == ["g_minus", "g_plus", "parity", "window", "height_offset"]
+
+    def test_period_residues_are_the_dz_residues_bit_for_bit(self):
+        cases = _residue_cases()
+        assert {data.parity for data in cases} == set(Parity)
+        for data in cases:
+            residues = period_check(data).residues
+            # repr tells signed zeros apart
+            expected = tuple(getattr(data, name).coefficient(-1) for name in DIFFERENTIALS)
+            assert repr(residues) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            period_check,
+            flux,
+            symmetry_check,
+            winding_class,
+            lambda data: circle_length(data, 1.0),
+            lambda data: total_curvature(data, n_theta=64),
+        ],
+        ids=["period_check", "flux", "symmetry_check", "winding_class", "circle_length", "total_curvature"],
+    )
+    def test_checks_build_no_differential(self, read):
+        data = figure_eight(1.0, 1.0)
+        read(data)
+        assert not set(DIFFERENTIALS) & set(vars(data))
+
+    def test_immersion_builds_the_differentials(self):
+        data = figure_eight(1.0, 1.0)
+        # an equal surface immersed earlier would be served from the cache
+        _immersion.cache_clear()
+        immerse(data, 1.0 + 0j)
+        assert set(DIFFERENTIALS) <= set(vars(data))
+
+    def test_equal_builds_stay_equal_whatever_they_cached(self):
+        first, second = figure_eight(1.0, 1.0), figure_eight(1.0, 1.0)
+        for name in ("f_minus", "f_plus", "psi3", *DIFFERENTIALS):
+            getattr(first, name)
+        assert set(vars(first)) != set(vars(second))
+        assert first == second and hash(first) == hash(second)
+        assert _with_parity(first, Parity.ODD) != second
 
 
 class TestClassicalInput:
