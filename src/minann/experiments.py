@@ -54,6 +54,7 @@ from .weierstrass import (
     Parity,
     Slab,
     WeierstrassData,
+    data_to_json,
     flux,
     from_g_pair,
     immerse,
@@ -140,15 +141,25 @@ class MeasureReport:
         }
 
 
-def _provenance(name: str, params: dict, n_theta: int) -> dict:
+# Params that a run on given data rejects as overrides and leaves out of its inputs.
+_DATA_IGNORES = frozenset({key for entry in FAMILIES.values() for key in entry.params} | {"margin"})
+
+
+def _provenance(name: str, params: dict, n_theta: int, data=None) -> dict:
+    """The run's inputs; with given ``data`` that data stands in for the
+    family params and ``margin``, which nothing read."""
     from . import __version__
 
+    inputs = {
+        key: [value.real, value.imag] if isinstance(value, complex) else value
+        for key, value in sorted(params.items())
+        if data is None or key not in _DATA_IGNORES
+    }
+    if data is not None:
+        inputs["data"] = data_to_json(data)
     return {
         "scenario": name,
-        "inputs": {
-            key: [value.real, value.imag] if isinstance(value, complex) else value
-            for key, value in sorted(params.items())
-        },
+        "inputs": inputs,
         "theta_nodes": int(n_theta),
         "tool": f"minann {__version__}",
     }
@@ -675,8 +686,7 @@ def run_scenario(
     if data is not None:
         if "seed" in params:
             raise PreconditionError("scenario draws its own random ensemble")
-        family_params = {key for entry in FAMILIES.values() for key in entry.params}
-        ignored = set(overrides) & {*family_params, "margin"}
+        ignored = set(overrides) & _DATA_IGNORES
         if ignored:
             raise PreconditionError(
                 f"{name} runs on the given data and would ignore {sorted(ignored)}"
@@ -685,6 +695,7 @@ def run_scenario(
     params.update(
         (key, _typed(name, key, value, type(params[key]))) for key, value in overrides.items()
     )
+    provenance = _provenance(name, params, n_theta, data)
     report = MeasureReport(name)
     try:
         if scenario.family is not None and data is None:
@@ -694,10 +705,8 @@ def run_scenario(
     except InadmissibleParametersError as exc:
         report = MeasureReport(name)
         report.add_check("constructible", -math.inf)
-        report.provenance = _provenance(name, params, n_theta)
-        report.provenance["error"] = str(exc)
-        return report
-    report.provenance = _provenance(name, params, n_theta)
+        provenance["error"] = str(exc)
+    report.provenance = provenance
     return report
 
 

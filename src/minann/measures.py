@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,14 +46,20 @@ WAIST_COARSE_HEIGHTS = 17  # heights in the waist search's first scan
 WAIST_TOL = 1e-8  # golden-section bracket width, relative to its heights
 
 
+def _node_count(n_theta: int) -> int:
+    """n_theta as an int; DomainError below MIN_THETA_NODES nodes."""
+    n_theta = int(n_theta)
+    if n_theta < MIN_THETA_NODES:
+        raise DomainError(f"need at least {MIN_THETA_NODES} circle nodes, got {n_theta}")
+    return n_theta
+
+
 def _theta_grid(n_theta: int) -> np.ndarray:
     """The uniform circle nodes 2 pi j / n_theta, j = 0 .. n_theta - 1.
 
     Raises DomainError below MIN_THETA_NODES nodes.
     """
-    n_theta = int(n_theta)
-    if n_theta < MIN_THETA_NODES:
-        raise DomainError(f"need at least {MIN_THETA_NODES} circle nodes, got {n_theta}")
+    n_theta = _node_count(n_theta)
     return TWO_PI * np.arange(n_theta) / n_theta
 
 
@@ -190,10 +197,47 @@ def level_radii(
     thetas = np.asarray(thetas, dtype=float)
     rows = np.atleast_1d(heights)
     out = np.empty((rows.size, thetas.size))
-    step = _levels_per_solve(thetas.size)
-    for i in range(0, rows.size, step):
-        out[i : i + step] = _solve_levels(data, rows[i : i + step], thetas)
+    if rows.size:
+        rays = _ray_setup(data, thetas)
+        step = _levels_per_solve(thetas.size)
+        for i in range(0, rows.size, step):
+            out[i : i + step] = _solve_levels(data, rows[i : i + step], rays)
     return out if heights.ndim else out[0]
+
+
+class _Rays(NamedTuple):
+    """What a level solve needs of its rays, independent of the heights."""
+
+    theta: np.ndarray
+    phase: np.ndarray  # e^{i theta}
+    sign: float  # _Immersion.ray_sign
+    modes: tuple  # _Immersion.ray_modes(phase)
+    ends: np.ndarray  # heights on the inner and outer window circle, shape (2, rays)
+
+
+def _ray_setup(data: WeierstrassData, thetas: np.ndarray) -> _Rays:
+    """The rays at angles ``thetas``, after certifying the ray direction.
+
+    The sign comes first, so a non-monotone surface raises
+    NonMonotoneRayError before ray_modes can raise MultivaluedDataError.
+    """
+    imm = _immersion(data)
+    sign = imm.ray_sign
+    phase = np.exp(1j * thetas)
+    modes = imm.ray_modes(phase)
+    lo, hi = data.window.log_span()
+    ends, _ = _ray_height(modes, np.repeat([[lo], [hi]], thetas.size, axis=1))
+    return _Rays(thetas, phase, sign, modes, ends)
+
+
+@lru_cache(maxsize=64)
+def _grid_rays(data: WeierstrassData, n_theta: int) -> _Rays:
+    """_ray_setup on the uniform grid of n_theta nodes, once per data set and
+    node count; the cached arrays are read-only."""
+    rays = _ray_setup(data, _theta_grid(n_theta))
+    for arr in (rays.theta, rays.phase, *rays.modes[:2], rays.ends):
+        arr.flags.writeable = False
+    return rays
 
 
 def _ray_height(modes, t: np.ndarray):
@@ -214,17 +258,13 @@ def _ray_height(modes, t: np.ndarray):
     return value, slope
 
 
-def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
-    """One batched Newton solve: radii of shape (len(hs), len(thetas))."""
-    imm = _immersion(data)
-    sign = imm.ray_sign
-    phase = np.exp(1j * thetas)
-    modes = imm.ray_modes(phase)
+def _solve_levels(data: WeierstrassData, hs: np.ndarray, rays: _Rays):
+    """One batched Newton solve: radii of shape (len(hs), len(rays.theta))."""
+    sign, modes = rays.sign, rays.modes
     lo, hi = data.window.log_span()
     target = hs[:, None]
-    ends, _ = _ray_height(modes, np.repeat([[lo], [hi]], thetas.size, axis=1))
-    f_in = sign * (ends[0] - target)
-    f_out = sign * (ends[1] - target)
+    f_in = sign * (rays.ends[0] - target)
+    f_out = sign * (rays.ends[1] - target)
     # The ends of the attained range are levels that touch the closed window.
     tol = LEVEL_HEIGHT_TOL * np.maximum(1.0, np.abs(target))
     missed = np.any(f_in > tol, axis=1) | np.any(f_out < -tol, axis=1)
@@ -258,7 +298,7 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, thetas: np.ndarray):
             f"{LEVEL_SOLVE_MAX_STEPS} steps"
         )
     r = np.exp(t)
-    resid = np.abs(imm.height(r * phase) - target)
+    resid = np.abs(_immersion(data).height(r * rays.phase) - target)
     if np.any(resid > tol):
         raise NumericalError("level solve failed to reach its height tolerance")
     return r
@@ -332,21 +372,25 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
     a returned curve is first asked for them.  The solve's residual check
     keeps every node within LEVEL_HEIGHT_TOL of its level.
     """
-    thetas = _theta_grid(n_theta)
+    n_theta = _node_count(n_theta)
     heights = np.asarray(heights, dtype=float)
     if heights.ndim != 1:
         raise DomainError("level heights must be a 1-D sequence")
-    phase = np.exp(1j * thetas)
-    step = _levels_per_solve(thetas.size)
+    if not np.all(np.isfinite(heights)):
+        raise DomainError("level height must be finite")
+    if not heights.size:
+        return []
+    rays = _grid_rays(data, n_theta)
+    step = _levels_per_solve(n_theta)
     curves = []
     for i in range(0, heights.size, step):
         batch = heights[i : i + step]
-        radii = level_radii(data, batch, thetas)
-        lam = metric_lambda_samples(data, radii * phase)
+        radii = _solve_levels(data, batch, rays)
+        lam = metric_lambda_samples(data, radii * rays.phase)
         dr = _periodic_derivative(radii)
         lengths = trapezoid_circle(lam * np.sqrt(dr**2 + radii**2))
         for h, r, length in zip(batch.tolist(), radii, lengths.tolist()):
-            curves.append(LevelCurve(h=h, theta=thetas, r=r, length=length, data=data))
+            curves.append(LevelCurve(h=h, theta=rays.theta, r=r, length=length, data=data))
     return curves
 
 
@@ -581,6 +625,42 @@ def marginally_stable_waist(slab: Slab) -> CatenoidParams:
     return CatenoidParams(f3=TWO_PI / a, center=slab.center, cover=1)
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_step(bracket: tuple, left: bool) -> tuple[tuple, float]:
+    """One golden-section step on the bracket (a, b, c, d): keep [a, d] if
+    ``left`` (the length at c is below that at d), else [c, b].  Returns the
+    new bracket and its new probe."""
+    a, b, c, d = bracket
+    if left:
+        b, d = d, c
+        c = b - _GOLDEN * (b - a)
+        return (a, b, c, d), c
+    a, c = c, d
+    d = a + _GOLDEN * (b - a)
+    return (a, b, c, d), d
+
+
+def _bracket_open(bracket: tuple) -> bool:
+    a, b = bracket[:2]
+    return b - a > WAIST_TOL * max(1.0, abs(a) + abs(b))
+
+
+def _probes_ahead(bracket: tuple, probe: float, depth: int) -> list[float]:
+    """``probe``, just taken into ``bracket``, and every probe the next
+    depth - 1 steps could take, whichever way each of their comparisons goes."""
+    probes = [probe]
+    frontier = [bracket]
+    for _ in range(depth - 1):
+        steps = [
+            _golden_step(br, left) for br in frontier if _bracket_open(br) for left in (True, False)
+        ]
+        frontier = [br for br, _ in steps]
+        probes += [p for _, p in steps]
+    return probes
+
+
 def waist_height(
     data: WeierstrassData,
     slab: Slab,
@@ -588,31 +668,37 @@ def waist_height(
 ) -> tuple[float, float]:
     """Height minimizing the traced level length, by scan + golden section.
 
-    The coarse scan traces its heights in one batch; the golden-section
-    steps trace one height each.  Returns the minimizing height and the length there.
+    The coarse scan traces its heights in one batch.  The golden section
+    (Kiefer 1953) traces ``depth`` steps ahead: each step's probe is known
+    once its comparison is, and only the step after it branches two ways, so
+    when a probe is untraced, it is traced in one trace_levels batch with the
+    2^depth - 2 probes the next depth - 1 steps could take, depth the largest
+    with 2^depth - 1 whole levels in one solve.  Every probe comes from the
+    same expressions and every row of a batch equals its one-height trace,
+    so the search visits the heights, and returns the bits, of the one-probe
+    search.  Returns the minimizing height and the length there.
     Raises ConvergenceError if the final bracket still holds a slab endpoint:
     the length then falls toward that edge, and the edge is not a waist.
     """
     heights = np.linspace(slab.h_minus, slab.h_plus, WAIST_COARSE_HEIGHTS)
     lengths = [curve.length for curve in trace_levels(data, heights, n_theta)]
     i = int(np.argmin(lengths))
-    lo = heights[max(i - 1, 0)]
-    hi = heights[min(i + 1, len(heights) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = trace_level(data, c, n_theta).length
-    fd = trace_level(data, d, n_theta).length
-    while b - a > WAIST_TOL * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = trace_level(data, c, n_theta).length
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = trace_level(data, d, n_theta).length
+    a = heights[max(i - 1, 0)]
+    b = heights[min(i + 1, len(heights) - 1)]
+    bracket = (a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+    depth = (_levels_per_solve(n_theta) + 1).bit_length() - 1
+    traced: dict[float, float] = {}
+
+    def trace(probes):
+        for curve in trace_levels(data, probes, n_theta):
+            traced[curve.h] = curve.length
+
+    trace(bracket[2:])
+    while _bracket_open(bracket):
+        bracket, probe = _golden_step(bracket, traced[bracket[2]] < traced[bracket[3]])
+        if probe not in traced:
+            trace(_probes_ahead(bracket, probe, depth))
+    a, b = bracket[:2]
     held = [edge for edge in (slab.h_minus, slab.h_plus) if a <= edge <= b]
     if held:
         raise ConvergenceError(f"the level length falls toward the slab edge h = {held[0]!r}")

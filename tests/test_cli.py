@@ -359,6 +359,16 @@ class TestReport:
         doc = loads(capsys.readouterr().out)
         assert not doc["verdicts"]["vertical_flux"]["pass"]
 
+    def test_provenance_echoes_the_given_data(self, broken_path, capsys):
+        # The inputs name the measured surface, not the family defaults
+        # (a_m1 = a_1 = 1, margin 0.05) that a run on given data never reads.
+        args = ["report", "--scenario", "theorem_4_1", "--data", broken_path]
+        assert main(args) == 1
+        inputs = loads(capsys.readouterr().out)["provenance"]["inputs"]
+        with open(broken_path) as handle:
+            assert inputs["data"] == json.load(handle)
+        assert sorted(inputs) == ["data", "grid", "levels", "slab_half"]
+
     def test_unknown_parameter_is_validation_error(self, capsys):
         args = ["report", "--scenario", "step_two", "--param", "slab_width=1"]
         assert main(args) == 2

@@ -13,6 +13,7 @@ from minann.errors import (
     DomainError,
     GeometryError,
     HeightRangeError,
+    MultivaluedDataError,
     NonMonotoneRayError,
 )
 from minann.experiments import (
@@ -60,6 +61,7 @@ from minann.weierstrass import (
 )
 
 from fd_oracle import circle_length_dd_fd
+from golden_oracle import waist_height_sequential
 
 
 class TestCircleLength:
@@ -495,11 +497,63 @@ class TestWaistSearch:
 
     def test_minimum_on_a_slab_edge_raises(self):
         # The figure-eight's waist is at h = 0, outside both slabs, so the
-        # length falls toward the lower edge of the first and the upper of the second.
+        # length falls toward the lower edge of the first and the upper of the
+        # second; the one-probe search raises the same error.
         data = figure_eight(1.0, 1.0)
         for slab, edge in ((Slab(0.05, 0.2), "0.05"), (Slab(-0.2, -0.05), "-0.05")):
-            with pytest.raises(ConvergenceError, match=f"slab edge h = {edge}$"):
-                waist_height(data, slab)
+            for search in (waist_height, waist_height_sequential):
+                with pytest.raises(ConvergenceError, match=f"slab edge h = {edge}$"):
+                    search(data, slab)
+
+
+def _waist_cases():
+    """(data, slab) pairs whose waist lies inside the slab."""
+    offset, _ = catenoid_cover(1, TWO_PI, center=0.25)
+    lo, hi = attained_height_range(offset)
+    cases = {
+        "figure_eight": (figure_eight(1.0, 1.0), Slab(-0.3, 0.3)),
+        "offset_catenoid": (offset, Slab(lo + 1e-6, hi - 1e-6)),
+    }
+    for name, data in (
+        ("figure_eight_0.9", figure_eight(1.0, 0.9)),
+        ("perturbed_two_cover", perturbed_two_cover(1.0, 0.05)),
+    ):
+        lo, hi = attained_height_range(data)
+        cases[name] = (data, Slab(0.9 * lo + 0.1 * hi, 0.1 * lo + 0.9 * hi))
+    return cases
+
+
+_WAIST_CASES = _waist_cases()
+
+
+class TestWaistLookAhead:
+    @pytest.mark.parametrize("n_theta", [16, 64, 256, 512, 4096])
+    @pytest.mark.parametrize("name", sorted(_WAIST_CASES))
+    def test_equals_the_sequential_search(self, name, n_theta):
+        data, slab = _WAIST_CASES[name]
+        got = waist_height(data, slab, n_theta)
+        want = waist_height_sequential(data, slab, n_theta)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_traces_ahead_in_fewer_solves(self, monkeypatch):
+        # 512 rays hold four levels per solve, so the search traces two steps
+        # ahead (three probes per solve): 5 coarse-scan solves, 1 for the
+        # first pair, 17 for the 33 steps and 1 for the polish, against 41.
+        sizes = []
+        original = measures._solve_levels
+
+        def recording(data, hs, rays):
+            sizes.append((hs.size, rays.theta.size))
+            return original(data, hs, rays)
+
+        monkeypatch.setattr(measures, "_solve_levels", recording)
+        data, slab = _WAIST_CASES["figure_eight"]
+        waist_height_sequential(data, slab, 512)
+        assert len(sizes) == 41
+        sizes.clear()
+        waist_height(data, slab, 512)
+        assert len(sizes) <= 24
+        assert all(k * n <= measures.MAX_SOLVE_RAYS for k, n in sizes)
 
 
 def _all_pairs_crossings(xy, merge_tol=measures.CROSSING_MERGE_TOL):
@@ -823,9 +877,9 @@ class TestLevelSolve:
         sizes = []
         original = measures._solve_levels
 
-        def recording(data, hs, thetas):
-            sizes.append((hs.size, thetas.size))
-            return original(data, hs, thetas)
+        def recording(data, hs, rays):
+            sizes.append((hs.size, rays.theta.size))
+            return original(data, hs, rays)
 
         monkeypatch.setattr(measures, "_solve_levels", recording)
         data = figure_eight(1.0, 1.0)
@@ -1032,6 +1086,69 @@ class TestRayDirection:
             trace_level(data, 0.1, n)
         slab_area(data, Slab(-0.2, 0.2))
         assert calls == [data]
+
+
+class TestRayCache:
+    def test_no_heights_certify_no_rays_and_fill_no_entry(self, monkeypatch):
+        def refuse(data):
+            raise AssertionError("ray direction certified for no heights")
+
+        monkeypatch.setattr(weierstrass, "_ray_sign", refuse)
+        data = figure_eight(1.0, 0.77)  # no other test builds it
+        misses = measures._grid_rays.cache_info().misses
+        assert trace_levels(data, [], 64) == []
+        assert level_radii(data, [], TWO_PI * np.arange(64) / 64).shape == (0, 64)
+        assert measures._grid_rays.cache_info().misses == misses
+
+    def test_direction_is_certified_before_the_ray_modes(self):
+        # Re psi3 = 1 + 2 r cos(theta) changes sign on |z| = 2, and the constant
+        # term of psi3, the vertical dz residue, is complex: the ray modes alone
+        # would raise MultivaluedDataError.
+        data = _psi3_data(LaurentPoly({0: 1.0 + 0.5j, 1: 2.0}), AnnulusWindow(0.6, 2.0))
+        with pytest.raises(MultivaluedDataError):
+            _immersion(data).ray_modes(np.ones(4, dtype=complex))
+        misses = measures._grid_rays.cache_info().misses
+        for _ in range(2):  # a raising set-up is not cached
+            with pytest.raises(NonMonotoneRayError):
+                trace_levels(data, [0.0], 64)
+            with pytest.raises(NonMonotoneRayError):
+                level_radii(data, 0.0, TWO_PI * np.arange(64) / 64)
+        assert measures._grid_rays.cache_info().misses == misses + 2
+
+    def test_too_few_nodes_raise_before_the_cache(self):
+        data = figure_eight(1.0, 1.0)
+        misses = measures._grid_rays.cache_info().misses
+        for heights in ([0.1], []):
+            with pytest.raises(DomainError, match="at least 16 circle nodes"):
+                trace_levels(data, heights, measures.MIN_THETA_NODES - 1)
+        assert measures._grid_rays.cache_info().misses == misses
+
+    @pytest.mark.parametrize("n_theta", [16, 512, 4096])
+    def test_cached_rows_equal_uncached_solves(self, n_theta):
+        data = perturbed_two_cover(1.0, 0.05)
+        lo, hi = attained_height_range(data)
+        heights = np.linspace(0.9 * lo + 0.1 * hi, 0.1 * lo + 0.9 * hi, 6)
+        thetas = TWO_PI * np.arange(n_theta) / n_theta
+        rays = measures._grid_rays(data, n_theta)
+        assert measures._grid_rays(data, n_theta) is rays
+        assert np.array_equal(rays.theta, thetas)
+        assert not rays.theta.flags.writeable and not rays.ends.flags.writeable
+        for _ in range(2):  # the first trace may fill the entry, the second reads it
+            curves = trace_levels(data, heights, n_theta)
+            for h, curve in zip(heights, curves):
+                assert np.array_equal(curve.r, level_radii(data, float(h), thetas))
+
+    def test_data_sets_never_share_an_entry(self):
+        first, second = figure_eight(1.0, 1.0), figure_eight(1.0, 0.9)
+        a, b = measures._grid_rays(first, 64), measures._grid_rays(second, 64)
+        assert a is not b
+        assert not np.array_equal(a.ends, b.ends)
+        assert measures._grid_rays(figure_eight(1.0, 1.0), 64) is a  # an equal value hits
+        assert measures._grid_rays(first, 128) is not a
+        for data, rays in ((first, a), (second, b)):
+            want = measures._ray_setup(data, TWO_PI * np.arange(64) / 64)
+            assert np.array_equal(rays.ends, want.ends)
+            assert np.array_equal(rays.modes[1], want.modes[1])
 
 
 def _range_surfaces():
