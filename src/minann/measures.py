@@ -35,7 +35,7 @@ MIN_THETA_NODES = 16  # fewest circle nodes a quadrature or trace accepts
 LEVEL_SOLVE_TOL = 1e-12  # Newton step in log r below which a ray is converged
 LEVEL_SOLVE_MAX_STEPS = 64  # covers pure bisection of any window down to round-off
 LEVEL_HEIGHT_TOL = 1e-9
-MAX_SOLVE_RAYS = 2048  # rays per batched level solve; bounds its peak memory
+MAX_SOLVE_RAYS = 4096  # rays per batched level solve; bounds its peak memory
 CROSSING_MERGE_TOL = 1e-9
 TRAVERSAL_TOL = 1e-9  # node repeat distance, relative to the largest coordinate
 # Root distance, relative to the modulus, at which a zero of g_- and one of
@@ -274,21 +274,29 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, rays: _Rays):
     tlo = np.full(t.shape, lo)
     thi = np.full(t.shape, hi)
     active = np.ones(t.shape, dtype=bool)
+    # Every iterate stays in [lo, hi]; inside [-1, 1] the freeze scale
+    # max(1, |t|) is exactly 1 on every ray, so its tolerances are numbers.
+    unit_scale = -1.0 <= lo and hi <= 1.0
+    step_tol, gap_tol = LEVEL_SOLVE_TOL, 4.0 * np.spacing(1.0)
     # Every ray is evaluated at every step but only active rays move, so a
     # frozen ray keeps the bits it had when its own test froze it.
     for _ in range(LEVEL_SOLVE_MAX_STEPS):
         value, slope = _ray_height(modes, t)
         resid = value - target
-        above = sign * resid > 0
+        above = resid > 0 if sign > 0 else resid < 0
         tlo = np.where(above, tlo, t)
         thi = np.where(above, t, thi)
         step = resid / slope
         t_new = t - step
         newton = (t_new >= tlo) & (t_new <= thi)
-        scale = np.maximum(1.0, np.abs(t))
-        done = newton & (np.abs(step) <= LEVEL_SOLVE_TOL * scale)
-        done |= thi - tlo <= 4.0 * np.spacing(scale)
-        np.copyto(t, np.where(newton, t_new, 0.5 * (tlo + thi)), where=active)
+        if not unit_scale:
+            scale = np.maximum(1.0, np.abs(t))
+            step_tol, gap_tol = LEVEL_SOLVE_TOL * scale, 4.0 * np.spacing(scale)
+        done = newton & (np.abs(step) <= step_tol)
+        done |= thi - tlo <= gap_tol
+        if not newton.all():
+            t_new = np.where(newton, t_new, 0.5 * (tlo + thi))
+        np.copyto(t, t_new, where=active)
         active &= ~done
         if not active.any():
             break

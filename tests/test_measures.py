@@ -62,6 +62,7 @@ from minann.weierstrass import (
 
 from fd_oracle import circle_length_dd_fd
 from golden_oracle import waist_height_sequential
+from level_solve_oracle import level_radii_reference
 
 
 class TestCircleLength:
@@ -536,9 +537,14 @@ class TestWaistLookAhead:
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
     def test_traces_ahead_in_fewer_solves(self, monkeypatch):
-        # 512 rays hold four levels per solve, so the search traces two steps
-        # ahead (three probes per solve): 5 coarse-scan solves, 1 for the
-        # first pair, 17 for the 33 steps and 1 for the polish, against 41.
+        # The sequential search makes ceil(17 / k) coarse-scan solves for k
+        # levels per solve, then one per probe: c, d, every step and the
+        # polish.  The look-ahead traces c and d together and depth steps
+        # per solve.  512 rays hold eight levels per solve, so depth is 3:
+        # 3 + 2 + 33 + 1 = 39 solves against 3 + 1 + 11 + 1 = 16.
+        per_solve = measures._levels_per_solve(512)
+        depth = (per_solve + 1).bit_length() - 1
+        coarse = -(-measures.WAIST_COARSE_HEIGHTS // per_solve)
         sizes = []
         original = measures._solve_levels
 
@@ -549,10 +555,12 @@ class TestWaistLookAhead:
         monkeypatch.setattr(measures, "_solve_levels", recording)
         data, slab = _WAIST_CASES["figure_eight"]
         waist_height_sequential(data, slab, 512)
-        assert len(sizes) == 41
+        steps = len(sizes) - coarse - 3
+        assert (per_solve, depth, coarse, steps) == (8, 3, 3, 33)
+        assert len(sizes) == 39
         sizes.clear()
         waist_height(data, slab, 512)
-        assert len(sizes) <= 24
+        assert len(sizes) == coarse + 1 + -(-steps // depth) + 1 == 16
         assert all(k * n <= measures.MAX_SOLVE_RAYS for k, n in sizes)
 
 
@@ -813,7 +821,7 @@ class TestLevelSolve:
     )
     def test_batched_rows_equal_single_height_solves(self, data):
         lo, hi = attained_height_range(data)
-        # Nine heights span three batches at 512 rays and five at 1024.
+        # Nine heights span two batches at 512 rays and three at 1024.
         heights = np.concatenate(([lo + 1e-7], np.linspace(lo + 1e-3, hi - 1e-3, 7), [hi - 1e-7]))
         for n in (512, 1024):
             thetas = TWO_PI * np.arange(n) / n
@@ -883,16 +891,54 @@ class TestLevelSolve:
 
         monkeypatch.setattr(measures, "_solve_levels", recording)
         data = figure_eight(1.0, 1.0)
+        per_solve = measures._levels_per_solve(512)
         trace_levels(data, np.linspace(-0.2, 0.2, 9), 512)
-        assert sizes == [(4, 512), (4, 512), (1, 512)]
+        assert sizes == [(min(per_solve, 9 - i), 512) for i in range(0, 9, per_solve)]
+        assert sizes == [(8, 512), (1, 512)]
         sizes.clear()
         slab_area(data, Slab(-0.2, 0.2), 4096)
+        assert measures._levels_per_solve(4096) == 1
         assert sizes == [(1, 4096), (1, 4096)]
         sizes.clear()
         trace_levels(data, np.linspace(-0.2, 0.2, 3), 64)
         assert sizes == [(3, 64)]
         assert all(k * n <= measures.MAX_SOLVE_RAYS for k, n in sizes)
 
+
+    @pytest.mark.parametrize(
+        "slope_factor", [1.0, 0.3, -1.0], ids=["newton", "overshooting", "bisecting"]
+    )
+    @pytest.mark.parametrize(
+        "data",
+        [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, TWO_PI)[0]],
+        ids=["figure_eight", "perturbed_two_cover", "catenoid_2_cover"],
+    )
+    def test_equals_the_reference_loop_bit_for_bit(self, data, slope_factor, monkeypatch):
+        # The figure-eight's and the 2-cover's log spans lie in [-1, 1], the
+        # perturbed cover's does not.  Heights on and 1e-7 inside the range
+        # ends collapse brackets.  A slope shrunk by 0.3 makes Newton steps
+        # overshoot, so rays mix Newton steps and bisection; a reversed slope
+        # sends every Newton step out of its bracket, so every ray bisects
+        # until its bracket is four ulps wide.
+        ray_height = measures._ray_height
+
+        def scaled(modes, t):
+            value, slope = ray_height(modes, t)
+            return value, slope_factor * slope
+
+        monkeypatch.setattr(measures, "_ray_height", scaled)
+        lo, hi = attained_height_range(data)
+        heights = np.concatenate(([lo, lo + 1e-7, hi - 1e-7, hi], np.linspace(lo, hi, 9)[1:-1]))
+        for n_theta in (64, 512, 4096):
+            thetas = TWO_PI * np.arange(n_theta) / n_theta
+            want = level_radii_reference(data, heights, thetas)
+            bits = [x.hex() for x in want.ravel().tolist()]
+            assert [x.hex() for x in level_radii(data, heights, thetas).ravel().tolist()] == bits
+            traced = np.stack([c.r for c in trace_levels(data, heights, n_theta)])
+            assert [x.hex() for x in traced.ravel().tolist()] == bits
+            for per_solve in (1, 5) if n_theta < 4096 else ():  # one level per solve at 4096
+                other = level_radii_reference(data, heights, thetas, per_solve)
+                assert [x.hex() for x in other.ravel().tolist()] == bits
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
     def test_matches_the_complex_newton_oracle(self, name):
