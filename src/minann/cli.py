@@ -141,7 +141,7 @@ def load_data(path: str):
 # -- subcommands -----------------------------------------------------------------
 
 
-# gen requires the flags below even though the spec loader would default them.
+# gen requires these flags, which the spec loader would default; other families take the defaults.
 _GEN_REQUIRED = {
     "catenoid_cover": ("f3",),
     "perturbed_two_cover": ("c1", "eps1"),
@@ -163,7 +163,7 @@ def _gen_flags() -> dict[str, tuple[type, str]]:
     for family, entry in FAMILIES.items():
         for key, default in {**entry.params, **dict.fromkeys(entry.pair_params)}.items():
             note = (
-                "required" if key in _GEN_REQUIRED[family]
+                "required" if key in _GEN_REQUIRED.get(family, ())
                 else "required with --asymmetric" if default is None
                 else f"default {default!r}"
             )
@@ -173,7 +173,7 @@ def _gen_flags() -> dict[str, tuple[type, str]]:
 
 
 def cmd_gen(args) -> int:
-    names = _GEN_REQUIRED[args.family]
+    names = _GEN_REQUIRED.get(args.family, ())
     if any(getattr(args, name) is None for name in names):
         flags = " and ".join("--" + name.replace("_", "-") for name in names)
         raise ValidationError(f"{args.family} requires {flags}")

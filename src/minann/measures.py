@@ -173,8 +173,10 @@ def level_radii(
     heights, giving shape (len(h), len(thetas)).  Heights are solved together
     in batches of whole levels of at most MAX_SOLVE_RAYS rays; every ray
     iterates on its own, so each row equals its single-height solve bit for
-    bit.  The sign of d(height)/dr is certified once per data set on the
-    whole closed window (``ray_sign`` of the cached immersion).
+    bit.  It is the one entry to the solve.  Its rays are set up once per
+    data set and angles (_ray_setup), and the sign of d(height)/dr is
+    certified once per data set on the whole closed window (``ray_sign`` of
+    the cached immersion).
 
     Bracket-safeguarded Newton in t = log r on the height's ray modes (see
     _Immersion.ray_modes): every ray starts from the window's bracket at the
@@ -195,10 +197,12 @@ def level_radii(
     if not np.all(np.isfinite(heights)):
         raise DomainError("level height must be finite")
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim > 1:
+        raise DomainError("ray angles must be a number or a 1-D array")
     rows = np.atleast_1d(heights)
     out = np.empty((rows.size, thetas.size))
     if rows.size:
-        rays = _ray_setup(data, thetas)
+        rays = _ray_setup(data, thetas.tobytes())
         step = _levels_per_solve(thetas.size)
         for i in range(0, rows.size, step):
             out[i : i + step] = _solve_levels(data, rows[i : i + step], rays)
@@ -215,29 +219,25 @@ class _Rays(NamedTuple):
     ends: np.ndarray  # heights on the inner and outer window circle, shape (2, rays)
 
 
-def _ray_setup(data: WeierstrassData, thetas: np.ndarray) -> _Rays:
-    """The rays at angles ``thetas``, after certifying the ray direction.
+@lru_cache(maxsize=64)
+def _ray_setup(data: WeierstrassData, thetas: bytes) -> _Rays:
+    """The rays at the float64 angles whose bytes are ``thetas``, after
+    certifying the ray direction.  The key copies the angles, the cached
+    arrays are read-only, and ``theta`` is a view of the key.
 
     The sign comes first, so a non-monotone surface raises
     NonMonotoneRayError before ray_modes can raise MultivaluedDataError.
     """
     imm = _immersion(data)
     sign = imm.ray_sign
-    phase = np.exp(1j * thetas)
+    theta = np.frombuffer(thetas)
+    phase = np.exp(1j * theta)
     modes = imm.ray_modes(phase)
     lo, hi = data.window.log_span()
-    ends, _ = _ray_height(modes, np.repeat([[lo], [hi]], thetas.size, axis=1))
-    return _Rays(thetas, phase, sign, modes, ends)
-
-
-@lru_cache(maxsize=64)
-def _grid_rays(data: WeierstrassData, n_theta: int) -> _Rays:
-    """_ray_setup on the uniform grid of n_theta nodes, once per data set and
-    node count; the cached arrays are read-only."""
-    rays = _ray_setup(data, _theta_grid(n_theta))
-    for arr in (rays.theta, rays.phase, *rays.modes[:2], rays.ends):
+    ends, _ = _ray_height(modes, np.repeat([[lo], [hi]], theta.size, axis=1))
+    for arr in (phase, *modes[:2], ends):
         arr.flags.writeable = False
-    return rays
+    return _Rays(theta, phase, sign, modes, ends)
 
 
 def _ray_height(modes, t: np.ndarray):
@@ -373,31 +373,28 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
 
     Each curve length integrates the conformal factor against the exact
     parameter speed sqrt(r'^2 + r^2); r' comes from spectral differentiation
-    of the solved radii.  The radii of whole levels are solved together, at
-    most MAX_SOLVE_RAYS rays per solve, and their derivatives and lengths are
-    taken per batch, row by row, so each curve equals its one-height trace
-    bit for bit.  Planar self-crossings are counted transversally when
-    a returned curve is first asked for them.  The solve's residual check
-    keeps every node within LEVEL_HEIGHT_TOL of its level.
+    of the level_radii rows, taken per solve batch, row by row, so each curve
+    equals its one-height trace bit for bit.  Planar self-crossings are
+    counted transversally when a returned curve is first asked for them.  The
+    solve's residual check keeps every node within LEVEL_HEIGHT_TOL of its level.
     """
     n_theta = _node_count(n_theta)
     heights = np.asarray(heights, dtype=float)
     if heights.ndim != 1:
         raise DomainError("level heights must be a 1-D sequence")
-    if not np.all(np.isfinite(heights)):
-        raise DomainError("level height must be finite")
     if not heights.size:
         return []
-    rays = _grid_rays(data, n_theta)
+    grid = _theta_grid(n_theta)
+    radii = level_radii(data, heights, grid)
+    rays = _ray_setup(data, grid.tobytes())  # the entry level_radii just used
     step = _levels_per_solve(n_theta)
     curves = []
     for i in range(0, heights.size, step):
-        batch = heights[i : i + step]
-        radii = _solve_levels(data, batch, rays)
-        lam = metric_lambda_samples(data, radii * rays.phase)
-        dr = _periodic_derivative(radii)
-        lengths = trapezoid_circle(lam * np.sqrt(dr**2 + radii**2))
-        for h, r, length in zip(batch.tolist(), radii, lengths.tolist()):
+        batch = radii[i : i + step]
+        lam = metric_lambda_samples(data, batch * rays.phase)
+        dr = _periodic_derivative(batch)
+        lengths = trapezoid_circle(lam * np.sqrt(dr**2 + batch**2))
+        for h, r, length in zip(heights[i : i + step].tolist(), batch, lengths.tolist()):
             curves.append(LevelCurve(h=h, theta=rays.theta, r=r, length=length, data=data))
     return curves
 

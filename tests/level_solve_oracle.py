@@ -50,5 +50,5 @@ def level_radii_reference(data, heights, thetas, levels_per_solve=None):
     heights = np.asarray(heights, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     step = levels_per_solve or _levels_per_solve(thetas.size)
-    rays = _ray_setup(data, thetas)
+    rays = _ray_setup(data, thetas.tobytes())
     return np.concatenate([_solve(data, heights[i : i + step], rays) for i in range(0, heights.size, step)])

@@ -125,6 +125,21 @@ class TestGen:
             main(["gen", "--family", "helicoid"])
         assert excinfo.value.code == 2
 
+    def test_family_without_a_gen_policy_takes_its_spec_defaults(
+        self, fig8_path, tmp_path, monkeypatch
+    ):
+        from minann.families import DEFAULT_MARGIN, FAMILIES, Family, catenoid_cover
+
+        def build(f3, margin):
+            return catenoid_cover(3, f3, 0.0, margin)[0]
+
+        monkeypatch.setitem(FAMILIES, "catenoid_3_cover", Family(build, None, {"f3": 5.0}))
+        assert main(["check", "--data", fig8_path]) == 0
+        path = tmp_path / "cover.json"
+        assert main(["gen", "--family", "catenoid_3_cover", "--out", str(path)]) == 0
+        data = data_from_json(json.loads(path.read_text()))
+        assert data == build(5.0, DEFAULT_MARGIN)
+
     def test_tol_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--tol=1e-6"] + FIG8_ARGS)

@@ -880,6 +880,8 @@ class TestLevelSolve:
             trace_levels(data, heights, 512)
         with pytest.raises(DomainError):
             level_radii(data, [0.0, math.nan], thetas)
+        with pytest.raises(DomainError):  # rays are not flattened
+            level_radii(data, 0.0, thetas.reshape(2, -1))
 
     def test_every_solve_holds_whole_levels_within_the_ray_bound(self, monkeypatch):
         sizes = []
@@ -1127,6 +1129,7 @@ class TestRayDirection:
 
         monkeypatch.setattr(weierstrass, "_ray_sign", counting)
         _immersion.cache_clear()
+        measures._ray_setup.cache_clear()  # a cached set-up reads no sign
         data = figure_eight(1.0, 1.0)
         for n in (64, 512, 4096):
             trace_level(data, 0.1, n)
@@ -1141,10 +1144,10 @@ class TestRayCache:
 
         monkeypatch.setattr(weierstrass, "_ray_sign", refuse)
         data = figure_eight(1.0, 0.77)  # no other test builds it
-        misses = measures._grid_rays.cache_info().misses
+        misses = measures._ray_setup.cache_info().misses
         assert trace_levels(data, [], 64) == []
         assert level_radii(data, [], TWO_PI * np.arange(64) / 64).shape == (0, 64)
-        assert measures._grid_rays.cache_info().misses == misses
+        assert measures._ray_setup.cache_info().misses == misses
 
     def test_direction_is_certified_before_the_ray_modes(self):
         # Re psi3 = 1 + 2 r cos(theta) changes sign on |z| = 2, and the constant
@@ -1153,21 +1156,21 @@ class TestRayCache:
         data = _psi3_data(LaurentPoly({0: 1.0 + 0.5j, 1: 2.0}), AnnulusWindow(0.6, 2.0))
         with pytest.raises(MultivaluedDataError):
             _immersion(data).ray_modes(np.ones(4, dtype=complex))
-        misses = measures._grid_rays.cache_info().misses
-        for _ in range(2):  # a raising set-up is not cached
+        misses = measures._ray_setup.cache_info().misses
+        for _ in range(2):  # a raising set-up is not cached: every call misses
             with pytest.raises(NonMonotoneRayError):
                 trace_levels(data, [0.0], 64)
             with pytest.raises(NonMonotoneRayError):
                 level_radii(data, 0.0, TWO_PI * np.arange(64) / 64)
-        assert measures._grid_rays.cache_info().misses == misses + 2
+        assert measures._ray_setup.cache_info().misses == misses + 4
 
     def test_too_few_nodes_raise_before_the_cache(self):
         data = figure_eight(1.0, 1.0)
-        misses = measures._grid_rays.cache_info().misses
+        misses = measures._ray_setup.cache_info().misses
         for heights in ([0.1], []):
             with pytest.raises(DomainError, match="at least 16 circle nodes"):
                 trace_levels(data, heights, measures.MIN_THETA_NODES - 1)
-        assert measures._grid_rays.cache_info().misses == misses
+        assert measures._ray_setup.cache_info().misses == misses
 
     @pytest.mark.parametrize("n_theta", [16, 512, 4096])
     def test_cached_rows_equal_uncached_solves(self, n_theta):
@@ -1175,26 +1178,85 @@ class TestRayCache:
         lo, hi = attained_height_range(data)
         heights = np.linspace(0.9 * lo + 0.1 * hi, 0.1 * lo + 0.9 * hi, 6)
         thetas = TWO_PI * np.arange(n_theta) / n_theta
-        rays = measures._grid_rays(data, n_theta)
-        assert measures._grid_rays(data, n_theta) is rays
+        rays = measures._ray_setup(data, thetas.tobytes())
+        assert measures._ray_setup(data, thetas.tobytes()) is rays
         assert np.array_equal(rays.theta, thetas)
         assert not rays.theta.flags.writeable and not rays.ends.flags.writeable
-        for _ in range(2):  # the first trace may fill the entry, the second reads it
+        uncached = measures._ray_setup.__wrapped__(data, thetas.tobytes())
+        want = [measures._solve_levels(data, np.array([h]), uncached)[0] for h in heights]
+        for _ in range(2):  # both traces read the entry
             curves = trace_levels(data, heights, n_theta)
-            for h, curve in zip(heights, curves):
+            for h, curve, r in zip(heights, curves, want):
+                assert curve.theta is rays.theta
                 assert np.array_equal(curve.r, level_radii(data, float(h), thetas))
+                assert np.array_equal(curve.r, r)
 
     def test_data_sets_never_share_an_entry(self):
+        grid = (TWO_PI * np.arange(64) / 64).tobytes()
         first, second = figure_eight(1.0, 1.0), figure_eight(1.0, 0.9)
-        a, b = measures._grid_rays(first, 64), measures._grid_rays(second, 64)
+        a, b = measures._ray_setup(first, grid), measures._ray_setup(second, grid)
         assert a is not b
         assert not np.array_equal(a.ends, b.ends)
-        assert measures._grid_rays(figure_eight(1.0, 1.0), 64) is a  # an equal value hits
-        assert measures._grid_rays(first, 128) is not a
+        assert measures._ray_setup(figure_eight(1.0, 1.0), grid) is a  # an equal value hits
+        assert measures._ray_setup(first, (TWO_PI * np.arange(128) / 128).tobytes()) is not a
         for data, rays in ((first, a), (second, b)):
-            want = measures._ray_setup(data, TWO_PI * np.arange(64) / 64)
+            want = measures._ray_setup.__wrapped__(data, grid)
             assert np.array_equal(rays.ends, want.ends)
             assert np.array_equal(rays.modes[1], want.modes[1])
+
+    def test_the_key_copies_the_nodes(self):
+        data = figure_eight(1.0, 1.0)
+        thetas = np.linspace(0.1, 6.0, 40)  # rays off every uniform grid
+        before = level_radii(data, 0.1, thetas)
+        thetas[::3] += 0.05
+        after = level_radii(data, 0.1, thetas)
+        uncached = measures._ray_setup.__wrapped__(data, thetas.tobytes())
+        assert np.array_equal(after, measures._solve_levels(data, np.array([0.1]), uncached)[0])
+        assert not np.array_equal(after, before)
+        info = measures._ray_setup.cache_info()
+        assert np.array_equal(level_radii(data, 0.1, thetas.copy()), after)
+        assert measures._ray_setup.cache_info().hits == info.hits + 1
+        assert measures._ray_setup.cache_info().misses == info.misses
+
+    def test_slab_area_shares_the_traced_grid(self, monkeypatch):
+        calls = []
+        ray_modes = weierstrass._Immersion.ray_modes
+
+        def counting(self, phase):
+            calls.append(phase.size)
+            return ray_modes(self, phase)
+
+        monkeypatch.setattr(weierstrass._Immersion, "ray_modes", counting)
+        data = perturbed_two_cover(1.0, 0.05)
+        lo, hi = attained_height_range(data)
+        slab = Slab(0.8 * lo + 0.2 * hi, 0.2 * lo + 0.8 * hi)
+        trace_levels(data, [slab.h_minus, slab.center, slab.h_plus], 512)
+        calls.clear()
+        slab_area(data, slab, 512)
+        assert calls == []
+
+    def test_every_solve_runs_inside_level_radii(self, monkeypatch):
+        depth, outside, solves = [0], [], []
+        solve, radii = measures._solve_levels, measures.level_radii
+
+        def recording_solve(data, hs, rays):
+            solves.append(hs.size)
+            if not depth[0]:
+                outside.append(hs.size)
+            return solve(data, hs, rays)
+
+        def recording_radii(*args):
+            depth[0] += 1
+            try:
+                return radii(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(measures, "_solve_levels", recording_solve)
+        monkeypatch.setattr(measures, "level_radii", recording_radii)
+        for name in ("prop_3_7", "theorem_4_1", "corollary_4_2", "theorem_4_3", "step_two"):
+            run_scenario(name, n_theta=512)
+        assert solves and outside == []
 
 
 def _range_surfaces():
