@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .errors import GeometryError, InadmissibleParametersError, PreconditionError
+from .errors import DomainError, GeometryError, InadmissibleParametersError, PreconditionError
 from .families import (
     DEFAULT_MARGIN,
     FAMILIES,
@@ -35,7 +35,7 @@ from .families import (
     catenoid_cover,
     clip_to_slab,
 )
-from .laurent import TWO_PI, AnnulusWindow, LaurentPoly
+from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, solve_roots
 from .measures import (
     CatenoidParams,
     _profile_lengths,
@@ -69,6 +69,7 @@ FLUX_MATCH_TOL = 1e-9
 WAIST_FLUX_TOL = 1e-6
 IDENTITY_TOL = 1e-8
 FD_CONSISTENCY_TOL = 1e-4
+ENSEMBLE_CHUNK = 128  # most data sets a random ensemble draws and measures at once
 SYMMETRY_GRID_TOL = 1e-9
 HORIZONTAL_FLUX_TOL = 1e-12
 
@@ -168,7 +169,50 @@ def _provenance(name: str, params: dict, n_theta: int, data=None) -> dict:
 # -- generators ----------------------------------------------------------------
 
 
-def random_even_vertical_flux(rng: np.random.Generator, max_exponent: int = 2) -> WeierstrassData:
+def _draw(
+    rng: np.random.Generator, size: int | None, width: int, attempt, what: str, accept=None
+) -> WeierstrassData | list[WeierstrassData]:
+    """Rejection-sample ``size`` even-parity data sets (one when size is None).
+
+    Draws go in rounds.  A round takes the normals of every still-missing
+    data set in one ``rng.standard_normal((missing, width))`` call, the same
+    stream as one call per normal pair, and builds each attempt's factor pair
+    with ``attempt(row)`` (None rejects the row).  It then solves the round's
+    factor roots together (``solve_roots``) and checks each pair in stream
+    order: the admissible annulus, ``from_g_pair`` and ``accept(data)``.  A
+    round never draws more attempts than data sets are missing, so the stream
+    ends where single draws would end it, and the accepted data sets come
+    back in stream order.  64 consecutive rejections raise PreconditionError.
+    """
+    count = 1 if size is None else int(size)
+    if count < 0:
+        raise DomainError(f"size must be non-negative, got {size!r}")
+    accepted: list[WeierstrassData] = []
+    rejected = 0
+    while len(accepted) < count:
+        rows = rng.standard_normal((count - len(accepted), width)).tolist()
+        pairs = [attempt(row) for row in rows]
+        solve_roots([g for pair in pairs if pair is not None for g in pair])
+        for pair in pairs:
+            data = None
+            if pair is not None:
+                try:
+                    data = from_g_pair(*pair, Parity.EVEN, admissible_annulus(*pair))
+                except GeometryError:
+                    pass
+            if data is not None and (accept is None or accept(data)):
+                accepted.append(data)
+                rejected = 0
+            else:
+                rejected += 1
+                if rejected == 64:
+                    raise PreconditionError(f"could not draw admissible {what} in 64 tries")
+    return accepted[0] if size is None else accepted
+
+
+def random_even_vertical_flux(
+    rng: np.random.Generator, max_exponent: int = 2, size: int | None = None
+) -> WeierstrassData | list[WeierstrassData]:
     """Random even-parity data with vertical flux (``vertical_flux`` holds).
 
     Coefficients away from the constant term are standard complex normals;
@@ -179,46 +223,45 @@ def random_even_vertical_flux(rng: np.random.Generator, max_exponent: int = 2) -
     general, so ``well_defined`` is false, and the height and every
     height-based measure raise MultivaluedDataError on the draws.  The
     closed-form length measures need no height.
-    """
 
-    def factor() -> LaurentPoly:
+    ``size=None`` returns one data set and ``size=n`` a list of n, drawn in
+    batches (``_draw``) with the bits and the stream of n single draws.
+    """
+    width = 4 * max_exponent  # normals per factor
+
+    def factor(normals: list[float]) -> LaurentPoly:
+        pairs = zip(normals[0::2], normals[1::2])
         coeffs = {}
         for n in range(1, max_exponent + 1):
             for sign in (1, -1):
-                re, im = rng.standard_normal(2)
+                re, im = next(pairs)
                 coeffs[sign * n] = complex(re, im)
         cross = sum(coeffs[n] * coeffs[-n] for n in range(1, max_exponent + 1))
         coeffs[0] = 1j * np.sqrt(complex(2.0 * cross))
         return LaurentPoly(coeffs)
 
-    for _ in range(64):
-        g_minus = factor()
-        g_plus = factor()
-        try:
-            window = admissible_annulus(g_minus, g_plus)
-            data = from_g_pair(g_minus, g_plus, Parity.EVEN, window)
-        except GeometryError:
-            continue
-        if period_check(data).vertical_flux:
-            return data
-    raise PreconditionError("could not draw admissible random data in 64 tries")
+    return _draw(
+        rng, size, 2 * width, lambda row: (factor(row[:width]), factor(row[width:])),
+        "random data", lambda data: period_check(data).vertical_flux,
+    )
 
 
-def random_three_term_pair(rng: np.random.Generator) -> WeierstrassData:
-    """Random winding-zero data with factor exponents in {-1, 0, 1}."""
-    for _ in range(64):
-        a_m1, a_1, b_m1, b_1 = (
-            complex(*rng.standard_normal(2)) for _ in range(4)
-        )
+def random_three_term_pair(
+    rng: np.random.Generator, size: int | None = None
+) -> WeierstrassData | list[WeierstrassData]:
+    """Random winding-zero data with factor exponents in {-1, 0, 1}.
+
+    ``size=None`` returns one data set and ``size=n`` a list of n, drawn in
+    batches (``_draw``) with the bits and the stream of n single draws.
+    """
+
+    def attempt(row: list[float]):
+        a_m1, a_1, b_m1, b_1 = (complex(row[k], row[k + 1]) for k in range(0, 8, 2))
         if 0 in (a_m1, a_1, b_m1, b_1):
-            continue
-        gm, gp = _three_term_factor(a_m1, a_1), _three_term_factor(b_m1, b_1)
-        try:
-            window = admissible_annulus(gm, gp)
-            return from_g_pair(gm, gp, Parity.EVEN, window)
-        except GeometryError:
-            continue
-    raise PreconditionError("could not draw admissible three-term data in 64 tries")
+            return None
+        return _three_term_factor(a_m1, a_1), _three_term_factor(b_m1, b_1)
+
+    return _draw(rng, size, 8, attempt, "three-term data")
 
 
 # -- report-producing operations ------------------------------------------------
@@ -385,15 +428,23 @@ def _thin_slab(data: WeierstrassData, params: dict) -> Slab:
     return clip_to_slab(data, Slab(-half, half))
 
 
-def _three_term_residual(data: WeierstrassData, grid: int) -> tuple[float, float]:
-    """Defect (|c-|^2 + |c+|^2)/pi of L'' = 4L - defect, c = 2 pi times a
-    factor's constant coefficient, and the worst relative residual of that
-    identity over the profile radii."""
-    c_minus = TWO_PI * data.g_minus.coefficient(0)
-    c_plus = TWO_PI * data.g_plus.coefficient(0)
-    defect = (abs(c_minus) ** 2 + abs(c_plus) ** 2) / math.pi
-    _, length, dd = _profile_lengths(data, grid)
-    return defect, float(np.max(np.abs(dd - (4.0 * length - defect)) / length))
+def _three_term_residual(stack, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per data set of ``stack``: the defect (|c-|^2 + |c+|^2)/pi of
+    L'' = 4L - defect, c = 2 pi times a factor's constant coefficient, and
+    the worst relative residual of that identity over the profile radii."""
+    defect = np.array([
+        (abs(TWO_PI * data.g_minus.coefficient(0)) ** 2
+         + abs(TWO_PI * data.g_plus.coefficient(0)) ** 2) / math.pi
+        for data in stack
+    ])
+    _, length, dd = _profile_lengths(stack, grid)
+    return defect, np.max(np.abs(dd - (4.0 * length - defect[:, None])) / length, axis=1)
+
+
+def _ensemble_chunks(count: int):
+    """Sizes of the consecutive draws of a ``count``-set ensemble, at most
+    ENSEMBLE_CHUNK each; the stream, and so every bit, does not depend on it."""
+    return (min(ENSEMBLE_CHUNK, count - start) for start in range(0, count, ENSEMBLE_CHUNK))
 
 
 @_scenario({"seed": DEFAULT_SEED, "count": 100, "max_exponent": 2, "grid": 24})
@@ -402,9 +453,9 @@ def _lemma_3_1(report: MeasureReport, data, params: dict, n_theta: int):
     rng = np.random.default_rng(params["seed"])
     count = params["count"]
     worst = math.inf
-    for _ in range(count):
-        sample = random_even_vertical_flux(rng, params["max_exponent"])
-        _, length, dd = _profile_lengths(sample, params["grid"])
+    for size in _ensemble_chunks(count):
+        samples = random_even_vertical_flux(rng, params["max_exponent"], size=size)
+        _, length, dd = _profile_lengths(samples, params["grid"])
         worst = min(worst, float(np.min(dd - 2.0 * length)))
     report.quantities["datasets"] = float(count)
     report.quantities["min_defect"] = worst
@@ -417,9 +468,9 @@ def _lemma_3_4_identity(report: MeasureReport, data, params: dict, n_theta: int)
     rng = np.random.default_rng(params["seed"])
     count = params["count"]
     worst = 0.0
-    for _ in range(count):
-        _, residual = _three_term_residual(random_three_term_pair(rng), params["grid"])
-        worst = max(worst, residual)
+    for size in _ensemble_chunks(count):
+        _, residual = _three_term_residual(random_three_term_pair(rng, size=size), params["grid"])
+        worst = max(worst, float(np.max(residual)))
     report.quantities["datasets"] = float(count)
     report.quantities["max_relative_residual"] = worst
     report.add_check("identity", IDENTITY_TOL - worst)
@@ -432,7 +483,7 @@ def _theorem_3_5(report: MeasureReport, data, params: dict, n_theta: int):
     eps1 = complex(data.g_minus.coefficient(0))
     eps2 = complex(data.g_plus.coefficient(0))
     expected = -4.0 * math.pi * (abs(eps1) ** 2 + abs(eps2) ** 2)
-    _, length, dd = _profile_lengths(data, 50)
+    _, (length,), (dd,) = _profile_lengths((data,), 50)
     defect = dd - 4.0 * length
     worst_residual = float(np.max(np.abs(defect - expected) / length))
     worst_defect = float(np.max(defect))
@@ -519,7 +570,7 @@ def _theorem_3_8(report: MeasureReport, data, params: dict, n_theta: int):
 def _theorem_4_1(report: MeasureReport, data, params: dict, n_theta: int):
     """figure-eight convexity band and single self-crossing per level"""
     _winding_check(report, data, 0)
-    _, length, dd = _profile_lengths(data, params["grid"])
+    _, (length,), (dd,) = _profile_lengths((data,), params["grid"])
     above_2l = float(np.min(dd - 2.0 * length))
     below_4l = float(np.max(dd - 4.0 * length))
     report.quantities["dd_minus_2L_min"] = above_2l
@@ -538,7 +589,8 @@ def _corollary_4_2(report: MeasureReport, data, params: dict, n_theta: int):
     """winding-zero second-derivative identity, closed form and traced"""
     f3 = flux(data).f3
     rate = TWO_PI / f3
-    defect, worst = _three_term_residual(data, 50)
+    (defect,), (worst,) = _three_term_residual((data,), 50)
+    defect, worst = float(defect), float(worst)
     report.quantities["identity_defect"] = defect
     report.quantities["max_relative_residual"] = worst
     report.add_check("identity_closed_form", IDENTITY_TOL - worst)

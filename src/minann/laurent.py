@@ -151,12 +151,26 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            out: dict[int, complex] = {}
+            if not (self.terms and other.terms):
+                return LaurentPoly()
+            # Dense accumulation over the product's exponent span: each sum
+            # starts from 0j and takes its products in the order of the
+            # double loop, and the terms come out sorted, so construction
+            # would only check finiteness and prune.
+            base = self.terms[0][0] + other.terms[0][0]
+            acc = [0j] * (self.terms[-1][0] + other.terms[-1][0] - base + 1)
             for n, a in self.terms:
                 for m, b in other.terms:
-                    k = n + m
-                    out[k] = out.get(k, 0j) + a * b
-            return LaurentPoly(out)
+                    acc[n + m - base] += a * b
+            if not all(map(cmath.isfinite, acc)):
+                k = next(
+                    n + m for n, _ in self.terms for m, _ in other.terms
+                    if not cmath.isfinite(acc[n + m - base])
+                )
+                raise DomainError(f"coefficient of z^{k} must be finite, got {acc[k - base]!r}")
+            product = LaurentPoly.__new__(LaurentPoly)
+            product.terms = tuple([(k, c) for k, c in enumerate(acc, base) if abs(c) >= PRUNE_EPS])
+            return product
         c = _finite_complex(other, "scalar factor")
         return LaurentPoly(tuple((n, a * c) for n, a in self.terms))
 
@@ -224,25 +238,14 @@ class LaurentPoly:
 
     @cached_property
     def _roots(self) -> tuple[complex, ...]:
-        # One eigenvalue solve per object; roots() copies it out on every call.
+        # One eigenvalue solve per object (a stack of one in solve_roots, or
+        # a member of a caller's stack); roots() copies it out on every call.
         if self.is_zero:
             raise DomainError("the zero expression has no root set")
-        deg = self.highest - self.lowest
-        if deg == 0:
-            return ()
-        # Descending coefficients of the shifted polynomial, then numpy.roots'
-        # companion matrix and eigenvalue call without its wrapper (both end
-        # coefficients are nonzero, so it would strip none).
-        p = np.zeros(deg + 1, complex)
-        for n, coeff in self.terms:
-            p[self.highest - n] = coeff
-        companion = np.diag(np.ones(deg - 1, complex), -1)
-        companion[0, :] = -p[1:] / p[0]
-        z = np.linalg.eigvals(companion)
-        if not _roots_accepted(p, z, ROOT_RESIDUAL_TOL):
+        solve_roots((self,))
+        if "_roots" not in self.__dict__:
             raise ConvergenceError("companion eigenvalues fail the root residual certificate")
-        order = np.lexsort((z.imag, z.real, np.abs(z)))
-        return tuple(complex(v) for v in z[order])
+        return self.__dict__["_roots"]
 
     # -- exact division and square root -------------------------------------------
 
@@ -399,9 +402,48 @@ def roots(p: LaurentPoly) -> list[complex]:
     of the shifted ordinary polynomial, accepted only when every root passes
     the scaled residual test |q(z)| <= ROOT_RESIDUAL_TOL * sum |c_n| |z|^n,
     else ConvergenceError.  Sorted by modulus, then real and imaginary part;
-    solved once per polynomial object and returned as a fresh list.
+    solved once per polynomial object (by ``solve_roots``, alone or in a
+    caller's stack) and returned as a fresh list.
     """
     return list(p._roots)
+
+
+def solve_roots(polys: Iterable[LaurentPoly]) -> None:
+    """Solve the root sets of many polynomials at once and memoize each on
+    its polynomial, for ``roots`` to read.
+
+    Companion matrices, built as ``np.roots`` builds them, are stacked by
+    degree with one ``np.linalg.eigvals`` call per degree; every root set
+    then takes the residual certificate and the sort of ``roots`` on its
+    own, so each equals its solve alone bit for bit.  A member that fails
+    its certificate keeps no memo: its own ``roots`` call raises
+    ConvergenceError and its neighbours stay solved.  Zero expressions and
+    polynomials already solved are skipped.
+    """
+    by_degree: dict[int, list[LaurentPoly]] = {}
+    for p in polys:
+        if p.terms and "_roots" not in p.__dict__:
+            by_degree.setdefault(p.highest - p.lowest, []).append(p)
+    for deg, members in by_degree.items():
+        if deg == 0:
+            for p in members:
+                p.__dict__["_roots"] = ()
+            continue
+        # Descending coefficients of each shifted polynomial; both end
+        # coefficients are nonzero, so np.roots would strip none.
+        rows = [[0j] * (deg + 1) for _ in members]
+        for row, p in zip(rows, members):
+            for n, c in p.terms:
+                row[p.highest - n] = c
+        coeffs = np.array(rows, complex)
+        companion = np.zeros((len(members), deg, deg), complex)
+        sub = np.arange(deg - 1)
+        companion[:, sub + 1, sub] = 1.0
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+        for p, q, z in zip(members, coeffs, np.linalg.eigvals(companion)):
+            if _roots_accepted(q, z, ROOT_RESIDUAL_TOL):
+                order = np.lexsort((z.imag, z.real, np.abs(z)))
+                p.__dict__["_roots"] = tuple(z[order].tolist())
 
 
 def _roots_accepted(p, z, tol) -> bool:

@@ -66,42 +66,83 @@ def _theta_grid(n_theta: int) -> np.ndarray:
 # -- circle length and its convexity -------------------------------------------
 
 
-def _length_terms(data: WeierstrassData) -> list[tuple[int, float]]:
-    """Pairs (e, |c|^2) with L(r) = pi * sum |c|^2 r^e over both factors.
+def _length_columns(stack) -> tuple[list[int], np.ndarray]:
+    """Exponents e_j and weights w (one row per data set of ``stack``) with
+    L(r) = pi * sum_j w_j r^e_j; w_j is |c|^2, or NaN where the set lacks
+    the term.
 
     |f| = |g|^2 r^(0 or 1) on |z| = r, and by Parseval the circle mean of
-    |g|^2 is sum |c_n|^2 r^(2n), so e = 2n (even) or 2n + 1 (odd).
+    |g|^2 is sum |c_n|^2 r^(2n), so e = 2n (even) or 2n + 1 (odd).  Each
+    set's terms run over g_- and then g_+ with e increasing; the columns
+    take g_-'s exponents of all sets in increasing order, then g_+'s, so
+    every set meets its own terms in its own order.
     """
-    shift = 0 if data.parity is Parity.EVEN else 1
-    return [(2 * n + shift, abs(c) ** 2) for g in (data.g_minus, data.g_plus) for n, c in g.terms]
+    sets = []
+    for data in stack:
+        shift = 0 if data.parity is Parity.EVEN else 1
+        sets.append({
+            (k, 2 * n + shift): abs(c) ** 2
+            for k, g in enumerate((data.g_minus, data.g_plus))
+            for n, c in g.terms
+        })
+    keys = sorted(set().union(*sets))
+    weights = np.array([[terms.get(key, math.nan) for key in keys] for terms in sets])
+    return [e for _, e in keys], weights.reshape(len(stack), len(keys))
 
 
-def _lengths(data: WeierstrassData, r):
-    """(L, L'') at a radius or an array of radii: pi * sum |c|^2 r^e and
-    pi * sum e^2 |c|^2 r^e over _length_terms, one r^e per term for both.
+def _lengths(stack, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L'') of each data set of ``stack`` on its row of ``radii`` (shape
+    (len(stack), ...)): pi * sum |c|^2 r^e and pi * sum e^2 |c|^2 r^e over
+    the set's terms, one r^e per column of _length_columns for both.  A set
+    that lacks a column's term adds an exact zero there, so every row has
+    the bits of its set's one-row call.
 
-    Every radius must lie on the closed window, within LEVEL_HEIGHT_TOL
-    relative, or DomainError: from_g_pair rejects factor roots there, and a
-    slab edge clipped to the attained range maps onto a window circle give
-    or take an ulp.
+    Every radius must lie on its set's closed window, within
+    LEVEL_HEIGHT_TOL relative, or DomainError: from_g_pair rejects factor
+    roots there, and a slab edge clipped to the attained range maps onto a
+    window circle give or take an ulp.
     """
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    lo = data.window.r_inner * (1.0 - LEVEL_HEIGHT_TOL)
-    hi = data.window.r_outer * (1.0 + LEVEL_HEIGHT_TOL)
+    rows = (len(stack),) + (1,) * (radii.ndim - 1)
+    ends = np.array([(data.window.r_inner, data.window.r_outer) for data in stack])
+    lo = ends[:, 0].reshape(rows) * (1.0 - LEVEL_HEIGHT_TOL)
+    hi = ends[:, 1].reshape(rows) * (1.0 + LEVEL_HEIGHT_TOL)
     outside = ~((radii >= lo) & (radii <= hi))
     if np.any(outside):
         raise DomainError(f"radius {float(radii[outside][0])!r} outside the data window")
-    # One path for both: a scalar radius is a 1-element array, so it takes
-    # numpy's power like every array element (libm pow can differ in the last bit).
+    exponents, weights = _length_columns(stack)
+    present = ~np.isnan(weights)
+    full = present.all(axis=0).tolist()
+    if not all(full):
+        weights = np.where(present, weights, 0.0)
+    # Per column, w and e^2 w of every set (float(e * e) * w is one product).
+    w_cols = weights.T.reshape((len(exponents),) + rows)
+    squares = np.array([float(e * e) for e in exponents])
+    dd_cols = squares.reshape((-1,) + (1,) * len(rows)) * w_cols
     length = dd = 0
-    for e, w in _length_terms(data):
-        power = radii**e
+    for e, w, e2w, is_full, has in zip(exponents, w_cols, dd_cols, full, present.T):
+        if is_full:
+            # A scalar exponent keeps numpy's power loop of the one-set call
+            # (libm pow can differ in the last bit).
+            power = radii**e
+        else:
+            # Sets that lack the term add +0, even where their r^e overflows.
+            power = np.zeros(radii.shape)
+            power[has] = radii[has] ** e
         length = length + w * power
-        dd = dd + float(e * e) * w * power
-    length, dd = math.pi * length, math.pi * dd
+        dd = dd + e2w * power
+    return math.pi * length, math.pi * dd
+
+
+def _circle_lengths(data: WeierstrassData, r):
+    """(L, L'') of one data set at a radius or an array of radii, in r's shape:
+    the one-row call of _lengths."""
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    length, dd = _lengths((data,), radii[None])
     if np.ndim(r):
-        return length, dd
-    return float(length[0]), float(dd[0])
+        return length[0], dd[0]
+    # A scalar radius is a 1-element array, so it takes numpy's power like
+    # every array element.
+    return float(length[0, 0]), float(dd[0, 0])
 
 
 def circle_length(data: WeierstrassData, r, n_theta: int = DEFAULT_THETA_NODES):
@@ -112,7 +153,7 @@ def circle_length(data: WeierstrassData, r, n_theta: int = DEFAULT_THETA_NODES):
     has its shape.  ``n_theta`` is ignored; it stays in the signature because
     span tracers read it by name as this layer's node count.
     """
-    return _lengths(data, r)[0]
+    return _circle_lengths(data, r)[0]
 
 
 def circle_length_dd(data: WeierstrassData, r):
@@ -122,12 +163,14 @@ def circle_length_dd(data: WeierstrassData, r):
     log-derivative just multiplies it by e^2.  ``r`` is a radius or an array
     of radii.
     """
-    return _lengths(data, r)[1]
+    return _circle_lengths(data, r)[1]
 
 
-def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.ndarray:
+def profile_radii(window, n_grid: int, inset: float = 0.0) -> np.ndarray:
     """Log-uniform grid of radii spanning the window.
 
+    ``window`` is one AnnulusWindow, giving shape (n_grid,), or a sequence of
+    windows, giving one row per window with the bits of its one-window call.
     An even n_grid straddles the central circle without sampling it, which is
     the right default for strict-convexity checks whose defect may vanish at
     isolated radii.  Fewer than two radii cannot span the window: DomainError.
@@ -135,22 +178,26 @@ def profile_radii(window: AnnulusWindow, n_grid: int, inset: float = 0.0) -> np.
     n_grid = int(n_grid)
     if n_grid < 2:
         raise DomainError(f"a profile needs at least 2 radii, got {n_grid}")
-    lo, hi = window.log_span()
+    if isinstance(window, AnnulusWindow):
+        lo, hi = window.log_span()
+    else:
+        lo, hi = np.array([w.log_span() for w in window]).T
     span = hi - lo
-    return np.exp(np.linspace(lo + inset * span, hi - inset * span, n_grid))
+    grid = np.linspace(lo + inset * span, hi - inset * span, n_grid, axis=-1)
+    return np.exp(np.ascontiguousarray(grid))
 
 
-def _profile_lengths(data: WeierstrassData, n_grid: int) -> tuple[np.ndarray, ...]:
-    """(radii, L, L'') on the n_grid profile radii, inset 1e-3 of the window's
-    log span from each end: the circles of the convexity checks and of
-    length_profile."""
-    radii = profile_radii(data.window, n_grid, inset=1e-3)
-    return (radii, *_lengths(data, radii))
+def _profile_lengths(stack, n_grid: int) -> tuple[np.ndarray, ...]:
+    """(radii, L, L''), one row per data set of ``stack``, on the n_grid
+    profile radii inset 1e-3 of each window's log span from each end: the
+    circles of the convexity checks and of length_profile."""
+    radii = profile_radii([data.window for data in stack], n_grid, inset=1e-3)
+    return (radii, *_lengths(stack, radii))
 
 
 def length_profile(data: WeierstrassData, n_grid: int = 32) -> list[tuple[float, float, float]]:
     """Triples (t, L, L'') on log-uniform circles, t = ln r increasing."""
-    radii, length, dd = _profile_lengths(data, n_grid)
+    radii, length, dd = (row[0] for row in _profile_lengths((data,), n_grid))
     return list(zip(np.log(radii).tolist(), length.tolist(), dd.tolist()))
 
 

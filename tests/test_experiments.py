@@ -1,5 +1,6 @@
 """Tests for the scenario catalog, comparison operations, and sweeps."""
 
+import dataclasses
 import json
 import math
 
@@ -28,9 +29,12 @@ from minann import (
     run_scenario,
     sweep_scenario,
 )
-from minann.errors import MultivaluedDataError
+from minann.errors import DomainError, MultivaluedDataError
+from minann.experiments import ENSEMBLE_CHUNK, _ensemble_chunks
 from minann.families import admissible_annulus
 from minann.laurent import COEFF_REL_TOL, LaurentPoly
+
+import ensemble_oracle
 
 CATALOG_NAMES = {
     "lemma_3_1",
@@ -434,6 +438,95 @@ class TestGenerators:
         c = random_three_term_pair(np.random.default_rng(123))
         d = random_three_term_pair(np.random.default_rng(123))
         assert c.g_minus.terms == d.g_minus.terms
+
+
+def _same_draw(a, b):
+    """Same factor terms and window, bit for bit (repr keeps signed zeros)."""
+    def bits(data):
+        return repr((data.g_minus.terms, data.g_plus.terms, data.parity, data.window))
+
+    return bits(a) == bits(b)
+
+
+class TestEnsembleStream:
+    """Batched draws against the one-at-a-time reference (ensemble_oracle)."""
+
+    GENERATORS = [
+        (random_even_vertical_flux, ensemble_oracle.random_even_vertical_flux, {}),
+        (random_even_vertical_flux, ensemble_oracle.random_even_vertical_flux, {"max_exponent": 1}),
+        (random_even_vertical_flux, ensemble_oracle.random_even_vertical_flux, {"max_exponent": 3}),
+        (random_three_term_pair, ensemble_oracle.random_three_term_pair, {}),
+    ]
+
+    @pytest.mark.parametrize("batched, single, kwargs", GENERATORS)
+    @pytest.mark.parametrize("seed", [20260814, 1, 7])
+    def test_size_n_equals_n_single_draws(self, batched, single, kwargs, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = batched(rng, size=37, **kwargs)
+        want = [single(ref, **kwargs) for _ in range(37)]
+        assert len(got) == 37
+        assert all(_same_draw(a, b) for a, b in zip(got, want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("batched, single, kwargs", GENERATORS)
+    def test_size_none_is_one_single_draw(self, batched, single, kwargs):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):
+            assert _same_draw(batched(rng, **kwargs), single(ref, **kwargs))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert batched(rng, size=0, **kwargs) == []
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_rounds_redraw_only_the_missing_sets(self):
+        # Rejections leave sets missing; each round draws just those.
+        calls = []
+
+        class Recording:
+            def standard_normal(self, shape):
+                calls.append(shape)
+                return rng.standard_normal(shape)
+
+        rng = np.random.default_rng(20260814)
+        random_even_vertical_flux(Recording(), size=100)
+        assert calls[0] == (100, 16)
+        assert len(calls) > 1
+        assert [shape[0] for shape in calls] == sorted((shape[0] for shape in calls), reverse=True)
+
+    def test_hopeless_exponent_raises_the_same_error(self):
+        # At max_exponent 8 nearly every draw leaves no admissible annulus.
+        for draw in (
+            lambda rng: random_even_vertical_flux(rng, 8, size=5),
+            lambda rng: random_even_vertical_flux(rng, 8),
+            lambda rng: ensemble_oracle.random_even_vertical_flux(rng, 8),
+        ):
+            with pytest.raises(PreconditionError, match="random data in 64 tries"):
+                draw(np.random.default_rng(20260814))
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            random_three_term_pair(np.random.default_rng(1), size=-1)
+
+    @pytest.mark.parametrize("count", [1, ENSEMBLE_CHUNK + 1])
+    @pytest.mark.parametrize("seed", [20260814, 1, 7])
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("lemma_3_1", {"max_exponent": 1}),
+            ("lemma_3_1", {"max_exponent": 3}),
+            ("lemma_3_4_identity", {}),
+        ],
+    )
+    def test_report_equals_the_single_draw_report(self, monkeypatch, name, extra, seed, count):
+        overrides = {"seed": seed, "count": count, **extra}
+        got = json.dumps(run_scenario(name, overrides).to_json(), sort_keys=True)
+        reference = dataclasses.replace(SCENARIOS[name], measure=getattr(ensemble_oracle, name))
+        monkeypatch.setitem(SCENARIOS, name, reference)
+        assert got == json.dumps(run_scenario(name, overrides).to_json(), sort_keys=True)
+
+    def test_chunks_cover_the_count(self):
+        assert list(_ensemble_chunks(0)) == []
+        assert list(_ensemble_chunks(ENSEMBLE_CHUNK)) == [ENSEMBLE_CHUNK]
+        assert list(_ensemble_chunks(2 * ENSEMBLE_CHUNK + 3)) == [ENSEMBLE_CHUNK, ENSEMBLE_CHUNK, 3]
 
 
 class TestVerdictContract:

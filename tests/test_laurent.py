@@ -24,6 +24,7 @@ from minann.laurent import (
     poly_from_triples,
     poly_to_triples,
     roots,
+    solve_roots,
     trapezoid_circle,
     winding_on_circle,
 )
@@ -268,6 +269,142 @@ class TestRootMemo:
         assert twin == data.g_minus and twin is not data.g_minus
         assert roots(twin) == roots(data.g_minus)
         assert len(solves) == 3
+
+
+def _companion(p: LaurentPoly) -> np.ndarray:
+    deg = p.highest - p.lowest
+    coeffs = np.zeros(deg + 1, complex)
+    for n, c in p.terms:
+        coeffs[p.highest - n] = c
+    companion = np.diag(np.ones(deg - 1, complex), -1)
+    companion[0, :] = -coeffs[1:] / coeffs[0]
+    return companion
+
+
+def _roots_one_at_a_time(p: LaurentPoly) -> tuple[complex, ...]:
+    """The per-polynomial solve that solve_roots replaced, for comparison."""
+    if p.highest == p.lowest:
+        return ()
+    z = np.linalg.eigvals(_companion(p))
+    order = np.lexsort((z.imag, z.real, np.abs(z)))
+    return tuple(complex(v) for v in z[order])
+
+
+def _mixed_stack():
+    rng = np.random.default_rng(21)
+    polys = []
+    for deg in (0, 1, 2, 4, 16, 4, 2):
+        low = int(rng.integers(-3, 3))
+        coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        polys.append(LaurentPoly({low + k: coeffs[k] for k in range(deg + 1)}))
+    # a middle term below PRUNE_EPS is dropped at construction
+    polys.append(LaurentPoly({-1: 0.7 - 0.2j, 0: 1e-301, 1: 0.3 + 1.1j, 3: -1.4}))
+    return polys
+
+
+class TestStackedRoots:
+    def test_mixed_stack_equals_numpy_roots_bit_for_bit(self):
+        polys = _mixed_stack()
+        assert len(polys[-1].terms) == 3
+        solve_roots(polys)
+        for p in polys:
+            assert "_roots" in p.__dict__
+            coeffs = np.zeros(p.highest - p.lowest + 1, complex)
+            for n, c in p.terms:
+                coeffs[p.highest - n] = c
+            ref = np.roots(coeffs)
+            ref = ref[np.lexsort((ref.imag, ref.real, np.abs(ref)))]
+            assert roots(p) == ref.tolist()
+
+    def test_stack_of_one_equals_the_single_solve(self):
+        for p in _mixed_stack():
+            solve_roots([p])
+            assert p._roots == _roots_one_at_a_time(p)
+
+    def test_one_eigenvalue_call_per_degree(self, monkeypatch):
+        shapes = []
+        solve = np.linalg.eigvals
+
+        def recording(a):
+            shapes.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        polys = _mixed_stack()
+        solve_roots(polys)
+        assert sorted(shapes) == [(1, 1, 1), (1, 16, 16), (2, 2, 2), (3, 4, 4)]
+        solve_roots(polys + [LaurentPoly()])  # solved members and zero are skipped
+        assert len(shapes) == 4
+
+    def test_failing_member_raises_on_its_own_read_only(self, monkeypatch):
+        solve = np.linalg.eigvals
+        polys = _mixed_stack()
+        reference = [_roots_one_at_a_time(p) for p in polys]
+        quartics = [i for i, p in enumerate(polys) if p.highest - p.lowest == 4]
+        spoiled = polys[quartics[1]]
+        target = _companion(spoiled)
+
+        def spoil(a):
+            # Roots off by 1e-9 relative fail the 1e-12 certificate.
+            z = solve(a)
+            for i, matrix in enumerate(a):
+                if np.array_equal(matrix, target):
+                    z[i] *= 1.0 + 1e-9
+            return z
+
+        monkeypatch.setattr(np.linalg, "eigvals", spoil)
+        solve_roots(polys)
+        assert "_roots" not in spoiled.__dict__
+        for p, ref in zip(polys, reference):
+            if p is not spoiled:
+                assert roots(p) == list(ref)
+        with pytest.raises(ConvergenceError, match="residual certificate"):
+            roots(spoiled)
+        monkeypatch.setattr(np.linalg, "eigvals", solve)
+        assert roots(spoiled) == list(reference[quartics[1]])
+
+    def test_zero_expression_keeps_its_error(self):
+        zero = LaurentPoly()
+        solve_roots([zero])
+        with pytest.raises(DomainError, match="no root set"):
+            roots(zero)
+
+
+class TestProduct:
+    @staticmethod
+    def _through_construction(p, q):
+        out = {}
+        for n, a in p.terms:
+            for m, b in q.terms:
+                out[n + m] = out.get(n + m, 0j) + a * b
+        return LaurentPoly(out)
+
+    @given(small_polys(), small_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_terms_equal_the_constructed_product(self, p, q):
+        got = (p * q).terms
+        want = self._through_construction(p, q).terms
+        assert [(n, c.real.hex(), c.imag.hex()) for n, c in got] == [
+            (n, c.real.hex(), c.imag.hex()) for n, c in want
+        ]
+
+    def test_cancellation_and_pruning(self):
+        p = LaurentPoly({-1: 1.0, 1: 1.0})
+        q = LaurentPoly({-1: 1.0, 1: -1.0})
+        assert (p * q).terms == ((-2, 1 + 0j), (2, -1 + 0j))
+        tiny = LaurentPoly({0: 1e-200}) * LaurentPoly({3: 1e-200})
+        assert tiny.is_zero
+        assert (LaurentPoly() * p).is_zero and (p * LaurentPoly()).is_zero
+
+    def test_overflow_names_the_first_coefficient_formed(self):
+        # z^3 overflows in the first row of the double loop and z^1 in the
+        # second; construction from the accumulated dict named z^3.
+        p = LaurentPoly({0: 1e10, 1: 1e300})
+        q = LaurentPoly({0: 1e100, 3: 1e300})
+        with pytest.raises(DomainError, match=r"coefficient of z\^3 must be finite, got \(inf"):
+            p * q
+        with pytest.raises(DomainError, match=r"coefficient of z\^3 must be finite, got \(inf"):
+            self._through_construction(p, q)
 
 
 class TestWindings:

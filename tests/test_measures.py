@@ -123,6 +123,45 @@ class TestCircleLength:
                 with pytest.raises(DomainError):
                     fn(data, outside)
 
+    def test_stacked_rows_equal_one_set_calls(self):
+        # Mixed parities and exponent sets, so some sets lack some columns.
+        rng = np.random.default_rng(8)
+        stack = [catenoid_cover(k, 4.0)[0] for k in (1, 2, 3)]
+        stack += [perturbed_two_cover(1.0 + 0.5j, 0.1 - 0.05j), figure_eight(0.7 + 0.2j, 1.3)]
+        stack += random_even_vertical_flux(rng, 3, size=4) + random_three_term_pair(rng, size=4)
+        windows = [data.window for data in stack]
+        radii = profile_radii(windows, 24, inset=1e-3)
+        assert radii.shape == (len(stack), 24) and radii.flags.c_contiguous
+        length, dd = measures._lengths(stack, radii)
+        for i, data in enumerate(stack):
+            row = profile_radii(data.window, 24, inset=1e-3)
+            assert np.array_equal(radii[i], row)
+            assert np.array_equal(length[i], circle_length(data, row))
+            assert np.array_equal(dd[i], circle_length_dd(data, row))
+        _, stacked_length, stacked_dd = measures._profile_lengths(stack, 24)
+        assert np.array_equal(stacked_length, length) and np.array_equal(stacked_dd, dd)
+
+    def test_missing_term_adds_zero_where_its_power_overflows(self):
+        # r^-400 overflows on the second set's window, which lacks the term.
+        tiny = from_g_pair(
+            LaurentPoly({-200: 1e-30}), LaurentPoly({0: 1.0}), Parity.EVEN, AnnulusWindow(0.5, 2.0)
+        )
+        small = from_g_pair(
+            LaurentPoly({0: 1.0}), LaurentPoly({1: 1.0}), Parity.EVEN, AnnulusWindow(1e-3, 2e-3)
+        )
+        radii = np.array([[0.7, 1.5], [1.2e-3, 1.8e-3]])
+        length, dd = measures._lengths([tiny, small], radii)
+        assert np.array_equal(length[1], circle_length(small, radii[1]))
+        assert np.array_equal(dd[1], circle_length_dd(small, radii[1]))
+        assert np.array_equal(length[0], circle_length(tiny, radii[0]))
+
+    def test_stacked_radius_outside_its_window_is_refused(self):
+        stack = [catenoid_cover(1, 4.0)[0], figure_eight(1.0, 1.0)]
+        radii = profile_radii([data.window for data in stack], 8)
+        radii[1, 3] = stack[1].window.r_outer * (1.0 + 1e-6)
+        with pytest.raises(DomainError, match="outside the data window"):
+            measures._lengths(stack, radii)
+
     def test_profile_grid_is_even_and_interior(self):
         w = AnnulusWindow(0.5, 2.0)
         radii = profile_radii(w, 24)
