@@ -59,6 +59,7 @@ from .weierstrass import (
     from_g_pair,
     immerse,
     period_check,
+    period_checks,
     symmetry_check,
     symmetry_margin,
     winding_class,
@@ -170,19 +171,22 @@ def _provenance(name: str, params: dict, n_theta: int, data=None) -> dict:
 
 
 def _draw(
-    rng: np.random.Generator, size: int | None, width: int, attempt, what: str, accept=None
+    rng: np.random.Generator, size: int | None, width: int, attempt, what: str
 ) -> WeierstrassData | list[WeierstrassData]:
-    """Rejection-sample ``size`` even-parity data sets (one when size is None).
+    """Rejection-sample ``size`` even-parity data sets with vertical flux
+    (one when size is None).
 
     Draws go in rounds.  A round takes the normals of every still-missing
     data set in one ``rng.standard_normal((missing, width))`` call, the same
     stream as one call per normal pair, and builds each attempt's factor pair
     with ``attempt(row)`` (None rejects the row).  It then solves the round's
-    factor roots together (``solve_roots``) and checks each pair in stream
-    order: the admissible annulus, ``from_g_pair`` and ``accept(data)``.  A
-    round never draws more attempts than data sets are missing, so the stream
-    ends where single draws would end it, and the accepted data sets come
-    back in stream order.  64 consecutive rejections raise PreconditionError.
+    factor roots together (``solve_roots``), builds the data of every pair on
+    its admissible annulus (``from_g_pair``) and period-checks the built data
+    together (``period_checks``).  The attempts are accepted in stream order
+    when built and ``vertical_flux``.  A round never draws more attempts than
+    data sets are missing, so the stream ends where single draws would end
+    it, and the accepted data sets come back in stream order.  64
+    consecutive rejections raise PreconditionError.
     """
     count = 1 if size is None else int(size)
     if count < 0:
@@ -193,6 +197,7 @@ def _draw(
         rows = rng.standard_normal((count - len(accepted), width)).tolist()
         pairs = [attempt(row) for row in rows]
         solve_roots([g for pair in pairs if pair is not None for g in pair])
+        built = []
         for pair in pairs:
             data = None
             if pair is not None:
@@ -200,7 +205,10 @@ def _draw(
                     data = from_g_pair(*pair, Parity.EVEN, admissible_annulus(*pair))
                 except GeometryError:
                     pass
-            if data is not None and (accept is None or accept(data)):
+            built.append(data)
+        verdicts = iter(period_checks([data for data in built if data is not None]))
+        for data in built:
+            if data is not None and next(verdicts).vertical_flux:
                 accepted.append(data)
                 rejected = 0
             else:
@@ -225,7 +233,9 @@ def random_even_vertical_flux(
     closed-form length measures need no height.
 
     ``size=None`` returns one data set and ``size=n`` a list of n, drawn in
-    batches (``_draw``) with the bits and the stream of n single draws.
+    rounds (``_draw``) with the bits and the stream of n single draws; every
+    round is period-checked, and a draw that fails ``vertical_flux`` is
+    rejected like an inadmissible one.
     """
     width = 4 * max_exponent  # normals per factor
 
@@ -242,7 +252,7 @@ def random_even_vertical_flux(
 
     return _draw(
         rng, size, 2 * width, lambda row: (factor(row[:width]), factor(row[width:])),
-        "random data", lambda data: period_check(data).vertical_flux,
+        "random data",
     )
 
 
@@ -251,8 +261,16 @@ def random_three_term_pair(
 ) -> WeierstrassData | list[WeierstrassData]:
     """Random winding-zero data with factor exponents in {-1, 0, 1}.
 
+    Each factor's constant term is solved from the others
+    (``families._three_term_factor``), so its square has zero circle mean
+    and the draws have vertical flux by construction; as for
+    ``random_even_vertical_flux``, psi3's residue is complex in general and
+    ``well_defined`` is false.
+
     ``size=None`` returns one data set and ``size=n`` a list of n, drawn in
-    batches (``_draw``) with the bits and the stream of n single draws.
+    rounds (``_draw``) with the bits and the stream of n single draws; every
+    round is period-checked, so ``vertical_flux`` is tested on each draw, not
+    assumed.
     """
 
     def attempt(row: list[float]):

@@ -413,12 +413,13 @@ def solve_roots(polys: Iterable[LaurentPoly]) -> None:
     its polynomial, for ``roots`` to read.
 
     Companion matrices, built as ``np.roots`` builds them, are stacked by
-    degree with one ``np.linalg.eigvals`` call per degree; every root set
-    then takes the residual certificate and the sort of ``roots`` on its
-    own, so each equals its solve alone bit for bit.  A member that fails
-    its certificate keeps no memo: its own ``roots`` call raises
-    ConvergenceError and its neighbours stay solved.  Zero expressions and
-    polynomials already solved are skipped.
+    degree with one ``np.linalg.eigvals`` call per degree.  Each degree's
+    (k, d) root stack then takes the residual certificate
+    (``_root_certificate``) and the (modulus, real, imaginary) sort in one
+    pass, and each row keeps the bits of its own one-polynomial solve.  A
+    member that fails its certificate keeps no memo: its own ``roots`` call
+    raises ConvergenceError and its neighbours stay solved.  Zero
+    expressions and polynomials already solved are skipped.
     """
     by_degree: dict[int, list[LaurentPoly]] = {}
     for p in polys:
@@ -440,29 +441,43 @@ def solve_roots(polys: Iterable[LaurentPoly]) -> None:
         sub = np.arange(deg - 1)
         companion[:, sub + 1, sub] = 1.0
         companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-        for p, q, z in zip(members, coeffs, np.linalg.eigvals(companion)):
-            if _roots_accepted(q, z, ROOT_RESIDUAL_TOL):
-                order = np.lexsort((z.imag, z.real, np.abs(z)))
-                p.__dict__["_roots"] = tuple(z[order].tolist())
+        z = np.linalg.eigvals(companion)
+        residual, scale = _root_certificate(coeffs, z)
+        certified = residual <= ROOT_RESIDUAL_TOL * scale
+        accepted = (np.isfinite(z) & certified).all(axis=1)
+        order = np.lexsort((z.imag, z.real, np.abs(z)))
+        ordered = z[np.arange(len(members))[:, None], order].tolist()
+        for p, ok, row in zip(members, accepted.tolist(), ordered):
+            if ok:
+                p.__dict__["_roots"] = tuple(row)
 
 
-def _roots_accepted(p, z, tol) -> bool:
-    """|q(u)| <= tol * sum |c_n| |u|^n for every root u, both sides by Horner
-    on the descending coefficients p."""
-    if not np.all(np.isfinite(z)):
-        return False
-    coeffs = p.tolist()
-    moduli = [abs(a) for a in coeffs]
-    for u in z.tolist():
-        value = 0j
-        scale = 0.0
-        m = abs(u)
-        for a, b in zip(coeffs, moduli):
-            value = value * u + a
-            scale = scale * m + b
-        if not abs(value) <= tol * scale:
-            return False
-    return True
+def _root_certificate(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|q(u)| and sum |c_n| |u|^n at every root u of each row, both by Horner
+    on the descending coefficient rows ``coeffs`` (k, d + 1) for the roots
+    ``z`` (k, d).
+
+    The complex steps are written in real arithmetic and the moduli taken
+    with ``np.hypot``, the operations of Python's complex multiply and
+    ``abs``, so every entry has the bits of a Horner loop on Python scalars
+    that starts from 0.  Its first step, 0 * u + c, is c up to the sign of
+    a zero, which no later step carries into a nonzero part or a modulus,
+    so the loop here starts at the leading coefficient.
+    """
+    ur, ui = z.real, z.imag
+    re, im = coeffs.real.T[:, :, None], coeffs.imag.T[:, :, None]
+    moduli = np.hypot(re, im)
+    # A non-finite or huge root fails the certificate without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = np.hypot(ur, ui)
+        value_re, value_im, scale = re[0], im[0], moduli[0]
+        for a_re, a_im, b in zip(re[1:], im[1:], moduli[1:]):
+            value_re, value_im = (
+                (value_re * ur - value_im * ui) + a_re,
+                (value_re * ui + value_im * ur) + a_im,
+            )
+            scale = scale * modulus + b
+        return np.hypot(value_re, value_im), scale
 
 
 def winding_on_circle(p: LaurentPoly, r: float) -> int:

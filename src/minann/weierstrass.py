@@ -10,6 +10,7 @@ on that pair.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .laurent import (
     COEFF_REL_TOL,
+    PRUNE_EPS,
     TWO_PI,
     AnnulusWindow,
     LaurentPoly,
@@ -106,8 +108,9 @@ class WeierstrassData:
 
     Everything else is derived on first read and cached on the value:
     ``f_minus``/``f_plus`` are the squared combinations, ``psi3`` the product
-    channel, and ``phi1..phi3`` the coordinate differentials (coefficients of
-    dz).  Equality and hashing read the five fields only.
+    channel, ``phi1..phi3`` the coordinate differentials (coefficients of
+    dz), and ``period_check``'s verdict is cached the same way.  Equality and
+    hashing read the five fields only.
     """
 
     g_minus: LaurentPoly
@@ -150,6 +153,10 @@ class WeierstrassData:
     @cached_property
     def phi3(self) -> LaurentPoly:
         return self.psi3.shifted(-1)
+
+    @cached_property
+    def _period_verdict(self) -> PeriodVerdict:
+        return period_checks((self,))[0]
 
 
 def from_g_pair(
@@ -204,21 +211,84 @@ def period_check(data: WeierstrassData) -> PeriodVerdict:
     """Vanishing circle means of the squared combinations + real log term.
 
     The first condition kills both horizontal periods and the horizontal
-    flux; the second makes the third coordinate single-valued.
+    flux; the second makes the third coordinate single-valued.  This is
+    the stack-of-one call of ``period_checks``, made once per data set and
+    cached on it.
     """
-    m, p = data.f_minus.coefficient(0), data.f_plus.coefficient(0)
-    scale = max(data.f_minus.max_abs_coeff, data.f_plus.max_abs_coeff)
-    mean = max(abs(m), abs(p))
-    # The dz residues of phi1..phi3, summed from 0j in the order phi1 and phi2
-    # are constructed in, so they keep its bits (and its signed zeros).
-    residues = (0j + 0.5 * m + -0.5 * p, 0j + 0.5j * m + 0.5j * p, data.psi3.coefficient(0))
-    # phi3 = psi3 / z has psi3's coefficients.
-    height_scale = max(data.psi3.max_abs_coeff, 1e-300)
-    return PeriodVerdict(
-        flux_slack=COEFF_REL_TOL - mean / scale,
-        log_slack=COEFF_REL_TOL - abs(residues[2].imag) / height_scale,
-        residues=residues,
+    return data._period_verdict
+
+
+def period_checks(stack: Sequence[WeierstrassData]) -> list[PeriodVerdict]:
+    """The ``PeriodVerdict`` of every data set in ``stack``, in one pass.
+
+    The factor pairs are laid out as dense rows on one exponent span, and
+    f-, f+ and psi3 of the whole stack are formed in one product: each
+    coefficient is summed from 0 in the order of the double loop of
+    ``LaurentPoly.__mul__``, in real arithmetic with ``np.hypot`` moduli,
+    so it has the bits of the Laurent product (a padding zero adds a
+    signed zero, which leaves every sum from 0 unchanged).  The odd-parity
+    shift is read off as the slot of z^-1.  Only the constant coefficients
+    and the largest moduli are kept; no Laurent product is built.
+    """
+    if not stack:
+        return []
+    count = len(stack)
+    factors = [d.g_minus.terms for d in stack] + [d.g_plus.terms for d in stack]
+    # The span holds z^-1 and z^0 of every product.
+    lo = min(-1, min(terms[0][0] for terms in factors))
+    width = max(0, max(terms[-1][0] for terms in factors)) - lo + 1
+    rows = [[0j] * width for _ in factors]
+    for row, terms in zip(rows, factors):
+        for n, c in terms:
+            row[n - lo] = c
+    g = np.array(rows, complex)  # g- of every set, then g+
+    # Product rows k, k + K and k + 2K are f-, f+ and psi3 of the k-th of K sets.
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = _dense_product(np.concatenate((g, g[:count])), np.concatenate((g, g[count:])))
+        modulus = np.hypot(re, im)
+    if not np.isfinite(modulus).all():
+        raise DomainError("a coefficient of f-, f+ or psi3 is not finite")
+    # Construction prunes coefficients below PRUNE_EPS to an absent 0j.
+    modulus[modulus < PRUNE_EPS] = 0.0
+    slot = np.array([-2 * lo - (d.parity is Parity.ODD) for d in stack] * 3)
+    at = (np.arange(len(slot)), slot)
+    const_abs = modulus[at]
+    kept = const_abs > 0.0
+    const_re, const_im = (np.where(kept, part[at], 0.0).reshape(3, count) for part in (re, im))
+    const_abs = const_abs.reshape(3, count)
+    largest = modulus.max(axis=1).reshape(3, count)
+    flux_slack = COEFF_REL_TOL - np.maximum(const_abs[0], const_abs[1]) / np.maximum(
+        largest[0], largest[1]
     )
+    # phi3 = psi3 / z has psi3's coefficients.
+    log_slack = COEFF_REL_TOL - np.abs(const_im[2]) / np.maximum(largest[2], 1e-300)
+    verdicts = []
+    columns = (flux_slack, log_slack, *const_re, *const_im)
+    for flux_k, log_k, mr, pr, cr, mi, pi, ci in zip(*(col.tolist() for col in columns)):
+        m, p = complex(mr, mi), complex(pr, pi)
+        # The dz residues of phi1..phi3, summed from 0j in the order phi1 and
+        # phi2 are constructed in, so they keep its bits (and its signed zeros).
+        residues = (0j + 0.5 * m + -0.5 * p, 0j + 0.5j * m + 0.5j * p, complex(cr, ci))
+        verdicts.append(PeriodVerdict(flux_k, log_k, residues))
+    return verdicts
+
+
+def _dense_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the row-wise products of two (k, w)
+    coefficient stacks, each slot summed from 0 in ascending order of a's
+    index.  Every coefficient product a_i b_j is formed first, with Python's
+    complex multiply written out."""
+    ar, ai = a.real[:, :, None], a.imag[:, :, None]
+    br, bi = b.real[:, None, :], b.imag[:, None, :]
+    terms_re = ar * br - ai * bi
+    terms_im = ar * bi + ai * br
+    width = a.shape[1]
+    re = np.zeros((a.shape[0], 2 * width - 1))
+    im = np.zeros((a.shape[0], 2 * width - 1))
+    for i in range(width):
+        re[:, i : i + width] += terms_re[:, i]
+        im[:, i : i + width] += terms_im[:, i]
+    return re, im
 
 
 def flux(data: WeierstrassData) -> FluxVector:

@@ -16,9 +16,11 @@ from minann.errors import (
 )
 from minann.families import figure_eight
 from minann.laurent import (
+    ROOT_RESIDUAL_TOL,
     TWO_PI,
     AnnulusWindow,
     LaurentPoly,
+    _root_certificate,
     antiderivative,
     circle_l2,
     poly_from_triples,
@@ -290,6 +292,31 @@ def _roots_one_at_a_time(p: LaurentPoly) -> tuple[complex, ...]:
     return tuple(complex(v) for v in z[order])
 
 
+def _certificate_by_scalars(p, z):
+    """(|q(u)|, sum |c_n| |u|^n) for every root u in z, both by Horner on
+    Python scalars over the descending coefficients p."""
+    coeffs = p.tolist()
+    moduli = [abs(a) for a in coeffs]
+    out = []
+    for u in z.tolist():
+        value = 0j
+        scale = 0.0
+        m = abs(u)
+        for a, b in zip(coeffs, moduli):
+            value = value * u + a
+            scale = scale * m + b
+        out.append((abs(value), scale))
+    return out
+
+
+def _roots_accepted(p, z, tol) -> bool:
+    """The scalar certificate that solve_roots ran on one root set at a time:
+    finite roots with |q(u)| <= tol * sum |c_n| |u|^n at every root u."""
+    if not np.all(np.isfinite(z)):
+        return False
+    return all(value <= tol * scale for value, scale in _certificate_by_scalars(p, z))
+
+
 def _mixed_stack():
     rng = np.random.default_rng(21)
     polys = []
@@ -362,6 +389,31 @@ class TestStackedRoots:
             roots(spoiled)
         monkeypatch.setattr(np.linalg, "eigvals", solve)
         assert roots(spoiled) == list(reference[quartics[1]])
+
+    @pytest.mark.parametrize("deg", [1, 2, 4, 7, 12])
+    def test_array_certificate_equals_the_scalar_reference(self, deg):
+        rng = np.random.default_rng(30 + deg)
+        coeffs = rng.standard_normal((40, deg + 1)) + 1j * rng.standard_normal((40, deg + 1))
+        coeffs[::3] = coeffs[::3].real  # real rows: conjugate root pairs
+        coeffs[1::7, 0] *= 1e-6  # a small leading coefficient: large roots
+        companion = np.zeros((40, deg, deg), complex)
+        sub = np.arange(deg - 1)
+        companion[:, sub + 1, sub] = 1.0
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+        z = np.linalg.eigvals(companion)
+        # Crafted failures: roots off by 1e-9 relative, and a non-finite root;
+        # every other row of the stack stays certified.
+        z[5] *= 1.0 + 1e-9
+        z[6, 0] = complex(math.nan, 0.0)
+        residual, scale = _root_certificate(coeffs, z)
+        accepted = (np.isfinite(z) & (residual <= ROOT_RESIDUAL_TOL * scale)).all(axis=1)
+        decisions = [_roots_accepted(q, u, ROOT_RESIDUAL_TOL) for q, u in zip(coeffs, z)]
+        assert accepted.tolist() == decisions
+        assert not decisions[5] and not decisions[6] and sum(decisions) == 38
+        for row in (k for k in range(40) if k != 6):
+            ref = _certificate_by_scalars(coeffs[row], z[row])
+            got = list(zip(residual[row].tolist(), scale[row].tolist()))
+            assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in ref]
 
     def test_zero_expression_keeps_its_error(self):
         zero = LaurentPoly()

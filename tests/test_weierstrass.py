@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from minann import weierstrass
 from minann.errors import (
     DomainError,
     InadmissibleWindowError,
@@ -19,10 +20,11 @@ from minann.families import (
     figure_eight,
     perturbed_two_cover,
 )
-from minann.laurent import TWO_PI, AnnulusWindow, LaurentPoly
+from minann.laurent import COEFF_REL_TOL, TWO_PI, AnnulusWindow, LaurentPoly
 from minann.measures import circle_length, total_curvature
 from minann.weierstrass import (
     Parity,
+    PeriodVerdict,
     Slab,
     WeierstrassData,
     _immersion,
@@ -36,6 +38,7 @@ from minann.weierstrass import (
     immerse,
     metric_lambda_samples,
     period_check,
+    period_checks,
     symmetry_check,
     winding_class,
 )
@@ -142,13 +145,17 @@ class TestDataModel:
         "read",
         [
             period_check,
+            lambda data: period_checks([catenoid_cover(2, 1.0)[0], data]),
             flux,
             symmetry_check,
             winding_class,
             lambda data: circle_length(data, 1.0),
             lambda data: total_curvature(data, n_theta=64),
         ],
-        ids=["period_check", "flux", "symmetry_check", "winding_class", "circle_length", "total_curvature"],
+        ids=[
+            "period_check", "period_checks", "flux", "symmetry_check", "winding_class",
+            "circle_length", "total_curvature",
+        ],
     )
     def test_checks_build_no_differential(self, read):
         data = figure_eight(1.0, 1.0)
@@ -264,6 +271,86 @@ class TestImmersion:
     def test_metric_factor_rejects_bad_points(self, points):
         with pytest.raises(DomainError):
             metric_lambda_samples(figure_eight(1.0, 1.0), points)
+
+
+def _period_check_by_products(data):
+    """The verdict read off the Laurent products f-, f+ and psi3 of one data
+    set, as period_check formed it before the stacked kernel."""
+    m, p = data.f_minus.coefficient(0), data.f_plus.coefficient(0)
+    scale = max(data.f_minus.max_abs_coeff, data.f_plus.max_abs_coeff)
+    mean = max(abs(m), abs(p))
+    residues = (0j + 0.5 * m + -0.5 * p, 0j + 0.5j * m + 0.5j * p, data.psi3.coefficient(0))
+    height_scale = max(data.psi3.max_abs_coeff, 1e-300)
+    return PeriodVerdict(
+        flux_slack=COEFF_REL_TOL - mean / scale,
+        log_slack=COEFF_REL_TOL - abs(residues[2].imag) / height_scale,
+        residues=residues,
+    )
+
+
+def _period_stack():
+    """Both parities of the residue cases, catenoid covers whose f-/f+ lack a
+    constant term, a figure-eight and 200 draws from each generator."""
+    covers = [catenoid_cover(k, 3.0)[0] for k in (1, 2, 5, 6)]
+    assert all(0 not in data.f_minus.coeffs for data in covers)
+    rng = np.random.default_rng(23)
+    return (
+        _residue_cases() + covers + [figure_eight(1.0, 1.0)]
+        + random_even_vertical_flux(rng, size=200) + random_three_term_pair(rng, size=200)
+    )
+
+
+class TestPeriodKernel:
+    def test_stack_equals_each_member_alone(self):
+        stack = _period_stack()
+        assert {data.parity for data in stack} == set(Parity)
+        # repr tells signed zeros apart
+        assert [repr(v) for v in period_checks(stack)] == [repr(period_check(d)) for d in stack]
+
+    def test_members_equal_the_laurent_products(self):
+        # Fresh copies hold no cached product; period_checks builds none.
+        stack = [dataclasses.replace(data) for data in _period_stack()]
+        verdicts = period_checks(stack)
+        assert not {"f_minus", "f_plus", "psi3"} & {key for d in stack for key in vars(d)}
+        assert [repr(v) for v in verdicts] == [repr(_period_check_by_products(d)) for d in stack]
+
+    def test_pruned_and_absent_constants(self):
+        # The z^0 coefficients of f- (first set) and of psi3 (second set,
+        # negative) fall below PRUNE_EPS, which construction drops as an
+        # absent +0j; f+ has no z^0 coefficient at all.
+        stack = [
+            make_even({-1: 1e-160, 1: 1e-160, 3: 1.0}, {1: 2.0}),
+            make_even({-1: 1e-160, 3: 1.0}, {1: -1e-160, 2: 2.0}),
+        ]
+        for data in stack:
+            assert 0 not in data.f_minus.coeffs and 0 not in data.f_plus.coeffs
+        assert 0 not in stack[1].psi3.coeffs
+        assert [repr(v) for v in period_checks(stack)] == [
+            repr(_period_check_by_products(data)) for data in stack
+        ]
+
+    def test_overflowing_product_raises(self):
+        data = make_even({0: 1.0, 1: 1e200}, {0: 1.0})
+        with pytest.raises(DomainError):
+            period_checks([figure_eight(1.0, 1.0), data])
+
+    def test_empty_stack(self):
+        assert period_checks([]) == []
+
+    def test_period_check_runs_the_kernel_once_per_data_set(self, monkeypatch):
+        stacks = []
+
+        def recording(stack):
+            stacks.append(len(stack))
+            return period_checks(stack)
+
+        monkeypatch.setattr(weierstrass, "period_checks", recording)
+        data = figure_eight(1.0, 1.0)
+        first = period_check(data)
+        assert flux(data).f3 > 0.0 and period_check(data) is first
+        twin = dataclasses.replace(data)
+        assert repr(period_check(twin)) == repr(first)
+        assert stacks == [1, 1]
 
 
 class TestPeriodsAndFlux:
