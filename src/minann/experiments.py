@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -30,8 +31,7 @@ from .errors import DomainError, GeometryError, InadmissibleParametersError, Pre
 from .families import (
     DEFAULT_MARGIN,
     FAMILIES,
-    _three_term_factor,
-    admissible_annulus,
+    admissible_annuli,
     catenoid_cover,
     clip_to_slab,
 )
@@ -170,41 +170,96 @@ def _provenance(name: str, params: dict, n_theta: int, data=None) -> dict:
 # -- generators ----------------------------------------------------------------
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with parts ``re`` and ``im``, bit for bit."""
+    out = np.empty(np.shape(re), complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmath_sqrt(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cmath.sqrt`` of the finite complex numbers re + i im, bit for bit.
+
+    CPython's algorithm in real arithmetic: s = 2 sqrt(|x|/8 + hypot(|x|/8,
+    |y|/8)), rescaled by 2^53 and 2^-27 when both parts are below the least
+    normal, and d = |y| / 2s; the root is (s, +-d) for x >= 0 and (d, +-s)
+    otherwise, with the sign of y, and 0 is (0, y).  ``np.sqrt`` on complex
+    arrays rounds differently on some inputs, such as a zero real part.
+    """
+    ax, ay = np.abs(re), np.abs(im)
+    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
+    if tiny.any():
+        up = np.ldexp(ax[tiny], 53)
+        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))), -27)
+    zero = (re == 0.0) & (im == 0.0)
+    d = ay / (2.0 * np.where(zero, 1.0, s))
+    root_re = np.where(zero, 0.0, np.where(re >= 0.0, s, d))
+    root_im = np.where(zero, im, np.copysign(np.where(re >= 0.0, d, s), im))
+    return root_re, root_im
+
+
+def _round_factors(exponents: range, rows: np.ndarray, drawn: np.ndarray) -> list:
+    """A built round's factor pairs, None for an attempt that ``drawn`` marks
+    as making no pair.  Each row is constructed by ``LaurentPoly._from_row``
+    after + 0j: the public constructor sums every coefficient onto 0j, which
+    turns a -0.0 part into 0.0."""
+    return [
+        (LaurentPoly._from_row(exponents, gm), LaurentPoly._from_row(exponents, gp))
+        if ok else None
+        for (gm, gp), ok in zip((rows + 0j).tolist(), drawn.tolist())
+    ]
+
+
 def _draw(
-    rng: np.random.Generator, size: int | None, width: int, attempt, what: str
+    rng: np.random.Generator, size: int | None, width: int, build, what: str
 ) -> WeierstrassData | list[WeierstrassData]:
     """Rejection-sample ``size`` even-parity data sets with vertical flux
     (one when size is None).
 
     Draws go in rounds.  A round takes the normals of every still-missing
     data set in one ``rng.standard_normal((missing, width))`` call, the same
-    stream as one call per normal pair, and builds each attempt's factor pair
-    with ``attempt(row)`` (None rejects the row).  It then solves the round's
-    factor roots together (``solve_roots``), builds the data of every pair on
-    its admissible annulus (``from_g_pair``) and period-checks the built data
-    together (``period_checks``).  The attempts are accepted in stream order
-    when built and ``vertical_flux``.  A round never draws more attempts than
+    stream as one call per normal pair, and ``build`` turns the whole array
+    into the round's factor coefficients, ``(exponents, rows, drawn)`` with
+    ``rows[i]`` the (2, len(exponents)) g-/g+ coefficients of attempt i and
+    ``drawn`` the mask of attempts that make a pair, which
+    ``_round_factors`` makes into factor pairs.  The round then solves
+    the factor roots together (``solve_roots``), takes the admissible annuli
+    together (``admissible_annuli``), builds the data of every admissible
+    pair (``from_g_pair``) and period-checks the built data together
+    (``period_checks``).  The attempts are accepted in stream order when
+    built and ``vertical_flux``.  A round never draws more attempts than
     data sets are missing, so the stream ends where single draws would end
     it, and the accepted data sets come back in stream order.  64
     consecutive rejections raise PreconditionError.
     """
-    count = 1 if size is None else int(size)
-    if count < 0:
-        raise DomainError(f"size must be non-negative, got {size!r}")
+    if size is None:
+        count = 1
+    else:
+        try:
+            count = operator.index(size)
+        except TypeError:
+            raise DomainError(f"size must be an integer, got {size!r}") from None
+        if count < 0:
+            raise DomainError(f"size must be non-negative, got {size!r}")
     accepted: list[WeierstrassData] = []
     rejected = 0
     while len(accepted) < count:
-        rows = rng.standard_normal((count - len(accepted), width)).tolist()
-        pairs = [attempt(row) for row in rows]
-        solve_roots([g for pair in pairs if pair is not None for g in pair])
+        pairs = _round_factors(*build(rng.standard_normal((count - len(accepted), width))))
+        drawn = [pair for pair in pairs if pair is not None]
+        solve_roots([g for pair in drawn for g in pair])
+        windows = iter(admissible_annuli(drawn))
         built = []
         for pair in pairs:
             data = None
             if pair is not None:
-                try:
-                    data = from_g_pair(*pair, Parity.EVEN, admissible_annulus(*pair))
-                except GeometryError:
-                    pass
+                window = next(windows)
+                if isinstance(window, AnnulusWindow):
+                    try:
+                        data = from_g_pair(*pair, Parity.EVEN, window)
+                    except GeometryError:
+                        pass
             built.append(data)
         verdicts = iter(period_checks([data for data in built if data is not None]))
         for data in built:
@@ -216,6 +271,50 @@ def _draw(
                 if rejected == 64:
                     raise PreconditionError(f"could not draw admissible {what} in 64 tries")
     return accepted[0] if size is None else accepted
+
+
+def _vertical_flux_rows(normals: np.ndarray, max_exponent: int):
+    """``random_even_vertical_flux``'s round builder: factor coefficients
+    over the exponents -max_exponent..max_exponent.
+
+    Each factor takes 4 * max_exponent normals, (re, im) of z^n then of
+    z^-n for n = 1, 2, ...; its constant is 1j * sqrt(2 * cross) with cross
+    the sum of the products of the z^n and z^-n coefficients.  Python's
+    complex arithmetic is written out in reals: the sum starts from 0,
+    2.0 * cross multiplies by (2.0, 0.0) and 1j * s by (0.0, 1.0).
+    """
+    m = max_exponent
+    v = normals.reshape(len(normals), 2, m, 2, 2)  # (attempt, factor, n - 1, z^n / z^-n, re / im)
+    pr, pi, qr, qi = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+    cross_re = cross_im = 0.0
+    for n in range(m):
+        cross_re = cross_re + (pr[..., n] * qr[..., n] - pi[..., n] * qi[..., n])
+        cross_im = cross_im + (pr[..., n] * qi[..., n] + pi[..., n] * qr[..., n])
+    root = np.sqrt(_complex(2.0 * cross_re - 0.0 * cross_im, 2.0 * cross_im + 0.0 * cross_re))
+    constant = _complex(0.0 * root.real - root.imag, 0.0 * root.imag + root.real)
+    rows = np.concatenate(
+        [_complex(qr, qi)[..., ::-1], constant[..., None], _complex(pr, pi)], axis=-1
+    )
+    return range(-m, m + 1), rows, np.ones(len(normals), bool)
+
+
+def _three_term_rows(normals: np.ndarray):
+    """``random_three_term_pair``'s round builder: factor coefficients over
+    the exponents -1, 0, 1.
+
+    Each factor takes 4 normals, (re, im) of a_m1 then of a_1; its constant
+    is cmath.sqrt(-2.0 * a_m1 * a_1) with Python's float-by-complex and
+    complex products written out in reals.  An attempt with a coefficient
+    equal to 0 makes no pair.
+    """
+    v = normals.reshape(len(normals), 2, 2, 2)  # (attempt, factor, a_m1 / a_1, re / im)
+    ar, ai, br, bi = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+    tr = -2.0 * ar - 0.0 * ai
+    ti = -2.0 * ai + 0.0 * ar
+    root = _complex(*_cmath_sqrt(tr * br - ti * bi, tr * bi + ti * br))
+    rows = np.stack([_complex(ar, ai), root, _complex(br, bi)], axis=-1)
+    drawn = ~(v == 0.0).all(axis=-1).any(axis=(1, 2))
+    return range(-1, 2), rows, drawn
 
 
 def random_even_vertical_flux(
@@ -235,24 +334,17 @@ def random_even_vertical_flux(
     ``size=None`` returns one data set and ``size=n`` a list of n, drawn in
     rounds (``_draw``) with the bits and the stream of n single draws; every
     round is period-checked, and a draw that fails ``vertical_flux`` is
-    rejected like an inadmissible one.
+    rejected like an inadmissible one.  ``max_exponent`` must be an integer
+    of at least 1 and ``size`` an integer, else DomainError.
     """
-    width = 4 * max_exponent  # normals per factor
-
-    def factor(normals: list[float]) -> LaurentPoly:
-        pairs = zip(normals[0::2], normals[1::2])
-        coeffs = {}
-        for n in range(1, max_exponent + 1):
-            for sign in (1, -1):
-                re, im = next(pairs)
-                coeffs[sign * n] = complex(re, im)
-        cross = sum(coeffs[n] * coeffs[-n] for n in range(1, max_exponent + 1))
-        coeffs[0] = 1j * np.sqrt(complex(2.0 * cross))
-        return LaurentPoly(coeffs)
-
+    try:
+        m = operator.index(max_exponent)
+    except TypeError:
+        m = 0
+    if m < 1:
+        raise DomainError(f"max_exponent must be an integer of at least 1, got {max_exponent!r}")
     return _draw(
-        rng, size, 2 * width, lambda row: (factor(row[:width]), factor(row[width:])),
-        "random data",
+        rng, size, 8 * m, lambda normals: _vertical_flux_rows(normals, m), "random data"
     )
 
 
@@ -261,8 +353,8 @@ def random_three_term_pair(
 ) -> WeierstrassData | list[WeierstrassData]:
     """Random winding-zero data with factor exponents in {-1, 0, 1}.
 
-    Each factor's constant term is solved from the others
-    (``families._three_term_factor``), so its square has zero circle mean
+    Each factor's constant term is solved from the others (as in
+    ``families._three_term_factor``), so its square has zero circle mean
     and the draws have vertical flux by construction; as for
     ``random_even_vertical_flux``, psi3's residue is complex in general and
     ``well_defined`` is false.
@@ -272,14 +364,7 @@ def random_three_term_pair(
     round is period-checked, so ``vertical_flux`` is tested on each draw, not
     assumed.
     """
-
-    def attempt(row: list[float]):
-        a_m1, a_1, b_m1, b_1 = (complex(row[k], row[k + 1]) for k in range(0, 8, 2))
-        if 0 in (a_m1, a_1, b_m1, b_1):
-            return None
-        return _three_term_factor(a_m1, a_1), _three_term_factor(b_m1, b_1)
-
-    return _draw(rng, size, 8, attempt, "three-term data")
+    return _draw(rng, size, 8, _three_term_rows, "three-term data")
 
 
 # -- report-producing operations ------------------------------------------------

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DomainError,
     EmptySlabError,
     EmptyWindowError,
+    GeometryError,
     InadmissibleParametersError,
     SchemaError,
 )
@@ -26,6 +29,65 @@ from .weierstrass import Parity, Slab, WeierstrassData, _immersion, from_g_pair
 DEFAULT_MARGIN = 0.05
 
 
+def admissible_annuli(
+    pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], margin: float = DEFAULT_MARGIN
+) -> list[AnnulusWindow | GeometryError]:
+    """``admissible_annulus`` of every factor pair at once: each pair's
+    window, or the GeometryError that its own call raises.
+
+    The root moduli (``np.hypot`` of the memoized roots, NaN-padded to the
+    longest set) are sorted row by row, and the bracketing moduli, the
+    unbounded-side fallbacks and the margin shrink are taken on the whole
+    stack; every step is one IEEE operation, so each window has the bits of
+    a call on its own.  The anchor stays on ``math.log`` and ``math.exp``,
+    summed from 0 in sorted order: numpy's log and exp round differently
+    from libm on some inputs.
+    """
+    if not 0.0 < margin < 1.0:
+        raise DomainError(f"margin must lie in (0, 1), got {margin!r}")
+    windows: list = []
+    found = []
+    for g_minus, g_plus in pairs:
+        try:
+            found.append(roots(g_minus) + roots(g_plus))
+            windows.append(None)
+        except GeometryError as exc:
+            windows.append(exc)
+    if not found:
+        return windows
+    width = max(map(len, found))
+    z = np.array([row + [math.nan] * (width - len(row)) for row in found], complex)
+    moduli = np.sort(np.hypot(z.real, z.imag), axis=1)
+    anchors = np.array([
+        math.exp(sum(map(math.log, row[:len(zs)])) / len(zs)) if zs else 1.0
+        for row, zs in zip(moduli.tolist(), found)
+    ])
+    anchor = anchors[:, None]
+    lo = np.max(np.where(moduli < anchor, moduli, 0.0), axis=1, initial=0.0)
+    hi = np.min(np.where(moduli > anchor, moduli, math.inf), axis=1, initial=math.inf)
+    tied = (moduli == anchor).any(axis=1)
+    lo = np.where(lo == 0.0, anchors / math.e, lo) * (1.0 + margin)
+    hi = np.where(hi == math.inf, anchors * math.e, hi) / (1.0 + margin)
+    solved = iter(zip(lo.tolist(), hi.tolist(), tied.tolist()))
+    for index, window in enumerate(windows):
+        if window is not None:
+            continue
+        r_inner, r_outer, tie = next(solved)
+        if tie:
+            windows[index] = EmptyWindowError("the anchor radius coincides with a root modulus")
+        elif not r_inner < r_outer:
+            windows[index] = EmptyWindowError(
+                f"margin {margin} empties the gap "
+                f"({r_inner / (1 + margin):.6g}, {r_outer * (1 + margin):.6g})"
+            )
+        else:
+            try:
+                windows[index] = AnnulusWindow(r_inner, r_outer)
+            except GeometryError as exc:
+                windows[index] = exc
+    return windows
+
+
 def admissible_annulus(
     g_minus: LaurentPoly, g_plus: LaurentPoly, margin: float = DEFAULT_MARGIN
 ) -> AnnulusWindow:
@@ -34,29 +96,12 @@ def admissible_annulus(
     The anchor is the geometric mean of all factor root moduli (1 when there
     are none); an unbounded side of the gap falls back to anchor/e or
     anchor*e, and both ends then move inward by the factor (1 + margin).
+    The stack of one of ``admissible_annuli``.
     """
-    if not 0.0 < margin < 1.0:
-        raise DomainError(f"margin must lie in (0, 1), got {margin!r}")
-    moduli = sorted(abs(z) for z in roots(g_minus) + roots(g_plus))
-    if moduli:
-        anchor = math.exp(sum(math.log(m) for m in moduli) / len(moduli))
-    else:
-        anchor = 1.0
-    lo = max((m for m in moduli if m < anchor), default=0.0)
-    hi = min((m for m in moduli if m > anchor), default=math.inf)
-    if any(m == anchor for m in moduli):
-        raise EmptyWindowError("the anchor radius coincides with a root modulus")
-    if lo == 0.0:
-        lo = anchor / math.e
-    if hi == math.inf:
-        hi = anchor * math.e
-    lo *= 1.0 + margin
-    hi /= 1.0 + margin
-    if not lo < hi:
-        raise EmptyWindowError(
-            f"margin {margin} empties the gap ({lo / (1 + margin):.6g}, {hi * (1 + margin):.6g})"
-        )
-    return AnnulusWindow(lo, hi)
+    (window,) = admissible_annuli([(g_minus, g_plus)], margin)
+    if isinstance(window, GeometryError):
+        raise window
+    return window
 
 
 # -- catenoid covers -------------------------------------------------------------

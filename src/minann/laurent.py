@@ -84,6 +84,20 @@ class LaurentPoly:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _from_row(cls, exponents: Iterable[int], row: list[complex]) -> "LaurentPoly":
+        """Trusted construction from strictly increasing int ``exponents`` and
+        their Python complex coefficients ``row``: the finiteness check and the
+        PRUNE_EPS prune of the public constructor, without its summing and
+        sorting.  A non-finite coefficient raises DomainError naming the
+        lowest such exponent."""
+        if not all(map(cmath.isfinite, row)):
+            n, c = next((n, c) for n, c in zip(exponents, row) if not cmath.isfinite(c))
+            raise DomainError(f"coefficient of z^{n} must be finite, got {c!r}")
+        poly = cls.__new__(cls)
+        poly.terms = tuple([(n, c) for n, c in zip(exponents, row) if abs(c) >= PRUNE_EPS])
+        return poly
+
+    @classmethod
     def monomial(cls, n: int, c: complex = 1.0) -> "LaurentPoly":
         return cls(((n, c),))
 
@@ -155,22 +169,24 @@ class LaurentPoly:
                 return LaurentPoly()
             # Dense accumulation over the product's exponent span: each sum
             # starts from 0j and takes its products in the order of the
-            # double loop, and the terms come out sorted, so construction
-            # would only check finiteness and prune.
+            # double loop, and the terms come out sorted.
             base = self.terms[0][0] + other.terms[0][0]
             acc = [0j] * (self.terms[-1][0] + other.terms[-1][0] - base + 1)
             for n, a in self.terms:
                 for m, b in other.terms:
                     acc[n + m - base] += a * b
-            if not all(map(cmath.isfinite, acc)):
+            try:
+                return LaurentPoly._from_row(range(base, base + len(acc)), acc)
+            except DomainError:
+                # Name the first coefficient the double loop formed, as
+                # construction from the accumulated dict would.
                 k = next(
                     n + m for n, _ in self.terms for m, _ in other.terms
                     if not cmath.isfinite(acc[n + m - base])
                 )
-                raise DomainError(f"coefficient of z^{k} must be finite, got {acc[k - base]!r}")
-            product = LaurentPoly.__new__(LaurentPoly)
-            product.terms = tuple([(k, c) for k, c in enumerate(acc, base) if abs(c) >= PRUNE_EPS])
-            return product
+                raise DomainError(
+                    f"coefficient of z^{k} must be finite, got {acc[k - base]!r}"
+                ) from None
         c = _finite_complex(other, "scalar factor")
         return LaurentPoly(tuple((n, a * c) for n, a in self.terms))
 
@@ -434,8 +450,9 @@ def solve_roots(polys: Iterable[LaurentPoly]) -> None:
         # coefficients are nonzero, so np.roots would strip none.
         rows = [[0j] * (deg + 1) for _ in members]
         for row, p in zip(rows, members):
+            top = p.terms[-1][0]
             for n, c in p.terms:
-                row[p.highest - n] = c
+                row[top - n] = c
         coeffs = np.array(rows, complex)
         companion = np.zeros((len(members), deg, deg), complex)
         sub = np.arange(deg - 1)

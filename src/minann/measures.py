@@ -512,10 +512,18 @@ def traversal_multiplicity(points: np.ndarray) -> int:
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     scale = max(float(np.max(np.abs(pts))), 1.0)
+    bound = TRAVERSAL_TOL * scale
+    rows = pts.reshape(n, -1)
+    first = rows[0].tolist()
     for m in range(n, 1, -1):
         if n % m:
             continue
-        if np.max(np.abs(pts - np.roll(pts, n // m, axis=0))) <= TRAVERSAL_TOL * scale:
+        shift = n // m
+        # Node 0 against node n - shift, its partner under the roll: one
+        # coordinate past the bound already fails the full check.
+        if any(abs(a - b) > bound for a, b in zip(first, rows[n - shift].tolist())):
+            continue
+        if np.max(np.abs(pts - np.roll(pts, shift, axis=0))) <= bound:
             return m
     return 1
 

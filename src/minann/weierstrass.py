@@ -174,9 +174,8 @@ def from_g_pair(
     if g_minus.is_zero or g_plus.is_zero:
         raise DomainError("square-root factors must be nonzero")
     offending = [
-        abs(z)
-        for z in roots(g_minus) + roots(g_plus)
-        if window.r_inner <= abs(z) <= window.r_outer
+        m for m in map(abs, roots(g_minus) + roots(g_plus))
+        if window.r_inner <= m <= window.r_outer
     ]
     if offending:
         raise InadmissibleWindowError(offending)

@@ -1,5 +1,6 @@
 """Tests for the scenario catalog, comparison operations, and sweeps."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -30,8 +31,15 @@ from minann import (
     sweep_scenario,
 )
 from minann.errors import DomainError, MultivaluedDataError
-from minann.experiments import ENSEMBLE_CHUNK, _ensemble_chunks
-from minann.families import admissible_annulus
+from minann.experiments import (
+    ENSEMBLE_CHUNK,
+    _cmath_sqrt,
+    _ensemble_chunks,
+    _round_factors,
+    _three_term_rows,
+    _vertical_flux_rows,
+)
+from minann.families import _three_term_factor, admissible_annulus
 from minann.laurent import COEFF_REL_TOL, LaurentPoly
 
 import ensemble_oracle
@@ -477,20 +485,54 @@ class TestEnsembleStream:
         assert batched(rng, size=0, **kwargs) == []
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    class Recording:
+        """An rng that records the shapes asked of it and serves the normals
+        of ``stream`` in order, the stream of a generator at any chunking."""
+
+        def __init__(self, stream):
+            self.stream, self.used, self.calls = stream, 0, []
+
+        def standard_normal(self, shape):
+            self.calls.append(shape)
+            count = math.prod(shape) if isinstance(shape, tuple) else shape
+            out = self.stream[self.used:self.used + count]
+            self.used += count
+            return out.reshape(shape)
+
     def test_rounds_redraw_only_the_missing_sets(self):
         # Rejections leave sets missing; each round draws just those.
-        calls = []
-
-        class Recording:
-            def standard_normal(self, shape):
-                calls.append(shape)
-                return rng.standard_normal(shape)
-
-        rng = np.random.default_rng(20260814)
-        random_even_vertical_flux(Recording(), size=100)
+        recording = self.Recording(np.random.default_rng(20260814).standard_normal(100_000))
+        random_even_vertical_flux(recording, size=100)
+        calls = recording.calls
         assert calls[0] == (100, 16)
         assert len(calls) > 1
         assert [shape[0] for shape in calls] == sorted((shape[0] for shape in calls), reverse=True)
+
+    @pytest.mark.parametrize(
+        "batched, single, kwargs, edit",
+        [
+            # a_1 of the first g- is (0, -0): the attempt makes no pair.
+            (random_three_term_pair, ensemble_oracle.random_three_term_pair, {}, {2: 0.0, 3: -0.0}),
+            # z^2 of the first g- is pruned, so its round stacks two degrees.
+            (random_even_vertical_flux, ensemble_oracle.random_even_vertical_flux, {},
+             {4: 1e-301, 5: -1e-301}),
+            # Signed zeros in the first g+ coefficients.
+            (random_even_vertical_flux, ensemble_oracle.random_even_vertical_flux, {},
+             {8: -0.0, 11: -0.0, 12: 0.0, 13: -0.0}),
+        ],
+    )
+    def test_edited_stream_equals_single_draws(self, batched, single, kwargs, edit):
+        stream = np.random.default_rng(5).standard_normal(100_000)
+        stream[list(edit)] = list(edit.values())
+        recording, reference = self.Recording(stream), self.Recording(stream)
+        got = batched(recording, size=6, **kwargs)
+        want = [single(reference, **kwargs) for _ in range(6)]
+        assert all(_same_draw(a, b) for a, b in zip(got, want))
+        assert recording.used == reference.used
+        if batched is random_three_term_pair:
+            # The zeroed attempt is rejected and one more set is drawn.
+            assert recording.calls[:2] == [(6, 8), (1, 8)]
+            assert got[0].g_minus.coefficient(-1) == complex(*stream[8:10])
 
     def test_hopeless_exponent_raises_the_same_error(self):
         # At max_exponent 8 nearly every draw leaves no admissible annulus.
@@ -505,6 +547,29 @@ class TestEnsembleStream:
     def test_negative_size_is_refused(self):
         with pytest.raises(DomainError, match="non-negative"):
             random_three_term_pair(np.random.default_rng(1), size=-1)
+
+    @pytest.mark.parametrize("max_exponent", [0, -1, 1.5, "2", None])
+    def test_bad_max_exponent_is_refused_before_drawing(self, max_exponent):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="max_exponent must be an integer of at least 1"):
+            random_even_vertical_flux(rng, max_exponent)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("size", [1.5, "3", 2.0])
+    @pytest.mark.parametrize("generator", [random_even_vertical_flux, random_three_term_pair])
+    def test_non_integer_size_is_refused_before_drawing(self, generator, size):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="size must be an integer"):
+            generator(rng, size=size)
+        assert rng.bit_generator.state == state
+
+    def test_integer_like_arguments_are_accepted(self):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = random_even_vertical_flux(rng, np.int64(1), size=np.int64(3))
+        assert all(_same_draw(a, b) for a, b in zip(got, random_even_vertical_flux(ref, 1, size=3)))
+
 
     @pytest.mark.parametrize("count", [1, ENSEMBLE_CHUNK + 1])
     @pytest.mark.parametrize("seed", [20260814, 1, 7])
@@ -527,6 +592,97 @@ class TestEnsembleStream:
         assert list(_ensemble_chunks(0)) == []
         assert list(_ensemble_chunks(ENSEMBLE_CHUNK)) == [ENSEMBLE_CHUNK]
         assert list(_ensemble_chunks(2 * ENSEMBLE_CHUNK + 3)) == [ENSEMBLE_CHUNK, ENSEMBLE_CHUNK, 3]
+
+
+def _normals_with_edge_values(rows, width, seed):
+    """Standard normals with a third of the entries replaced by 0.0, -0.0 or
+    +-1e-301 (a coefficient of such parts is pruned), every 17th row all
+    -0.0 and every 23rd from the 5th all 1e-301."""
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((rows, width))
+    edges = np.array([0.0, -0.0, 1e-301, -1e-301])
+    mask = rng.random((rows, width)) < 1 / 3
+    normals[mask] = edges[rng.integers(0, 4, mask.sum())]
+    normals[::17] = -0.0
+    normals[5::23] = 1e-301
+    return normals
+
+
+def _coefficient_bits(poly):
+    return [(n, c.real.hex(), c.imag.hex()) for n, c in poly.terms]
+
+
+class TestRoundBuilders:
+    """Array-built factor rows against LaurentPoly(dict) construction."""
+
+    @staticmethod
+    def _vertical_flux_factor(normals, max_exponent):
+        pairs = zip(normals[0::2], normals[1::2])
+        coeffs = {}
+        for n in range(1, max_exponent + 1):
+            for sign in (1, -1):
+                re, im = next(pairs)
+                coeffs[sign * n] = complex(re, im)
+        cross = sum(coeffs[n] * coeffs[-n] for n in range(1, max_exponent + 1))
+        coeffs[0] = 1j * np.sqrt(complex(2.0 * cross))
+        return LaurentPoly(coeffs)
+
+    @pytest.mark.parametrize("max_exponent", [1, 2, 3, 5])
+    def test_vertical_flux_rows_equal_dict_construction(self, max_exponent):
+        width = 4 * max_exponent
+        normals = _normals_with_edge_values(400, 2 * width, seed=max_exponent)
+        pairs = _round_factors(*_vertical_flux_rows(normals, max_exponent))
+        for row, pair in zip(normals.tolist(), pairs):
+            want = (
+                self._vertical_flux_factor(row[:width], max_exponent),
+                self._vertical_flux_factor(row[width:], max_exponent),
+            )
+            assert [_coefficient_bits(g) for g in pair] == [_coefficient_bits(g) for g in want]
+        # The edge values reach signed zeros, pruned terms and zero factors.
+        assert (np.signbit(normals) & (normals == 0.0)).any()
+        assert any(len(g.terms) < 2 * max_exponent + 1 for pair in pairs for g in pair)
+        assert any(g.is_zero for pair in pairs for g in pair)
+
+    def test_three_term_rows_equal_dict_construction(self):
+        normals = _normals_with_edge_values(600, 8, seed=11)
+        pairs = _round_factors(*_three_term_rows(normals))
+        rejected = 0
+        for row, pair in zip(normals.tolist(), pairs):
+            a_m1, a_1, b_m1, b_1 = (complex(row[k], row[k + 1]) for k in range(0, 8, 2))
+            if 0 in (a_m1, a_1, b_m1, b_1):
+                assert pair is None
+                rejected += 1
+                continue
+            want = (_three_term_factor(a_m1, a_1), _three_term_factor(b_m1, b_1))
+            assert [_coefficient_bits(g) for g in pair] == [_coefficient_bits(g) for g in want]
+        assert 0 < rejected < len(pairs)
+
+    def test_cmath_sqrt_equals_cmath(self):
+        # Signed zeros, subnormal parts (the rescaled branch), huge parts,
+        # both signs of the real part, and log-uniform random magnitudes.
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2e-308, 1e-160, -1.0, 2.0,
+                 -4.0, 0.5, 1e300, -1e300]
+        grid = np.array([(x, y) for x in edges for y in edges])
+        rng = np.random.default_rng(12)
+        scaled = rng.standard_normal((4000, 2)) * np.exp(rng.uniform(-700, 700, (4000, 2)))
+        re, im = np.concatenate([grid, scaled]).T
+        got_re, got_im = _cmath_sqrt(re, im)
+        for x, y, a, b in zip(re.tolist(), im.tolist(), got_re.tolist(), got_im.tolist()):
+            want = cmath.sqrt(complex(x, y))
+            assert (a.hex(), b.hex()) == (want.real.hex(), want.imag.hex()), (x, y)
+
+    def test_random_normals_equal_dict_construction(self):
+        # Plain draws of each builder, whose constants take their square
+        # roots on arrays where the reference takes them on scalars.
+        normals = np.random.default_rng(8).standard_normal((5000, 16))
+        for (gm, gp), row in zip(_round_factors(*_vertical_flux_rows(normals, 2)), normals.tolist()):
+            assert _coefficient_bits(gm) == _coefficient_bits(self._vertical_flux_factor(row[:8], 2))
+            assert _coefficient_bits(gp) == _coefficient_bits(self._vertical_flux_factor(row[8:], 2))
+        for (gm, gp), row in zip(_round_factors(*_three_term_rows(normals[:, :8])), normals.tolist()):
+            a_m1, a_1, b_m1, b_1 = (complex(row[k], row[k + 1]) for k in range(0, 8, 2))
+            assert _coefficient_bits(gm) == _coefficient_bits(_three_term_factor(a_m1, a_1))
+            assert _coefficient_bits(gp) == _coefficient_bits(_three_term_factor(b_m1, b_1))
+
 
 
 class TestVerdictContract:

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 from minann import (
@@ -33,9 +34,10 @@ from minann import (
     roots,
 )
 from minann import cli
+from minann.errors import ConvergenceError, GeometryError
 from minann.experiments import _build
-from minann.families import DEFAULT_MARGIN, FAMILIES
-from minann.laurent import COEFF_REL_TOL
+from minann.families import DEFAULT_MARGIN, FAMILIES, admissible_annuli
+from minann.laurent import COEFF_REL_TOL, solve_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,6 +85,165 @@ class TestAdmissibleAnnulus:
         mods = [abs(z) for z in roots(data.g_minus) + roots(data.g_plus)]
         for m in mods:
             assert not (data.window.r_inner <= m <= data.window.r_outer)
+
+
+def _admissible_annulus_by_scalars(g_minus, g_plus, margin=DEFAULT_MARGIN):
+    """The one-pair reference: Python floats from the sorted moduli on."""
+    moduli = sorted(abs(z) for z in roots(g_minus) + roots(g_plus))
+    anchor = math.exp(sum(math.log(m) for m in moduli) / len(moduli)) if moduli else 1.0
+    lo = max((m for m in moduli if m < anchor), default=0.0)
+    hi = min((m for m in moduli if m > anchor), default=math.inf)
+    if any(m == anchor for m in moduli):
+        raise EmptyWindowError("the anchor radius coincides with a root modulus")
+    lo = (anchor / math.e if lo == 0.0 else lo) * (1.0 + margin)
+    hi = (anchor * math.e if hi == math.inf else hi) / (1.0 + margin)
+    if not lo < hi:
+        raise EmptyWindowError(
+            f"margin {margin} empties the gap ({lo / (1 + margin):.6g}, {hi * (1 + margin):.6g})"
+        )
+    return AnnulusWindow(lo, hi)
+
+
+def _window_bits(window):
+    if isinstance(window, GeometryError):
+        return type(window).__name__, str(window)
+    return window.r_inner.hex(), window.r_outer.hex()
+
+
+def _outcome(build, *args):
+    try:
+        return _window_bits(build(*args))
+    except GeometryError as exc:
+        return _window_bits(exc)
+
+
+def _random_pairs(count, seed):
+    """Factor pairs with random exponent spans in [-3, 3] and complex normal coefficients."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            low = int(rng.integers(-3, 1))
+            high = int(rng.integers(low, 4))
+            c = rng.standard_normal((high - low + 1, 2))
+            pair.append(LaurentPoly({n: complex(*c[n - low]) for n in range(low, high + 1)}))
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def _catalog_pairs():
+    data = [catenoid_cover(k, TWO_PI)[0] for k in (1, 2, 3, 4)]
+    data += [perturbed_two_cover(1.0, 0.05), figure_eight(1.0, 1.0), figure_eight_pair(1, 1, 1, 1)]
+    return [(d.g_minus, d.g_plus) for d in data]
+
+
+def _modulus_past_its_anchor(above: bool) -> float:
+    """A modulus m whose one-root anchor exp(log m) lies above (or below) m."""
+    for k in range(1, 1000):
+        m = 50.0 + k / 8.0
+        anchor = math.exp(math.log(m))
+        if (anchor > m) if above else (anchor < m):
+            return m
+    raise AssertionError("no such modulus in the scan")
+
+
+class TestAdmissibleAnnuli:
+    """The stacked windows against one-pair calls and the scalar reference."""
+
+    @pytest.mark.parametrize("margin", [DEFAULT_MARGIN, 0.01, 0.3])
+    def test_random_pairs_equal_one_pair_calls(self, margin):
+        pairs = _random_pairs(1000, seed=int(margin * 1000))
+        solve_roots([g for pair in pairs for g in pair])
+        stacked = [_window_bits(w) for w in admissible_annuli(pairs, margin)]
+        single = [_outcome(admissible_annulus, *pair, margin) for pair in pairs]
+        scalar = [_outcome(_admissible_annulus_by_scalars, *pair, margin) for pair in pairs]
+        assert stacked == single == scalar
+        # The draw covers windows and both kinds of empty gap.
+        kinds = {bits[0] if bits[0] == "EmptyWindowError" else "window" for bits in stacked}
+        assert kinds == {"window", "EmptyWindowError"}
+
+    def test_catalog_pairs_equal_one_pair_calls(self):
+        pairs = _catalog_pairs()
+        stacked = [_window_bits(w) for w in admissible_annuli(pairs)]
+        assert stacked == [_outcome(admissible_annulus, *pair) for pair in pairs]
+        assert stacked == [_outcome(_admissible_annulus_by_scalars, *pair) for pair in pairs]
+        assert all(isinstance(w, AnnulusWindow) for w in admissible_annuli(pairs))
+
+    def test_root_free_covers_take_the_unit_anchor(self):
+        covers = _catalog_pairs()[:4]
+        want = ((1.0 / math.e) * 1.05, math.e / 1.05)
+        for window in admissible_annuli(covers):
+            assert (window.r_inner, window.r_outer) == want
+
+    def test_anchor_on_a_modulus_in_a_stack(self):
+        one = LaurentPoly.monomial(0, 1.0)
+        on_root = (LaurentPoly({0: 1.0, 1: 1.0}), one)  # root -1, anchor 1
+        windows = admissible_annuli([_catalog_pairs()[4], on_root, _catalog_pairs()[5]])
+        assert isinstance(windows[0], AnnulusWindow) and isinstance(windows[2], AnnulusWindow)
+        assert _window_bits(windows[1]) == (
+            "EmptyWindowError", "the anchor radius coincides with a root modulus"
+        )
+
+    def test_margin_that_empties_the_gap(self):
+        tight = (LaurentPoly({0: 0.9999, 1: 2.0, 2: 1.0}), LaurentPoly.monomial(0, 1.0))
+        (window,) = admissible_annuli([tight], 0.05)
+        assert isinstance(window, EmptyWindowError)
+        assert str(window).startswith("margin 0.05 empties the gap (0.99")
+        assert _window_bits(window) == _outcome(_admissible_annulus_by_scalars, *tight, 0.05)
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_unbounded_side_falls_back(self, above):
+        # One root at m: exp(log m) misses m by an ulp, so one side of the
+        # gap has no modulus and falls back to anchor*e or anchor/e.
+        m = _modulus_past_its_anchor(above)
+        pair = (LaurentPoly({0: -m, 1: 1.0}), LaurentPoly.monomial(0, 1.0))
+        assert roots(pair[0]) == [m]
+        (window,) = admissible_annuli([pair])
+        anchor = math.exp(math.log(m))
+        if above:
+            assert window.r_outer == anchor * math.e / 1.05 and window.r_inner == m * 1.05
+        else:
+            assert window.r_inner == anchor / math.e * 1.05 and window.r_outer == m / 1.05
+        assert _window_bits(window) == _outcome(_admissible_annulus_by_scalars, *pair)
+
+    def test_tied_moduli_and_ragged_rows(self):
+        # Roots +-1/2 and +-2: tied moduli around the anchor 1.
+        tied = (LaurentPoly({0: -4.0, 2: 1.0}), LaurentPoly({0: -0.25, 2: 1.0}))
+        assert sorted(abs(z) for z in roots(tied[0]) + roots(tied[1])) == [0.5, 0.5, 2.0, 2.0]
+        stack = [tied, *_catalog_pairs(), *_random_pairs(20, seed=5), tied]
+        windows = admissible_annuli(stack)
+        assert (windows[0].r_inner, windows[0].r_outer) == (0.5 * 1.05, 2.0 / 1.05)
+        assert [_window_bits(w) for w in windows] == [
+            _outcome(_admissible_annulus_by_scalars, *pair) for pair in stack
+        ]
+
+    def test_uncertified_member_keeps_its_error(self, monkeypatch):
+        # Cubic companions come back off by 1e-9 relative and fail the
+        # certificate; the member's entry is the error its own call raises.
+        solve = np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: solve(a) * (1.0 + 1e-9 * (a.shape[-1] == 3))
+        )
+        cubic = (LaurentPoly({-1: 1.0, 0: 0.3, 2: 1.0}), LaurentPoly.monomial(0, 1.0))
+        pairs = [_catalog_pairs()[5], cubic, _catalog_pairs()[6]]
+        solve_roots([g for pair in pairs for g in pair])
+        windows = admissible_annuli(pairs)
+        assert isinstance(windows[1], ConvergenceError)
+        assert "residual certificate" in str(windows[1])
+        assert [_window_bits(w) for w in windows] == [_outcome(admissible_annulus, *p) for p in pairs]
+        with pytest.raises(ConvergenceError, match="residual certificate"):
+            admissible_annulus(*cubic)
+
+    def test_zero_factor_and_margin_errors(self):
+        zero = (LaurentPoly(), LaurentPoly.monomial(0, 1.0))
+        (window,) = admissible_annuli([zero])
+        assert isinstance(window, DomainError)
+        with pytest.raises(DomainError, match="zero expression"):
+            admissible_annulus(*zero)
+        with pytest.raises(DomainError, match="margin must lie in"):
+            admissible_annuli([zero], margin=1.0)
+        assert admissible_annuli([]) == []
 
 
 class TestCatenoidCover:

@@ -458,6 +458,21 @@ class TestProduct:
         with pytest.raises(DomainError, match=r"coefficient of z\^3 must be finite, got \(inf"):
             self._through_construction(p, q)
 
+    def test_trusted_rows_equal_dict_construction(self):
+        # Sorted rows of finite coefficients: the public constructor's terms,
+        # prune included (1e-301 and an exact zero drop out).
+        row = [1.5 - 2j, 1e-301 + 0j, 0j, complex(0.0, -3.0), 1e-300 + 0j]
+        exponents = range(-2, 3)
+        trusted = LaurentPoly._from_row(exponents, row)
+        assert trusted.terms == LaurentPoly(dict(zip(exponents, row))).terms
+        assert [n for n, _ in trusted.terms] == [-2, 1, 2]
+        assert LaurentPoly._from_row([-1, 4], [1e-301 + 0j, 0j]).is_zero
+
+    def test_trusted_rows_name_the_lowest_non_finite_exponent(self):
+        row = [1.0 + 0j, complex(math.inf, 0.0), complex(0.0, math.nan)]
+        with pytest.raises(DomainError, match=r"coefficient of z\^4 must be finite, got \(inf"):
+            LaurentPoly._from_row([3, 4, 7], row)
+
 
 class TestWindings:
     def test_monomial_windings(self):

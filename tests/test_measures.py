@@ -46,6 +46,7 @@ from minann.measures import (
     total_curvature,
     trace_level,
     trace_levels,
+    traversal_multiplicity,
     waist_height,
 )
 from minann.weierstrass import (
@@ -715,6 +716,58 @@ class TestLazyCrossings:
         assert curve.crossing_points == ()
         assert curve.multiplicity == 2 and curve.self_intersections == 0
         assert calls == {"planar_self_intersections": 4, "traversal_multiplicity": 4}
+
+
+def _multiplicity_by_full_checks(points):
+    """The reference loop: a full rolled comparison for every divisor."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    scale = max(float(np.max(np.abs(pts))), 1.0)
+    for m in range(n, 1, -1):
+        if n % m:
+            continue
+        if np.max(np.abs(pts - np.roll(pts, n // m, axis=0))) <= measures.TRAVERSAL_TOL * scale:
+            return m
+    return 1
+
+
+def _multiplicity_cases():
+    cases = {}
+    for k in (1, 2, 3, 4):
+        data = catenoid_cover(k, TWO_PI)[0]
+        for n in (240, 512):
+            cases[f"cover{k}-{n}"] = trace_level(data, 0.1, n).points
+    for i, curve in enumerate(trace_levels(figure_eight(1.0, 1.0), [-0.2, 0.0, 0.15], 512)):
+        cases[f"figure-eight-{i}"] = curve.points
+    # A 4-fold repeat nudged at one node: inside the tolerance, then past it
+    # at node 0 (the pre-check rejects) and at node 7 only (the full check does).
+    base = np.tile(np.random.default_rng(3).standard_normal((60, 3)), (4, 1))
+    tol = measures.TRAVERSAL_TOL * max(float(np.max(np.abs(base))), 1.0)
+    for label, node, size in (("inside", 0, 0.5), ("node0", 0, 2.0), ("node7", 7, 2.0),
+                              ("last", 239, 2.0)):
+        nudged = base.copy()
+        nudged[node, 1] += size * tol
+        cases[f"near-{label}"] = nudged
+    for node in (0, 7):
+        spoiled = base.copy()
+        spoiled[node, 2] = math.nan
+        cases[f"nan-{node}"] = spoiled
+    cases["flat"] = np.tile([0.5, -1.0, 2.0], (36, 1))
+    cases["one-dim"] = np.tile([1.0, 2.0, 3.0], 5)
+    return cases
+
+
+class TestTraversalMultiplicity:
+    @pytest.mark.parametrize("name, points", list(_multiplicity_cases().items()))
+    def test_equals_the_full_check_loop(self, name, points):
+        assert traversal_multiplicity(points) == _multiplicity_by_full_checks(points)
+
+    def test_cases_cover_repeats_and_misses(self):
+        got = {name: traversal_multiplicity(pts) for name, pts in _multiplicity_cases().items()}
+        assert [got[f"cover{k}-240"] for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
+        assert got["near-inside"] == 4 and got["near-node0"] == 1 and got["near-node7"] == 1
+        assert got["nan-0"] == got["nan-7"] == 1
+        assert got["flat"] == 36 and got["one-dim"] == 5
 
 
 def _bisection_radii(data, h, thetas, steps=60):
