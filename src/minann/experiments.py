@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from .errors import DomainError, GeometryError, InadmissibleParametersError, Pre
 from .families import (
     DEFAULT_MARGIN,
     FAMILIES,
+    _three_term_constant,
     admissible_annuli,
     catenoid_cover,
     clip_to_slab,
@@ -178,28 +178,6 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cmath_sqrt(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cmath.sqrt`` of the finite complex numbers re + i im, bit for bit.
-
-    CPython's algorithm in real arithmetic: s = 2 sqrt(|x|/8 + hypot(|x|/8,
-    |y|/8)), rescaled by 2^53 and 2^-27 when both parts are below the least
-    normal, and d = |y| / 2s; the root is (s, +-d) for x >= 0 and (d, +-s)
-    otherwise, with the sign of y, and 0 is (0, y).  ``np.sqrt`` on complex
-    arrays rounds differently on some inputs, such as a zero real part.
-    """
-    ax, ay = np.abs(re), np.abs(im)
-    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
-    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
-    if tiny.any():
-        up = np.ldexp(ax[tiny], 53)
-        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))), -27)
-    zero = (re == 0.0) & (im == 0.0)
-    d = ay / (2.0 * np.where(zero, 1.0, s))
-    root_re = np.where(zero, 0.0, np.where(re >= 0.0, s, d))
-    root_im = np.where(zero, im, np.copysign(np.where(re >= 0.0, d, s), im))
-    return root_re, root_im
-
-
 def _round_factors(exponents: range, rows: np.ndarray, drawn: np.ndarray) -> list:
     """A built round's factor pairs, None for an attempt that ``drawn`` marks
     as making no pair.  Each row is constructed by ``LaurentPoly._from_row``
@@ -303,16 +281,16 @@ def _three_term_rows(normals: np.ndarray):
     the exponents -1, 0, 1.
 
     Each factor takes 4 normals, (re, im) of a_m1 then of a_1; its constant
-    is cmath.sqrt(-2.0 * a_m1 * a_1) with Python's float-by-complex and
-    complex products written out in reals.  An attempt with a coefficient
-    equal to 0 makes no pair.
+    is ``_three_term_constant(a_m1, a_1)`` on Python complex numbers, the
+    expression of ``families._three_term_factor``.  An attempt with a
+    coefficient equal to 0 makes no pair.
     """
     v = normals.reshape(len(normals), 2, 2, 2)  # (attempt, factor, a_m1 / a_1, re / im)
-    ar, ai, br, bi = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
-    tr = -2.0 * ar - 0.0 * ai
-    ti = -2.0 * ai + 0.0 * ar
-    root = _complex(*_cmath_sqrt(tr * br - ti * bi, tr * bi + ti * br))
-    rows = np.stack([_complex(ar, ai), root, _complex(br, bi)], axis=-1)
+    a_m1, a_1 = _complex(v[..., 0, 0], v[..., 0, 1]), _complex(v[..., 1, 0], v[..., 1, 1])
+    root = np.array(
+        list(map(_three_term_constant, a_m1.ravel().tolist(), a_1.ravel().tolist())), complex
+    ).reshape(a_m1.shape)
+    rows = np.stack([a_m1, root, a_1], axis=-1)
     drawn = ~(v == 0.0).all(axis=-1).any(axis=(1, 2))
     return range(-1, 2), rows, drawn
 
@@ -463,6 +441,8 @@ def classify_levels(
     n_theta: int = 512,
 ) -> MeasureReport:
     """Self-intersection counts and traversal multiplicities per level."""
+    if n_levels < 1:
+        raise PreconditionError(f"n_levels must be at least 1, got {n_levels!r}")
     report = MeasureReport("classify_levels")
     heights = np.linspace(slab.h_minus, slab.h_plus, int(n_levels))
     curves = trace_levels(sigma, heights, n_theta)

@@ -175,10 +175,15 @@ def perturbed_two_cover_pair(
 # -- figure-eight family -------------------------------------------------------------
 
 
+def _three_term_constant(a_m1: complex, a_1: complex) -> complex:
+    """a_0, the principal root of -2 a_m1 a_1: the constant term that makes
+    the square of a_m1/z + a_0 + a_1 z have zero circle mean."""
+    return cmath.sqrt(-2.0 * a_m1 * a_1)
+
+
 def _three_term_factor(a_m1: complex, a_1: complex) -> LaurentPoly:
-    """a_m1/z + a_0 + a_1 z with a_0 the principal root of -2 a_m1 a_1, the
-    constant term that makes the factor's square have zero circle mean."""
-    return LaurentPoly({-1: a_m1, 0: cmath.sqrt(-2.0 * a_m1 * a_1), 1: a_1})
+    """a_m1/z + a_0 + a_1 z with a_0 = ``_three_term_constant(a_m1, a_1)``."""
+    return LaurentPoly({-1: a_m1, 0: _three_term_constant(a_m1, a_1), 1: a_1})
 
 
 def _figure_eight_data(gm: LaurentPoly, gp: LaurentPoly, margin: float) -> WeierstrassData:

@@ -42,6 +42,28 @@ def _finite_complex(value, what: str = "value") -> complex:
     return z
 
 
+def _pruned_terms(exponents: Iterable[int], row: list[complex]) -> tuple[tuple[int, complex], ...]:
+    """The terms of strictly increasing ``exponents`` with their Python
+    complex coefficients ``row``, coefficients below PRUNE_EPS dropped; a
+    non-finite coefficient raises DomainError naming the lowest such exponent."""
+    if not all(map(cmath.isfinite, row)):
+        n, c = next((n, c) for n, c in zip(exponents, row) if not cmath.isfinite(c))
+        raise DomainError(f"coefficient of z^{n} must be finite, got {c!r}")
+    return tuple([(n, c) for n, c in zip(exponents, row) if abs(c) >= PRUNE_EPS])
+
+
+def _dense_rows(polys: Iterable[LaurentPoly], lows: Iterable[int], width: int) -> np.ndarray:
+    """(k, width) complex array whose row i holds the z^n coefficient of the
+    i-th polynomial in column n - lows[i], and exact zeros elsewhere."""
+    rows = []
+    for p, lo in zip(polys, lows):
+        row = [0j] * width
+        for n, c in p.terms:
+            row[n - lo] = c
+        rows.append(row)
+    return np.array(rows, complex).reshape(len(rows), width)
+
+
 def _check_points(z) -> np.ndarray:
     """``z`` as a complex array; DomainError unless every point is finite and nonzero."""
     arr = np.asarray(z, dtype=complex)
@@ -77,24 +99,19 @@ class LaurentPoly:
             if not cmath.isfinite(z):
                 raise DomainError(f"coefficient of z^{ni} must be finite, got {c!r}")
             acc[ni] = acc.get(ni, 0j) + z
-        self.terms: tuple[tuple[int, complex], ...] = tuple(
-            (n, c) for n, c in sorted(acc.items()) if abs(c) >= PRUNE_EPS
-        )
+        exponents = sorted(acc)
+        self.terms = _pruned_terms(exponents, [acc[n] for n in exponents])
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def _from_row(cls, exponents: Iterable[int], row: list[complex]) -> "LaurentPoly":
         """Trusted construction from strictly increasing int ``exponents`` and
-        their Python complex coefficients ``row``: the finiteness check and the
-        PRUNE_EPS prune of the public constructor, without its summing and
-        sorting.  A non-finite coefficient raises DomainError naming the
-        lowest such exponent."""
-        if not all(map(cmath.isfinite, row)):
-            n, c = next((n, c) for n, c in zip(exponents, row) if not cmath.isfinite(c))
-            raise DomainError(f"coefficient of z^{n} must be finite, got {c!r}")
+        their Python complex coefficients ``row``: the public constructor's
+        finiteness check and prune (``_pruned_terms``), without its per-input
+        checks, summing and sorting."""
         poly = cls.__new__(cls)
-        poly.terms = tuple([(n, c) for n, c in zip(exponents, row) if abs(c) >= PRUNE_EPS])
+        poly.terms = _pruned_terms(exponents, row)
         return poly
 
     @classmethod
@@ -210,18 +227,10 @@ class LaurentPoly:
     def _split(self):
         # dense ascending coefficients for the z part (exponents 0..highest)
         # and the 1/z part (exponents -1..lowest), used by split Horner.
-        if not self.terms:
-            return np.zeros(1, complex), np.zeros(0, complex)
-        hi = max(self.terms[-1][0], 0)
-        lo = min(self.terms[0][0], 0)
-        pos = np.zeros(hi + 1, complex)
-        neg = np.zeros(-lo, complex)
-        for n, c in self.terms:
-            if n >= 0:
-                pos[n] = c
-            else:
-                neg[-n - 1] = c
-        return pos, neg
+        lo = min(self.terms[0][0], 0) if self.terms else 0
+        hi = max(self.terms[-1][0], 0) if self.terms else 0
+        row = _dense_rows((self,), (lo,), hi - lo + 1)[0]
+        return row[-lo:], row[:-lo][::-1]
 
     def evaluate(self, z):
         """Evaluate at a nonzero point or array (split Horner in z and 1/z)."""
@@ -281,12 +290,8 @@ class LaurentPoly:
         scale = self.max_abs_coeff
         if qdeg < 0:
             raise UnsupportedDataError("quotient is not a finite Laurent expression")
-        work = np.zeros(num_deg + 1, complex)
-        for n, c in self.terms:
-            work[n - self.lowest] = c
-        dvec = np.zeros(den_deg + 1, complex)
-        for n, c in den.terms:
-            dvec[n - den.lowest] = c
+        work = _dense_rows((self,), (self.lowest,), num_deg + 1)[0]
+        dvec = _dense_rows((den,), (den.lowest,), den_deg + 1)[0]
         q = np.zeros(qdeg + 1, complex)
         for k in range(qdeg, -1, -1):
             q[k] = work[k + den_deg] / dvec[den_deg]
@@ -308,9 +313,7 @@ class LaurentPoly:
         if lo % 2 != 0 or hi % 2 != 0:
             return None
         fdeg = hi - lo
-        f = np.zeros(fdeg + 1, complex)
-        for n, c in self.terms:
-            f[n - lo] = c
+        f = _dense_rows((self,), (lo,), fdeg + 1)[0]
         gdeg = fdeg // 2
         g = np.zeros(gdeg + 1, complex)
         g[0] = cmath.sqrt(f[0])
@@ -448,12 +451,7 @@ def solve_roots(polys: Iterable[LaurentPoly]) -> None:
             continue
         # Descending coefficients of each shifted polynomial; both end
         # coefficients are nonzero, so np.roots would strip none.
-        rows = [[0j] * (deg + 1) for _ in members]
-        for row, p in zip(rows, members):
-            top = p.terms[-1][0]
-            for n, c in p.terms:
-                row[top - n] = c
-        coeffs = np.array(rows, complex)
+        coeffs = _dense_rows(members, [p.terms[0][0] for p in members], deg + 1)[:, ::-1]
         companion = np.zeros((len(members), deg, deg), complex)
         sub = np.arange(deg - 1)
         companion[:, sub + 1, sub] = 1.0

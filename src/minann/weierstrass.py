@@ -33,6 +33,7 @@ from .laurent import (
     AnnulusWindow,
     LaurentPoly,
     _check_points,
+    _dense_rows,
     antiderivative,
     poly_from_triples,
     poly_to_triples,
@@ -232,15 +233,11 @@ def period_checks(stack: Sequence[WeierstrassData]) -> list[PeriodVerdict]:
     if not stack:
         return []
     count = len(stack)
-    factors = [d.g_minus.terms for d in stack] + [d.g_plus.terms for d in stack]
+    factors = [d.g_minus for d in stack] + [d.g_plus for d in stack]
     # The span holds z^-1 and z^0 of every product.
-    lo = min(-1, min(terms[0][0] for terms in factors))
-    width = max(0, max(terms[-1][0] for terms in factors)) - lo + 1
-    rows = [[0j] * width for _ in factors]
-    for row, terms in zip(rows, factors):
-        for n, c in terms:
-            row[n - lo] = c
-    g = np.array(rows, complex)  # g- of every set, then g+
+    lo = min(-1, min(p.terms[0][0] for p in factors))
+    width = max(0, max(p.terms[-1][0] for p in factors)) - lo + 1
+    g = _dense_rows(factors, [lo] * len(factors), width)  # g- of every set, then g+
     # Product rows k, k + K and k + 2K are f-, f+ and psi3 of the k-th of K sets.
     with np.errstate(over="ignore", invalid="ignore"):
         re, im = _dense_product(np.concatenate((g, g[:count])), np.concatenate((g, g[count:])))

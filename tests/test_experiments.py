@@ -1,6 +1,5 @@
 """Tests for the scenario catalog, comparison operations, and sweeps."""
 
-import cmath
 import dataclasses
 import json
 import math
@@ -33,7 +32,6 @@ from minann import (
 from minann.errors import DomainError, MultivaluedDataError
 from minann.experiments import (
     ENSEMBLE_CHUNK,
-    _cmath_sqrt,
     _ensemble_chunks,
     _round_factors,
     _three_term_rows,
@@ -306,6 +304,16 @@ class TestCompareAreasAndLevels:
         report = classify_levels(data, slab, n_levels=5, expected_crossings=1)
         assert report.verdicts["expected_crossings"].passed
         assert "degenerate_cover" not in report.quantities
+
+
+    @pytest.mark.parametrize("n_levels", [0, -3])
+    def test_rejects_fewer_than_one_level_before_tracing(self, n_levels, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("traced before the level count was checked")
+
+        monkeypatch.setattr("minann.experiments.trace_levels", no_trace)
+        with pytest.raises(PreconditionError, match=f"n_levels must be at least 1, got {n_levels}$"):
+            classify_levels(figure_eight(1.0, 1.0), Slab(-0.2, 0.2), n_levels=n_levels)
 
 
 def _violating_figure_eight():
@@ -656,20 +664,6 @@ class TestRoundBuilders:
             want = (_three_term_factor(a_m1, a_1), _three_term_factor(b_m1, b_1))
             assert [_coefficient_bits(g) for g in pair] == [_coefficient_bits(g) for g in want]
         assert 0 < rejected < len(pairs)
-
-    def test_cmath_sqrt_equals_cmath(self):
-        # Signed zeros, subnormal parts (the rescaled branch), huge parts,
-        # both signs of the real part, and log-uniform random magnitudes.
-        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2e-308, 1e-160, -1.0, 2.0,
-                 -4.0, 0.5, 1e300, -1e300]
-        grid = np.array([(x, y) for x in edges for y in edges])
-        rng = np.random.default_rng(12)
-        scaled = rng.standard_normal((4000, 2)) * np.exp(rng.uniform(-700, 700, (4000, 2)))
-        re, im = np.concatenate([grid, scaled]).T
-        got_re, got_im = _cmath_sqrt(re, im)
-        for x, y, a, b in zip(re.tolist(), im.tolist(), got_re.tolist(), got_im.tolist()):
-            want = cmath.sqrt(complex(x, y))
-            assert (a.hex(), b.hex()) == (want.real.hex(), want.imag.hex()), (x, y)
 
     def test_random_normals_equal_dict_construction(self):
         # Plain draws of each builder, whose constants take their square

@@ -20,6 +20,7 @@ from minann.laurent import (
     TWO_PI,
     AnnulusWindow,
     LaurentPoly,
+    _dense_rows,
     _root_certificate,
     antiderivative,
     circle_l2,
@@ -101,6 +102,22 @@ class TestAlgebra:
         assert p.coefficient(0) == 0j
         assert p.lowest == -1 and p.highest == 2
 
+    def test_overflowing_sum_names_the_lowest_exponent(self):
+        # Each input is finite; the sums at z^-1 and z^2 overflow.
+        terms = [(2, 1e308), (-1, -1e308), (2, 1e308), (-1, -1e308), (0, 1.0)]
+        with pytest.raises(DomainError, match=r"coefficient of z\^-1 must be finite, got \(-inf\+0j\)"):
+            LaurentPoly(terms)
+        big = LaurentPoly({0: 1e308, 3: -1e308})
+        with pytest.raises(DomainError, match=r"coefficient of z\^0 must be finite, got \(inf\+0j\)"):
+            big + big
+
+    def test_non_finite_input_names_its_own_value(self):
+        # The per-input check runs before the sums are checked.
+        with pytest.raises(DomainError, match=r"coefficient of z\^1 must be finite, got nan$"):
+            LaurentPoly([(0, 1e308), (0, 1e308), (1, math.nan)])
+        with pytest.raises(DomainError, match=r"coefficient of z\^-2 must be finite, got inf$"):
+            LaurentPoly({-2: math.inf})
+
     def test_zero_has_no_extremal_exponents(self):
         with pytest.raises(DomainError):
             _ = LaurentPoly().lowest
@@ -118,6 +135,49 @@ class TestAlgebra:
         assert d.coefficient(-3) == -2.0 + 0j
         assert d.coefficient(2) == 6.0 + 0j
         assert d.coefficient(-1) == 0j
+
+
+def _bits(values):
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
+
+
+class TestDenseRows:
+    def test_rows_sit_at_their_own_offsets_on_exact_zeros(self):
+        p = LaurentPoly({-2: 1 + 2j, 1: 3.0})
+        q = LaurentPoly({0: 2 - 1j})
+        rows = _dense_rows([p, q], [-3, -1], 5)
+        assert rows.shape == (2, 5) and rows.dtype == complex
+        assert _bits(rows[0]) == _bits([0j, 1 + 2j, 0j, 0j, 3 + 0j])
+        assert _bits(rows[1]) == _bits([0j, 2 - 1j, 0j, 0j, 0j])
+
+    def test_keeps_signed_zero_parts(self):
+        p = LaurentPoly._from_row([-1, 0], [complex(-0.0, 1.0), complex(2.0, -0.0)])
+        row = _dense_rows([p], [-1], 3)[0]
+        assert _bits(row) == _bits([complex(-0.0, 1.0), complex(2.0, -0.0), 0j])
+
+    def test_zero_polynomial_and_empty_stack(self):
+        assert _bits(_dense_rows([LaurentPoly()], [0], 3)[0]) == _bits([0j] * 3)
+        empty = _dense_rows([], [], 4)
+        assert empty.shape == (0, 4) and empty.dtype == complex
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {0: 1.0, 2: 2 - 1j},
+            {1: 3j},
+            {-3: 1.5, -1: -2j},
+            {-2: 1j, 0: 4.0, 3: -1.0},
+            {},
+        ],
+        ids=["non_negative", "positive", "negative", "both", "zero"],
+    )
+    def test_split_equals_terms_lookup(self, coeffs):
+        p = LaurentPoly(coeffs)
+        pos, neg = p._split
+        hi = max([*coeffs, 0])
+        lo = min([*coeffs, 0])
+        assert _bits(pos) == _bits(p.coefficient(n) for n in range(hi + 1))
+        assert _bits(neg) == _bits(p.coefficient(-k - 1) for k in range(-lo))
 
 
 class TestExactDivisionAndRoot:
