@@ -96,16 +96,20 @@ def parse_param(text: str) -> tuple[str, object]:
 
 
 def atomic_write(path: str, content: str) -> None:
+    """Write through a temp file in the target directory; ValidationError if that fails."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minann-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minann-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _finite_or_null(doc):

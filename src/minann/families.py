@@ -22,7 +22,7 @@ from .errors import (
     InadmissibleParametersError,
     SchemaError,
 )
-from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots
+from .laurent import _FROM_JSON, TWO_PI, AnnulusWindow, LaurentPoly, roots
 from .measures import CatenoidParams
 from .weierstrass import Parity, Slab, WeierstrassData, _immersion, from_g_pair
 
@@ -264,31 +264,6 @@ def clip_to_slab(data: WeierstrassData, slab: Slab) -> Slab:
 # -- JSON family specs ----------------------------------------------------------------
 
 
-def _complex_from_json(value, what: str) -> complex:
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise SchemaError(f"{what} must be a number or an [re, im] pair")
-
-
-def _real_from_json(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _int_from_json(value, what: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-_FROM_JSON = {int: _int_from_json, float: _real_from_json, complex: _complex_from_json}
-
-
 @dataclass(frozen=True)
 class Family:
     """A family's constructors, which take their params and ``margin`` by
@@ -336,7 +311,7 @@ def family_from_spec(spec) -> WeierstrassData:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("family params must be an object")
-    margin = _real_from_json(spec.get("margin", DEFAULT_MARGIN), "margin")
+    margin = _FROM_JSON[float](spec.get("margin", DEFAULT_MARGIN), "margin")
     symmetric = bool(spec.get("symmetric", True))
     kind = "symmetric" if symmetric else "asymmetric"
     family = FAMILIES.get(name)
@@ -353,6 +328,6 @@ def family_from_spec(spec) -> WeierstrassData:
         key: _FROM_JSON[type(default)](params.get(key, default), key)
         for key, default in family.params.items()
     }
-    args.update((key, _complex_from_json(params[key], key)) for key in second)
+    args.update((key, _FROM_JSON[complex](params[key], key)) for key in second)
     build = family.symmetric if symmetric else family.pair
     return build(**args, margin=margin)

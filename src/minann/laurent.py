@@ -10,7 +10,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -333,20 +335,21 @@ def _as_poly(x) -> LaurentPoly:
     return LaurentPoly.constant(_finite_complex(x))
 
 
+@dataclass(frozen=True, slots=True)
 class AnnulusWindow:
-    """Open annulus r_inner < |z| < r_outer."""
+    """Open annulus r_inner < |z| < r_outer, a frozen value with float radii."""
 
-    __slots__ = ("r_inner", "r_outer")
+    r_inner: float
+    r_outer: float
 
-    def __init__(self, r_inner: float, r_outer: float):
-        r_inner = float(r_inner)
-        r_outer = float(r_outer)
+    def __post_init__(self):
+        r_inner, r_outer = float(self.r_inner), float(self.r_outer)
         if not (math.isfinite(r_inner) and math.isfinite(r_outer)):
             raise DomainError("window radii must be finite")
         if not 0.0 < r_inner < r_outer:
             raise DomainError(f"need 0 < r_inner < r_outer, got ({r_inner}, {r_outer})")
-        self.r_inner = r_inner
-        self.r_outer = r_outer
+        object.__setattr__(self, "r_inner", r_inner)
+        object.__setattr__(self, "r_outer", r_outer)
 
     @property
     def geometric_mean(self) -> float:
@@ -358,37 +361,18 @@ class AnnulusWindow:
     def log_span(self) -> tuple[float, float]:
         return math.log(self.r_inner), math.log(self.r_outer)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AnnulusWindow)
-            and self.r_inner == other.r_inner
-            and self.r_outer == other.r_outer
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.r_inner, self.r_outer))
-
-    def __repr__(self) -> str:
-        return f"AnnulusWindow({self.r_inner!r}, {self.r_outer!r})"
-
-
-class LogTermAntiderivative:
+class LogTermAntiderivative(NamedTuple):
     """Antiderivative of a Laurent expression: polynomial part + c * log z."""
 
-    __slots__ = ("poly_part", "log_coefficient")
-
-    def __init__(self, poly_part: LaurentPoly, log_coefficient: complex):
-        self.poly_part = poly_part
-        self.log_coefficient = _finite_complex(log_coefficient, "log coefficient")
+    poly_part: LaurentPoly
+    log_coefficient: complex
 
     def derivative(self) -> LaurentPoly:
         out = self.poly_part.derivative()
         if self.log_coefficient != 0:
             out = out + LaurentPoly.monomial(-1, self.log_coefficient)
         return out
-
-    def __repr__(self) -> str:
-        return f"LogTermAntiderivative({self.poly_part!r}, {self.log_coefficient!r})"
 
 
 def antiderivative(p: LaurentPoly) -> LogTermAntiderivative:
@@ -520,19 +504,41 @@ def poly_to_triples(p: LaurentPoly) -> list[list[float]]:
     return [[n, c.real, c.imag] for n, c in p.terms]
 
 
+def _real_from_json(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _int_from_json(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _complex_from_json(value, what: str) -> complex:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real_from_json(value[0], what), _real_from_json(value[1], what))
+    if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
+        raise SchemaError(f"{what} must be a number or an [re, im] pair, got {value!r}")
+    return complex(value)
+
+
+# The decoder of each kind of JSON number, keyed by the type it returns.
+_FROM_JSON = {int: _int_from_json, float: _real_from_json, complex: _complex_from_json}
+
+
 def poly_from_triples(triples) -> LaurentPoly:
     if not isinstance(triples, (list, tuple)):
         raise SchemaError("coefficient list must be an array of [n, re, im] triples")
     items = []
-    prev = None
     for entry in triples:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise SchemaError(f"bad coefficient triple {entry!r}")
-        n, re, im = entry
-        if int(n) != n:
-            raise SchemaError(f"exponent {n!r} is not an integer")
-        if prev is not None and int(n) <= prev:
+        n = _int_from_json(entry[0], "exponent")
+        if items and n <= items[-1][0]:
             raise SchemaError("exponents must be strictly increasing")
-        prev = int(n)
-        items.append((int(n), complex(float(re), float(im))))
+        items.append((n, _complex_from_json(entry[1:], f"coefficient of z^{n}")))
     return LaurentPoly(tuple(items))

@@ -66,36 +66,27 @@ def _theta_grid(n_theta: int) -> np.ndarray:
 # -- circle length and its convexity -------------------------------------------
 
 
-def _length_columns(stack) -> tuple[list[int], np.ndarray]:
-    """Exponents e_j and weights w (one row per data set of ``stack``) with
-    L(r) = pi * sum_j w_j r^e_j; w_j is |c|^2, or NaN where the set lacks
-    the term.
-
-    |f| = |g|^2 r^(0 or 1) on |z| = r, and by Parseval the circle mean of
-    |g|^2 is sum |c_n|^2 r^(2n), so e = 2n (even) or 2n + 1 (odd).  Each
-    set's terms run over g_- and then g_+ with e increasing; the columns
-    take g_-'s exponents of all sets in increasing order, then g_+'s, so
-    every set meets its own terms in its own order.
+def _length_terms(data: WeierstrassData) -> dict[tuple[int, int], float]:
+    """One data set's length terms, w by (factor, exponent) key, with
+    L(r) = pi * sum w r^e: |f| = |g|^2 r^(0 or 1) on |z| = r, and by Parseval
+    the circle mean of |g|^2 is sum |c_n|^2 r^(2n), so w = |c_n|^2 and
+    e = 2n (even) or 2n + 1 (odd).  The keys run over g_- (factor 0), then
+    g_+ (factor 1), each with e increasing, so equal key sets come in one order.
     """
-    sets = []
-    for data in stack:
-        shift = 0 if data.parity is Parity.EVEN else 1
-        sets.append({
-            (k, 2 * n + shift): abs(c) ** 2
-            for k, g in enumerate((data.g_minus, data.g_plus))
-            for n, c in g.terms
-        })
-    keys = sorted(set().union(*sets))
-    weights = np.array([[terms.get(key, math.nan) for key in keys] for terms in sets])
-    return [e for _, e in keys], weights.reshape(len(stack), len(keys))
+    shift = 0 if data.parity is Parity.EVEN else 1
+    return {
+        (k, 2 * n + shift): abs(c) ** 2
+        for k, g in enumerate((data.g_minus, data.g_plus))
+        for n, c in g.terms
+    }
 
 
 def _lengths(stack, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, L'') of each data set of ``stack`` on its row of ``radii`` (shape
-    (len(stack), ...)): pi * sum |c|^2 r^e and pi * sum e^2 |c|^2 r^e over
-    the set's terms, one r^e per column of _length_columns for both.  A set
-    that lacks a column's term adds an exact zero there, so every row has
-    the bits of its set's one-row call.
+    (len(stack), ...)): pi * sum w r^e and pi * sum e^2 w r^e over the set's
+    _length_terms, one r^e per term for both.  Sets that share one term
+    layout are summed as columns; a stack that mixes layouts is measured set
+    by set, so every row has the bits of its set's one-row call.
 
     Every radius must lie on its set's closed window, within
     LEVEL_HEIGHT_TOL relative, or DomainError: from_g_pair rejects factor
@@ -109,25 +100,22 @@ def _lengths(stack, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     outside = ~((radii >= lo) & (radii <= hi))
     if np.any(outside):
         raise DomainError(f"radius {float(radii[outside][0])!r} outside the data window")
-    exponents, weights = _length_columns(stack)
-    present = ~np.isnan(weights)
-    full = present.all(axis=0).tolist()
-    if not all(full):
-        weights = np.where(present, weights, 0.0)
-    # Per column, w and e^2 w of every set (float(e * e) * w is one product).
+    tables = [_length_terms(data) for data in stack]
+    keys = tables[0].keys()
+    if any(table.keys() != keys for table in tables[1:]):
+        per_set = [_lengths((data,), radii[i : i + 1]) for i, data in enumerate(stack)]
+        return tuple(np.concatenate(parts) for parts in zip(*per_set))
+    exponents = [e for _, e in keys]
+    # Per term, w and e^2 w of every set (float(e * e) * w is one product).
+    weights = np.array([list(table.values()) for table in tables])
     w_cols = weights.T.reshape((len(exponents),) + rows)
     squares = np.array([float(e * e) for e in exponents])
     dd_cols = squares.reshape((-1,) + (1,) * len(rows)) * w_cols
     length = dd = 0
-    for e, w, e2w, is_full, has in zip(exponents, w_cols, dd_cols, full, present.T):
-        if is_full:
-            # A scalar exponent keeps numpy's power loop of the one-set call
-            # (libm pow can differ in the last bit).
-            power = radii**e
-        else:
-            # Sets that lack the term add +0, even where their r^e overflows.
-            power = np.zeros(radii.shape)
-            power[has] = radii[has] ** e
+    for e, w, e2w in zip(exponents, w_cols, dd_cols):
+        # A scalar exponent per term keeps numpy's power loop of the one-set
+        # call (libm pow can differ in the last bit).
+        power = radii**e
         length = length + w * power
         dd = dd + e2w * power
     return math.pi * length, math.pi * dd

@@ -34,6 +34,7 @@ from .laurent import (
     LaurentPoly,
     _check_points,
     _dense_rows,
+    _real_from_json,
     antiderivative,
     poly_from_triples,
     poly_to_triples,
@@ -537,11 +538,11 @@ def data_from_json(doc) -> WeierstrassData:
     win = doc["window"]
     if not isinstance(win, dict) or set(win) != {"r_inner", "r_outer"}:
         raise SchemaError("window must be an object with r_inner and r_outer")
-    window = AnnulusWindow(float(win["r_inner"]), float(win["r_outer"]))
+    window = AnnulusWindow(*(_real_from_json(win[key], key) for key in ("r_inner", "r_outer")))
     return from_g_pair(
         poly_from_triples(doc["g_minus"]),
         poly_from_triples(doc["g_plus"]),
         parity,
         window,
-        height_offset=float(doc.get("height_offset", 0.0)),
+        height_offset=_real_from_json(doc.get("height_offset", 0.0), "height_offset"),
     )

@@ -174,6 +174,35 @@ class TestCheck:
         bad.write_text("{not json")
         assert main(["check", "--data", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "where, raw",
+        [
+            ("r_inner", '"x"'),
+            ("height_offset", '"up"'),
+            ("triple", '["a", 1, 0]'),
+            ("triple", "[1, null, 0]"),
+            ("triple", "[1e400, 1, 0]"),
+            ("triple", "[true, 1, 0]"),
+        ],
+    )
+    def test_malformed_data_document_is_validation_error(
+        self, fig8_path, tmp_path, where, raw, capsys
+    ):
+        # Each value is well-formed JSON that data_from_json must refuse; an
+        # uncaught exception would escape main() with its traceback.
+        doc = json.loads(Path(fig8_path).read_text())
+        if where == "r_inner":
+            doc["window"]["r_inner"] = "@"
+        elif where == "height_offset":
+            doc["height_offset"] = "@"
+        else:
+            doc["g_minus"][-1] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"@"', raw))
+        assert main(["check", "--data", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("minann: ") and captured.out == ""
+
     def test_out_file(self, fig8_path, tmp_path):
         out = tmp_path / "check.json"
         assert main(["check", "--data", fig8_path, "--out", str(out)]) == 0
@@ -546,6 +575,24 @@ class TestSweep:
         assert first["all_pass"]
         assert second["margins"] == {"constructible": None}
         assert not second["all_pass"]
+
+
+class TestUnwritableOutput:
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fig8.json"
+        assert main(FIG8_ARGS + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("minann: cannot write ")
+        assert list(tmp_path.rglob(".minann-*")) == []
+
+    def test_csv_onto_a_directory(self, fig8_path, tmp_path, capsys):
+        target = tmp_path / "levels.csv"
+        target.mkdir()
+        args = ["trace", "--data", fig8_path, "--height", "0", "--csv", str(target)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("minann: cannot write ") and captured.out == ""
+        assert target.is_dir() and list(target.iterdir()) == []
+        assert list(tmp_path.rglob(".minann-*")) == []
 
 
 class TestTopLevel:

@@ -503,6 +503,9 @@ class TestFamilyFromSpec:
             {"family": "catenoid_cover", "params": {"f3": [1, 0]}},
             {"family": "catenoid_cover", "params": {"center": "x"}},
             {"family": "catenoid_cover", "params": {"center": True}},
+            {"family": "figure_eight", "params": {"a_m1": ["a", 1]}},
+            {"family": "figure_eight", "params": {"a_m1": [1, None]}},
+            {"family": "figure_eight", "params": {"a_1": True}},
             {"family": "figure_eight", "margin": "x"},
             {"family": "figure_eight", "margin": None},
         ],

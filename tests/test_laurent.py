@@ -240,6 +240,13 @@ class TestCircleIntegrals:
         back = anti.derivative()
         assert (back - p).max_abs_coeff < 1e-14
 
+    def test_antiderivative_is_a_frozen_value(self):
+        anti = antiderivative(LaurentPoly({-1: 2.0, 0: 4.0}))
+        for field in ("poly_part", "log_coefficient"):
+            with pytest.raises(AttributeError):
+                setattr(anti, field, 0j)
+        assert anti.poly_part == LaurentPoly({1: 4.0}) and anti.log_coefficient == 2.0
+
 
 class TestRoots:
     def test_quadratic_formula_oracle(self):
@@ -571,6 +578,24 @@ class TestWindow:
         with pytest.raises(DomainError):
             AnnulusWindow(0.0, 1.0)
 
+    def test_is_a_frozen_value_with_float_radii(self):
+        w = AnnulusWindow(1, 2)
+        assert type(w.r_inner) is float and type(w.r_outer) is float
+        assert w == AnnulusWindow(1.0, 2.0) and hash(w) == hash(AnnulusWindow(1.0, 2.0))
+        assert w != AnnulusWindow(1.0, 3.0)
+        assert w != (1.0, 2.0) and w != "AnnulusWindow(1.0, 2.0)"
+        for field in ("r_inner", "r_outer"):
+            with pytest.raises(AttributeError):
+                setattr(w, field, 50.0)
+        assert w == AnnulusWindow(1.0, 2.0)
+
+    def test_data_window_cannot_be_widened_in_place(self):
+        data = figure_eight(1, 1)
+        before = hash(data)
+        with pytest.raises(AttributeError):
+            data.window.r_outer = 50.0
+        assert hash(data) == before
+
 
 class TestSerialization:
     def test_roundtrip_exact(self):
@@ -587,3 +612,23 @@ class TestSerialization:
             poly_from_triples([[0, 1.0, 0.0], [0, 2.0, 0.0]])
         with pytest.raises(SchemaError):
             poly_from_triples([[0.5, 1.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            ["a", 1, 0],
+            [1, None, 0],
+            [1, 0, "0"],
+            [float("inf"), 1, 0],  # a JSON exponent of 1e400
+            [float("nan"), 1, 0],
+            [True, 1, 0],
+            [1, False, 0],
+            [1, [1, 0], 0],
+        ],
+    )
+    def test_every_number_is_decoded_or_refused(self, triple):
+        with pytest.raises(SchemaError):
+            poly_from_triples([triple])
+
+    def test_integral_float_exponents_are_read(self):
+        assert poly_from_triples([[2.0, 1, -1]]) == LaurentPoly({2: 1 - 1j})

@@ -24,6 +24,7 @@ from minann.experiments import (
     run_scenario,
 )
 from minann.families import (
+    admissible_annulus,
     attained_height_range,
     catenoid_cover,
     clip_to_slab,
@@ -123,6 +124,20 @@ class TestCircleLength:
                 assert np.all(np.isfinite(fn(data, edge)))
                 with pytest.raises(DomainError):
                     fn(data, outside)
+
+    def test_length_terms_run_over_g_minus_then_g_plus(self):
+        g_minus = LaurentPoly({-1: 3.0, 0: 1j, 2: 2.0})
+        g_plus = LaurentPoly({-2: 0.5, 1: 1 - 1j})
+        window = admissible_annulus(g_minus, g_plus)
+        even = from_g_pair(g_minus, g_plus, Parity.EVEN, window)
+        odd = from_g_pair(g_minus, g_plus, Parity.ODD, window)
+        weights = [9.0, 1.0, 4.0, 0.25, abs(1 - 1j) ** 2]
+        assert list(measures._length_terms(even).items()) == list(
+            zip([(0, -2), (0, 0), (0, 4), (1, -4), (1, 2)], weights)
+        )
+        assert list(measures._length_terms(odd).items()) == list(
+            zip([(0, -1), (0, 1), (0, 5), (1, -3), (1, 3)], weights)
+        )
 
     def test_stacked_rows_equal_one_set_calls(self):
         # Mixed parities and exponent sets, so some sets lack some columns.

@@ -513,6 +513,28 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             data_from_json([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("r_inner", "x"),
+            ("r_outer", None),
+            ("r_inner", True),
+            ("height_offset", "up"),
+            ("height_offset", [0.1]),
+            ("g_minus", [["a", 1, 0]]),
+            ("g_plus", [[1, None, 0]]),
+            ("g_minus", [[1e400, 1, 0]]),
+        ],
+    )
+    def test_schema_decodes_every_number(self, field, value):
+        doc = data_to_json(figure_eight(1.0, 1.0))
+        if field.startswith("r_"):
+            doc["window"][field] = value
+        else:
+            doc[field] = value
+        with pytest.raises(SchemaError):
+            data_from_json(doc)
+
 
 class TestSlab:
     def test_basic_geometry(self):
