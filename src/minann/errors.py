@@ -30,14 +30,6 @@ class SchemaError(ValidationError):
     """A JSON document does not match the documented schema."""
 
 
-class UnsupportedDataError(ValidationError):
-    """Rational data does not reduce to finite Laurent coefficients."""
-
-
-class ParityUndeterminedError(ValidationError):
-    """Neither the even nor the odd factorization of the data exists."""
-
-
 class InadmissibleWindowError(ValidationError):
     """A coefficient root lands inside the requested annulus."""
 

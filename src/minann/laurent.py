@@ -21,13 +21,12 @@ from .errors import (
     DegenerateContourError,
     DomainError,
     SchemaError,
-    UnsupportedDataError,
 )
 
 # Coefficients below this magnitude are dropped during canonicalization.
 PRUNE_EPS = 1e-300
-# Relative tolerance for coefficient-level predicates (exact division,
-# square roots, symmetry, vanishing constant terms).
+# Relative tolerance for coefficient-level predicates (symmetry, vanishing
+# constant terms).
 COEFF_REL_TOL = 1e-12
 # Residual certificate of a root set: relative backward error per root.
 ROOT_RESIDUAL_TOL = 1e-12
@@ -274,60 +273,6 @@ class LaurentPoly:
             raise ConvergenceError("companion eigenvalues fail the root residual certificate")
         return self.__dict__["_roots"]
 
-    # -- exact division and square root -------------------------------------------
-
-    def divide_exact(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Quotient self/den when it is again a finite Laurent expression.
-
-        Performs ordinary long division after shifting both operands to plain
-        polynomials; a non-vanishing remainder raises ``UnsupportedDataError``.
-        """
-        if den.is_zero:
-            raise DomainError("division by the zero expression")
-        if self.is_zero:
-            return LaurentPoly()
-        num_deg = self.highest - self.lowest
-        den_deg = den.highest - den.lowest
-        qdeg = num_deg - den_deg
-        scale = self.max_abs_coeff
-        if qdeg < 0:
-            raise UnsupportedDataError("quotient is not a finite Laurent expression")
-        work = _dense_rows((self,), (self.lowest,), num_deg + 1)[0]
-        dvec = _dense_rows((den,), (den.lowest,), den_deg + 1)[0]
-        q = np.zeros(qdeg + 1, complex)
-        for k in range(qdeg, -1, -1):
-            q[k] = work[k + den_deg] / dvec[den_deg]
-            work[k : k + den_deg + 1] -= q[k] * dvec
-        if np.max(np.abs(work)) > COEFF_REL_TOL * max(scale, PRUNE_EPS):
-            raise UnsupportedDataError("division leaves a remainder")
-        qlow = self.lowest - den.lowest
-        return LaurentPoly(tuple((qlow + k, q[k]) for k in range(qdeg + 1)))
-
-    def sqrt_exact(self):
-        """Exact Laurent square root, or None when no such expression exists.
-
-        The leading coefficient takes its principal root and the rest follow
-        by back-substitution; the candidate is verified by squaring.
-        """
-        if self.is_zero:
-            return LaurentPoly()
-        lo, hi = self.lowest, self.highest
-        if lo % 2 != 0 or hi % 2 != 0:
-            return None
-        fdeg = hi - lo
-        f = _dense_rows((self,), (lo,), fdeg + 1)[0]
-        gdeg = fdeg // 2
-        g = np.zeros(gdeg + 1, complex)
-        g[0] = cmath.sqrt(f[0])
-        for k in range(1, gdeg + 1):
-            s = sum(g[i] * g[k - i] for i in range(1, k))
-            g[k] = (f[k] - s) / (2.0 * g[0])
-        cand = LaurentPoly(tuple((lo // 2 + k, g[k]) for k in range(gdeg + 1)))
-        resid = cand * cand - self
-        if resid.max_abs_coeff > COEFF_REL_TOL * max(self.max_abs_coeff, PRUNE_EPS):
-            return None
-        return cand
-
 
 def _as_poly(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
@@ -368,12 +313,6 @@ class LogTermAntiderivative(NamedTuple):
     poly_part: LaurentPoly
     log_coefficient: complex
 
-    def derivative(self) -> LaurentPoly:
-        out = self.poly_part.derivative()
-        if self.log_coefficient != 0:
-            out = out + LaurentPoly.monomial(-1, self.log_coefficient)
-        return out
-
 
 def antiderivative(p: LaurentPoly) -> LogTermAntiderivative:
     """Term-by-term antiderivative; the z**-1 term becomes the log coefficient."""
@@ -385,12 +324,6 @@ def antiderivative(p: LaurentPoly) -> LogTermAntiderivative:
         else:
             parts.append((n + 1, c / (n + 1)))
     return LogTermAntiderivative(LaurentPoly(tuple(parts)), logc)
-
-
-def circle_l2(p: LaurentPoly, r: float) -> float:
-    """Integral of |p|^2 over the circle |z| = r (orthogonality closed form)."""
-    r = _positive_radius(r)
-    return TWO_PI * sum(abs(c) ** 2 * r ** (2 * n) for n, c in p.terms)
 
 
 def trapezoid_circle(values: np.ndarray):

@@ -22,7 +22,6 @@ from .errors import (
     InadmissibleWindowError,
     MultivaluedDataError,
     NonMonotoneRayError,
-    ParityUndeterminedError,
     PreconditionError,
     SchemaError,
 )
@@ -41,6 +40,10 @@ from .laurent import (
     roots,
     winding_on_circle,
 )
+
+# The widest dense exponent span of a factor pair that from_g_pair accepts;
+# a k-fold catenoid cover spans k + 1 exponents.
+MAX_DENSE_WIDTH = 2048
 
 
 class Parity(Enum):
@@ -172,9 +175,21 @@ def from_g_pair(
 
     Admissibility means neither factor vanishes on the closed window, so the
     conformal factor is positive and the Gauss direction is defined there.
+    A pair whose dense exponent span (z^-1 and z^0 included) is wider than
+    MAX_DENSE_WIDTH raises DomainError first: the root solve and the period
+    check allocate arrays quadratic in that width.
     """
     if g_minus.is_zero or g_plus.is_zero:
         raise DomainError("square-root factors must be nonzero")
+    # period_checks' dense span: the factors' terms with z^-1 and z^0
+    gm, gp = g_minus.terms, g_plus.terms
+    lo = min(-1, gm[0][0], gp[0][0])
+    width = max(0, gm[-1][0], gp[-1][0]) - lo + 1
+    if width > MAX_DENSE_WIDTH:
+        raise DomainError(
+            f"the factor pair spans z^{lo} to z^{lo + width - 1}, a dense width of "
+            f"{width} above the limit {MAX_DENSE_WIDTH}"
+        )
     offending = [
         m for m in map(abs, roots(g_minus) + roots(g_plus))
         if window.r_inner <= m <= window.r_outer
@@ -182,30 +197,6 @@ def from_g_pair(
     if offending:
         raise InadmissibleWindowError(offending)
     return WeierstrassData(g_minus, g_plus, parity, window, float(height_offset))
-
-
-def from_fg(
-    f: LaurentPoly, g_num: LaurentPoly, g_den: LaurentPoly, window: AnnulusWindow
-) -> WeierstrassData:
-    """Build data from classical (f, g) with g = g_num/g_den rational.
-
-    The two squared combinations are z*f and z*f*g^2; the parity (and the
-    square-root pair) is recovered by attempting the exact Laurent square
-    root with and without one z shift.
-    """
-    if f.is_zero or g_num.is_zero or g_den.is_zero:
-        raise DomainError("f and g must be nonzero")
-    base_minus = f.shifted(1)
-    base_plus = (f.shifted(1) * g_num * g_num).divide_exact(g_den * g_den)
-    pair = (base_minus.sqrt_exact(), base_plus.sqrt_exact())
-    if pair[0] is not None and pair[1] is not None:
-        return from_g_pair(pair[0], pair[1], Parity.EVEN, window)
-    pair = (base_minus.shifted(-1).sqrt_exact(), base_plus.shifted(-1).sqrt_exact())
-    if pair[0] is not None and pair[1] is not None:
-        return from_g_pair(pair[0], pair[1], Parity.ODD, window)
-    raise ParityUndeterminedError(
-        "neither the direct nor the shifted square root of the data exists"
-    )
 
 
 def period_check(data: WeierstrassData) -> PeriodVerdict:

@@ -1,8 +1,10 @@
-"""Finite-difference oracle for the closed-form circle-length convexity.
+"""Oracles for the closed-form circle integrals.
 
 ``circle_length_dd`` is a closed form (Parseval).  This route takes the
 circle lengths by periodic trapezoid quadrature of |f_minus| + |f_plus|
 instead and differences them in t = ln r, so the two share no code.
+``circle_l2`` is Parseval's identity itself, the reference that the
+quadrature tests hold the trapezoid rule to.
 """
 
 import math
@@ -29,3 +31,8 @@ def circle_length_dd_fd(
     lm = length(math.exp(t - step))
     lp = length(math.exp(t + step))
     return (lp - 2.0 * l0 + lm) / step**2
+
+
+def circle_l2(p, r: float) -> float:
+    """Integral of |p|^2 over the circle |z| = r (orthogonality closed form)."""
+    return TWO_PI * sum(abs(c) ** 2 * r ** (2 * n) for n, c in p.terms)

@@ -37,7 +37,6 @@ from minann import (
     Slab,
     catenoid_cover,
     catenoid_level_length,
-    circle_l2,
     circle_length,
     circle_length_dd,
     clip_to_slab,
@@ -53,7 +52,7 @@ from minann import (
 )
 from minann.laurent import TWO_PI, LaurentPoly
 
-from fd_oracle import circle_length_dd_fd
+from fd_oracle import circle_l2, circle_length_dd_fd
 
 SEED = 20260814
 

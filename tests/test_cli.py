@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -593,6 +594,56 @@ class TestUnwritableOutput:
         assert captured.err.startswith("minann: cannot write ") and captured.out == ""
         assert target.is_dir() and list(target.iterdir()) == []
         assert list(tmp_path.rglob(".minann-*")) == []
+
+
+def _limit_address_space():
+    # Runs in the child only: a 1 GiB address space, so an allocation that
+    # grows with the factor pair's exponent span fails there, not here.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _cli_under_limit(tmp_path, *argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "minann.cli", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+
+
+COVER_ARGS = ["gen", "--family", "catenoid_cover", "--f3", "6.283185307179586", "--k"]
+
+
+class TestExponentSpanGate:
+    def _refused(self, proc, tmp_path, before):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("minann: ") and "dense width" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_check_refuses_a_data_file_with_a_huge_exponent(self, fig8_path, tmp_path):
+        doc = json.loads(Path(fig8_path).read_text())
+        doc["g_minus"].append([100000000, 1e-30, 0])
+        (tmp_path / "wide.json").write_text(json.dumps(doc))
+        before = sorted(tmp_path.iterdir())
+        proc = _cli_under_limit(tmp_path, "check", "--data", "wide.json", "--out", "verdict.json")
+        self._refused(proc, tmp_path, before)
+
+    def test_gen_refuses_a_cover_past_the_limit(self, tmp_path):
+        proc = _cli_under_limit(tmp_path, *COVER_ARGS, "20000", "--out", "cover.json")
+        self._refused(proc, tmp_path, [])
+
+    def test_cover_of_order_2000_still_generates_and_checks(self, tmp_path):
+        proc = _cli_under_limit(tmp_path, *COVER_ARGS, "2000", "--out", "cover.json")
+        assert proc.returncode == 0, proc.stderr
+        proc = _cli_under_limit(tmp_path, "check", "--data", "cover.json")
+        assert proc.returncode == 0, proc.stderr
+        verdict = loads(proc.stdout)
+        assert verdict["well_defined"] and verdict["winding_class"] == 2000
 
 
 class TestTopLevel:

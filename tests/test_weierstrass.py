@@ -10,7 +10,6 @@ from minann import weierstrass
 from minann.errors import (
     DomainError,
     InadmissibleWindowError,
-    ParityUndeterminedError,
     SchemaError,
 )
 from minann.experiments import SCENARIOS, _build, random_even_vertical_flux, random_three_term_pair
@@ -31,7 +30,6 @@ from minann.weierstrass import (
     data_from_json,
     data_to_json,
     flux,
-    from_fg,
     from_g_pair,
     gauss_winding,
     height,
@@ -105,6 +103,32 @@ class TestAssembly:
         with pytest.raises(DomainError):
             from_g_pair(LaurentPoly(), LaurentPoly({0: 1.0}), Parity.EVEN, WINDOW)
 
+    # (g- exponent, g+ exponent) at a dense width of 2048: the span holds
+    # z^-1 and z^0, and monomials have no roots to solve.
+    @pytest.mark.parametrize("gm, gp", [(1023, -1024), (2046, 2046), (-2047, -2047)])
+    def test_accepts_the_widest_span(self, gm, gp):
+        assert weierstrass.MAX_DENSE_WIDTH == 2048
+        data = from_g_pair(
+            LaurentPoly.monomial(gm), LaurentPoly.monomial(gp), Parity.ODD, WINDOW
+        )
+        assert (data.g_minus.lowest, data.g_plus.lowest) == (gm, gp)
+
+    @pytest.mark.parametrize(
+        "gm, gp", [(1024, -1024), (2047, 2047), (-2048, -2048), (-2, 2046)]
+    )
+    def test_refuses_a_wider_span(self, gm, gp):
+        with pytest.raises(DomainError, match="dense width of 2049 above the limit 2048"):
+            from_g_pair(LaurentPoly.monomial(gm), LaurentPoly.monomial(gp), Parity.EVEN, WINDOW)
+
+    def test_refuses_a_wide_span_before_solving_roots(self, monkeypatch):
+        def no_roots(p):
+            raise AssertionError("roots called")
+
+        monkeypatch.setattr(weierstrass, "roots", no_roots)
+        wide = LaurentPoly({-1: 1.0, 0: 2.0, 10**8: 1e-30})
+        with pytest.raises(DomainError, match="dense width of 100000002"):
+            from_g_pair(wide, LaurentPoly({0: 1.0}), Parity.EVEN, WINDOW)
+
 
 DIFFERENTIALS = ("phi1", "phi2", "phi3")
 
@@ -176,20 +200,6 @@ class TestDataModel:
         assert set(vars(first)) != set(vars(second))
         assert first == second and hash(first) == hash(second)
         assert _with_parity(first, Parity.ODD) != second
-
-
-class TestClassicalInput:
-    def test_catenoid_from_classical_pair(self):
-        f = LaurentPoly({-2: 1.0})
-        data = from_fg(f, LaurentPoly({1: 1.0}), LaurentPoly({0: 1.0}), WINDOW)
-        assert data.parity is Parity.ODD
-        assert data.f_minus.terms == ((-1, 1.0 + 0j),)
-        assert data.f_plus.terms == ((1, 1.0 + 0j),)
-
-    def test_rejects_non_square_data(self):
-        f = LaurentPoly({0: 1.0, 1: 1.0})
-        with pytest.raises(ParityUndeterminedError):
-            from_fg(f, LaurentPoly({1: 1.0}), LaurentPoly({0: 1.0}), WINDOW)
 
 
 class TestImmersion:
