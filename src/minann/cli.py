@@ -241,15 +241,19 @@ def cmd_measure(args) -> int:
     return 0
 
 
+# One node of the trace CSV: theta, r, x1, x2, x3, each to 17 significant digits.
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
+
 def cmd_trace(args) -> int:
     data = load_data(args.data)
     curves = trace_levels(data, args.height, args.theta_nodes)
     if args.csv:
-        lines = ["theta,r,x1,x2,x3"]
+        parts = ["theta,r,x1,x2,x3\n"]
         for curve in curves:
-            for node in curve.nodes:
-                lines.append(",".join("%.17g" % v for v in node))
-        atomic_write(args.csv, "\n".join(lines) + "\n")
+            rows = np.column_stack((curve.theta, curve.r, curve.points))
+            parts.append(_CSV_ROW * len(rows) % tuple(rows.ravel().tolist()))
+        atomic_write(args.csv, "".join(parts))
     if args.svg:
         profile = length_profile(data, n_grid=64) if args.inset else None
         atomic_write(args.svg, level_curves_svg(curves, profile))

@@ -246,16 +246,24 @@ class LaurentPoly:
 
         w is read only when an exponent is negative.  Callers that evaluate
         several expressions at the same points check them and form w once.
+        The sums run in place, the products not: numpy multiplies a one-element
+        complex array into itself by its scalar rule, off its array loop's bits.
         """
         pos, neg = self._split
-        out = np.full(arr.shape, pos[-1], dtype=complex)
-        for c in pos[-2::-1]:
-            out = out * arr + c
+        if pos.size == 1:
+            out = np.full(arr.shape, pos[0], dtype=complex)
+        else:
+            out = pos[-1] * arr
+            for c in pos[-2:0:-1]:
+                out += c
+                out = out * arr
+            out += pos[0]
         if neg.size:
-            acc = np.full(arr.shape, neg[-1], dtype=complex)
+            acc = np.multiply(neg[-1], w)  # the array loop, also for a scalar w
             for c in neg[-2::-1]:
-                acc = acc * w + c
-            out = out + acc * w
+                acc += c
+                acc = acc * w
+            out += acc
         return out
 
     __call__ = evaluate

@@ -37,6 +37,8 @@ LEVEL_SOLVE_MAX_STEPS = 64  # covers pure bisection of any window down to round-
 LEVEL_HEIGHT_TOL = 1e-9
 MAX_SOLVE_RAYS = 4096  # rays per batched level solve; bounds its peak memory
 CROSSING_MERGE_TOL = 1e-9
+CROSSING_BLOCK_PAIRS = 1 << 18  # candidate pairs per block of a crossing sweep
+CROSSING_MERGE_PAIRS = 1 << 24  # most swept pairs the crossing merge takes on
 TRAVERSAL_TOL = 1e-9  # node repeat distance, relative to the largest coordinate
 # Root distance, relative to the modulus, at which a zero of g_- and one of
 # g_+ count as one common zero; wide enough for the spread of a double root.
@@ -278,18 +280,19 @@ def _ray_setup(data: WeierstrassData, thetas: bytes) -> _Rays:
 def _ray_height(modes, t: np.ndarray):
     """Height and d(height)/dt at log radii t (rows of rays) from ray modes.
 
-    Both sums share one array of e^{n t}, in real arithmetic.  Every element
-    adds its terms in the same order, so a row never depends on its batch.
-    With no polynomial part, d(height)/dt is the number Re(c).
+    Both sums share one array of e^{n t}, in real arithmetic; its row n turns
+    into A_n e^{n t}, then n A_n e^{n t}, in place.  Every element adds its
+    terms in the same order, so a row never depends on its batch.
     """
     exponents, amplitudes, log_slope, offset = modes
     powers = np.exp(exponents[:, None, None] * t)
     value = log_slope * t + offset
-    slope = log_slope
+    slope = np.full(t.shape, log_slope)
     for n, a, e in zip(exponents, amplitudes, powers):
-        term = a * e
-        value += term
-        slope = slope + n * term
+        e *= a
+        value += e
+        e *= n
+        slope += e
     return value, slope
 
 
@@ -312,7 +315,7 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, rays: _Rays):
     # Every iterate stays in [lo, hi]; inside [-1, 1] the freeze scale
     # max(1, |t|) is exactly 1 on every ray, so its tolerances are numbers.
     unit_scale = -1.0 <= lo and hi <= 1.0
-    step_tol, gap_tol = LEVEL_SOLVE_TOL, 4.0 * np.spacing(1.0)
+    scale, step_tol = 1.0, LEVEL_SOLVE_TOL
     # Every ray is evaluated at every step but only active rays move, so a
     # frozen ray keeps the bits it had when its own test froze it.
     for _ in range(LEVEL_SOLVE_MAX_STEPS):
@@ -326,10 +329,13 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, rays: _Rays):
         newton = (t_new >= tlo) & (t_new <= thi)
         if not unit_scale:
             scale = np.maximum(1.0, np.abs(t))
-            step_tol, gap_tol = LEVEL_SOLVE_TOL * scale, 4.0 * np.spacing(scale)
+            step_tol = LEVEL_SOLVE_TOL * scale
         done = newton & (np.abs(step) <= step_tol)
-        done |= thi - tlo <= gap_tol
         if not newton.all():
+            # On a step where every ray takes Newton, t is an end of its
+            # bracket and t_new lies in it, so |step| <= thi - tlo: a bracket
+            # 4 ulps narrow has frozen its ray on the step test already.
+            done |= thi - tlo <= 4.0 * np.spacing(scale)
             t_new = np.where(newton, t_new, 0.5 * (tlo + thi))
         np.copyto(t, t_new, where=active)
         active &= ~done
@@ -355,6 +361,18 @@ def _periodic_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n, axis=-1)
 
 
+class _TracedPoints:
+    """A trace_levels call's z = r e^{i theta}, a row per level; immersed on first read."""
+
+    def __init__(self, data: WeierstrassData, z: np.ndarray):
+        self.data = data
+        self.z = z
+
+    @cached_property
+    def rows(self) -> np.ndarray:  # shape (levels, n, 3)
+        return _immersion(self.data).point(self.z)
+
+
 @dataclass(frozen=True, eq=False)
 class LevelCurve:
     """A traced level: uniform theta nodes, solved radii, immersion points.
@@ -364,7 +382,8 @@ class LevelCurve:
     embedded circle reports multiplicity k and zero self-intersections.
     The immersion points, multiplicity and crossings are computed on first
     access and cached, so callers that read only ``length`` never pay for
-    them.
+    them.  ``points`` is row ``row`` of the immersion of the whole traced
+    batch, which the first read on any of its curves evaluates.
     """
 
     h: float
@@ -372,35 +391,29 @@ class LevelCurve:
     r: np.ndarray
     length: float
     data: WeierstrassData = field(repr=False)
+    batch: _TracedPoints = field(repr=False)
+    row: int = field(repr=False)
 
     @cached_property
     def points(self) -> np.ndarray:  # shape (n, 3)
-        return _immersion(self.data).point(self.r * np.exp(1j * self.theta))
+        return self.batch.rows[self.row]
 
     @cached_property
     def multiplicity(self) -> int:
         return traversal_multiplicity(self.points)
 
     @cached_property
-    def _crossings(self) -> tuple[int, tuple[tuple[float, float], ...]]:
+    def _crossings(self) -> np.ndarray:  # shape (count, 2)
         one_traversal = self.points[: len(self.points) // self.multiplicity, :2]
-        count, pts2d = planar_self_intersections(one_traversal)
-        return count, tuple(pts2d)
+        return planar_self_intersections(one_traversal)[1]
 
     @property
     def self_intersections(self) -> int:
-        return self._crossings[0]
+        return len(self._crossings)
 
-    @property
+    @cached_property
     def crossing_points(self) -> tuple[tuple[float, float], ...]:
-        return self._crossings[1]
-
-    @property
-    def nodes(self) -> list[tuple[float, float, float, float, float]]:
-        return [
-            (float(t), float(rr), float(p[0]), float(p[1]), float(p[2]))
-            for t, rr, p in zip(self.theta, self.r, self.points)
-        ]
+        return tuple(map(tuple, self._crossings.tolist()))
 
 
 def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[LevelCurve]:
@@ -409,9 +422,12 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
     Each curve length integrates the conformal factor against the exact
     parameter speed sqrt(r'^2 + r^2); r' comes from spectral differentiation
     of the level_radii rows, taken per solve batch, row by row, so each curve
-    equals its one-height trace bit for bit.  Planar self-crossings are
-    counted transversally when a returned curve is first asked for them.  The
-    solve's residual check keeps every node within LEVEL_HEIGHT_TOL of its level.
+    equals its one-height trace bit for bit.  The points z = r e^{i theta} of
+    all levels are formed once; the conformal factor reads them per solve
+    batch, and the first read of any curve's ``points`` immerses them all.
+    Planar self-crossings are counted transversally when a curve is first
+    asked for them.  The solve's residual check keeps every node within
+    LEVEL_HEIGHT_TOL of its level.
     """
     n_theta = _node_count(n_theta)
     heights = np.asarray(heights, dtype=float)
@@ -422,15 +438,18 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
     grid = _theta_grid(n_theta)
     radii = level_radii(data, heights, grid)
     rays = _ray_setup(data, grid.tobytes())  # the entry level_radii just used
+    traced = _TracedPoints(data, radii * rays.phase)
     step = _levels_per_solve(n_theta)
     curves = []
     for i in range(0, heights.size, step):
         batch = radii[i : i + step]
-        lam = metric_lambda_samples(data, batch * rays.phase)
+        lam = metric_lambda_samples(data, traced.z[i : i + step])
         dr = _periodic_derivative(batch)
         lengths = trapezoid_circle(lam * np.sqrt(dr**2 + batch**2))
-        for h, r, length in zip(heights[i : i + step].tolist(), batch, lengths.tolist()):
-            curves.append(LevelCurve(h=h, theta=rays.theta, r=r, length=length, data=data))
+        for row, (h, r, length) in enumerate(
+            zip(heights[i : i + step].tolist(), batch, lengths.tolist()), start=i
+        ):
+            curves.append(LevelCurve(h, rays.theta, r, length, data, traced, row))
     return curves
 
 
@@ -439,16 +458,36 @@ def trace_level(data: WeierstrassData, h: float, n_theta: int = 512) -> LevelCur
     return trace_levels(data, [h], n_theta)[0]
 
 
-def planar_self_intersections(xy: np.ndarray) -> tuple[int, list[tuple[float, float]]]:
-    """Count transversal self-crossings of a closed polyline.
+def _swept_pairs(end: np.ndarray):
+    """The pairs (k, m) of sorted positions with k < m < end[k], in blocks of
+    whole positions that hold at most CROSSING_BLOCK_PAIRS pairs each (or one
+    position whose run alone is longer), as (first, second) index arrays."""
+    n = end.size
+    run = end - np.arange(n) - 1
+    total = np.cumsum(run)
+    k0 = 0
+    while k0 < n:
+        before = int(total[k0 - 1]) if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(total, before + CROSSING_BLOCK_PAIRS, side="right")))
+        r = run[k0:k1]
+        first = np.repeat(np.arange(k0, k1), r)
+        yield first, first + 1 + np.arange(first.size) - np.repeat(np.cumsum(r) - r, r)
+        k0 = k1
+
+
+def planar_self_intersections(xy: np.ndarray) -> tuple[int, np.ndarray]:
+    """Count transversal self-crossings of a closed polyline; returns the
+    count and the crossing points, shape (count, 2).
 
     Candidate segment pairs come from a sort-and-sweep over x (Shamos & Hoey
     1976): with segments sorted by their lower x, the segments whose x-range
     overlaps one segment's are a contiguous run after it, found by binary
     search.  The y-overlap, adjacency and strict orientation tests then run
     on the candidates only, so the cost is O(n log n + k) for k candidates
-    instead of O(n^2).  Crossings are visited in (i, j) order of their
-    segment indices and merged within CROSSING_MERGE_TOL, so a crossing shared by
+    instead of O(n^2), and the candidates are taken in blocks of at most
+    CROSSING_BLOCK_PAIRS, so memory grows with the crossings found, not with
+    k.  Crossings are visited in (i, j) order of their segment indices and
+    merged within CROSSING_MERGE_TOL (``_merged``), so a crossing shared by
     neighbouring segment pairs counts once.
     """
     p = np.asarray(xy, dtype=float)
@@ -461,38 +500,74 @@ def planar_self_intersections(xy: np.ndarray) -> tuple[int, list[tuple[float, fl
     # Sorted position k overlaps in x every later position m < end[k]; the
     # reverse condition lo_x[k] <= hi_x[m] holds because lo_x is sorted.
     end = np.searchsorted(lo_x, hi[order, 0] + CROSSING_MERGE_TOL, side="right")
-    run = end - np.arange(n) - 1
-    first = np.repeat(np.arange(n), run)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(run) - run, run)
-    i_idx = np.minimum(order[first], order[second])
-    j_idx = np.maximum(order[first], order[second])
-    keep = (j_idx - i_idx >= 2) & ~((i_idx == 0) & (j_idx == n - 1))  # adjacency
-    keep &= lo[i_idx, 1] <= hi[j_idx, 1] + CROSSING_MERGE_TOL
-    keep &= lo[j_idx, 1] <= hi[i_idx, 1] + CROSSING_MERGE_TOL
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    keys, xs, ys = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
+    for first, second in _swept_pairs(end):
+        i_idx = np.minimum(order[first], order[second])
+        j_idx = np.maximum(order[first], order[second])
+        keep = (j_idx - i_idx >= 2) & ~((i_idx == 0) & (j_idx == n - 1))  # adjacency
+        keep &= lo[i_idx, 1] <= hi[j_idx, 1] + CROSSING_MERGE_TOL
+        keep &= lo[j_idx, 1] <= hi[i_idx, 1] + CROSSING_MERGE_TOL
+        i_idx, j_idx = i_idx[keep], j_idx[keep]
+        a, b, c, d = p[i_idx], q[i_idx], p[j_idx], q[j_idx]
+        ab = b - a
+        cd = d - c
+        d1 = _cross2(ab, c - a)
+        d2 = _cross2(ab, d - a)
+        d3 = _cross2(cd, a - c)
+        d4 = _cross2(cd, b - c)
+        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        d1, d2, c, cd = d1[hit], d2[hit], c[hit], cd[hit]
+        s = d1 / (d1 - d2)
+        keys.append(i_idx[hit] * n + j_idx[hit])
+        xs.append(c[:, 0] + s * cd[:, 0])
+        ys.append(c[:, 1] + s * cd[:, 1])
+    # Each segment pair is swept once, so the keys are distinct and this is
+    # the (i, j) order.
+    rank = np.argsort(np.concatenate(keys))
+    xs, ys = np.concatenate(xs)[rank], np.concatenate(ys)[rank]
+    kept = _merged(xs, ys)
+    return int(kept.sum()), np.stack((xs[kept], ys[kept]), axis=-1)
 
-    a, b, c, d = p[i_idx], q[i_idx], p[j_idx], q[j_idx]
-    ab = b - a
-    cd = d - c
 
-    def cross2(u, v):
-        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
-    d1 = cross2(ab, c - a)
-    d2 = cross2(ab, d - a)
-    d3 = cross2(cd, a - c)
-    d4 = cross2(cd, b - c)
-    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-    rank = np.lexsort((j_idx[hit], i_idx[hit]))
-    d1, d2, c, cd = d1[hit][rank], d2[hit][rank], c[hit][rank], cd[hit][rank]
-    s = d1 / (d1 - d2)
-    xs = c[:, 0] + s * cd[:, 0]
-    ys = c[:, 1] + s * cd[:, 1]
-    merged: list[tuple[float, float]] = []
-    for pt in zip(xs.tolist(), ys.tolist()):
-        if all(math.hypot(pt[0] - m[0], pt[1] - m[1]) > CROSSING_MERGE_TOL for m in merged):
-            merged.append(pt)
-    return len(merged), merged
+
+def _merged(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mask of the points kept by the greedy merge: in order, a point is kept
+    unless math.hypot puts it within CROSSING_MERGE_TOL of a kept earlier one.
+
+    Only pairs within 2 * CROSSING_MERGE_TOL in both coordinates can be that
+    close; they come from a sweep over x as in planar_self_intersections,
+    and only they are measured, in order of their later point.  More than
+    CROSSING_MERGE_PAIRS pairs in the sweep raises NumericalError: points
+    that dense (millions of chords of an undersampled many-fold level) have
+    no exact merge in bounded time.
+    """
+    kept = np.ones(xs.size, dtype=bool)
+    order = np.argsort(xs, kind="stable")
+    sorted_x = xs[order]
+    box = 2.0 * CROSSING_MERGE_TOL
+    end = np.searchsorted(sorted_x, sorted_x + box, side="right")
+    swept = int(end.sum()) - xs.size * (xs.size + 1) // 2
+    if swept > CROSSING_MERGE_PAIRS:
+        raise NumericalError(
+            f"{xs.size} crossings lie too densely to merge: {swept} pairs within "
+            f"{box:g} in x, above the limit {CROSSING_MERGE_PAIRS}"
+        )
+    close = [np.empty((0, 2), dtype=np.intp)]
+    for first, second in _swept_pairs(end):
+        early = np.minimum(order[first], order[second])
+        late = np.maximum(order[first], order[second])
+        near = np.abs(ys[late] - ys[early]) <= box
+        close.append(np.stack((late[near], early[near]), axis=-1))
+    pairs = np.concatenate(close)
+    late, early = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+    dx, dy = (xs[late] - xs[early]).tolist(), (ys[late] - ys[early]).tolist()
+    for k, m, gap in zip(late.tolist(), early.tolist(), map(math.hypot, dx, dy)):
+        if kept[m] and kept[k]:
+            kept[k] = gap > CROSSING_MERGE_TOL
+    return kept
 
 
 def traversal_multiplicity(points: np.ndarray) -> int:
@@ -595,11 +670,17 @@ def total_curvature(
     z = np.array([[window.r_inner], [window.r_outer]]) * np.exp(1j * _theta_grid(n_theta))
     num = np.zeros(z.shape)
     den = np.zeros(z.shape)
-    for g in (data.g_minus, data.g_plus):
-        v = g.evaluate(z)
-        num += (z * g.derivative().evaluate(z) * v.conj()).real
-        den += v.real**2 + v.imag**2
-    inner, outer = 2.0 * trapezoid_circle(num / den)
+    # A factor too large for float64 on a window circle (r^k past 1e308 for a
+    # high cover) overflows here; the finiteness check below reports it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for g in (data.g_minus, data.g_plus):
+            v = g.evaluate(z)
+            num += (z * g.derivative().evaluate(z) * v.conj()).real
+            den += v.real**2 + v.imag**2
+        integrand = num / den
+    if not np.isfinite(integrand).all():
+        raise NumericalError("the total curvature integrand is not finite on a window circle")
+    inner, outer = 2.0 * trapezoid_circle(integrand)
     return -float(outer - inner)
 
 

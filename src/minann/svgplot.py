@@ -34,7 +34,10 @@ def _fmt(x: float) -> str:
 
 
 def _polyline(points, stroke: str, width: float, dash: str | None = None) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    # One format for all points.  A "-" only starts a value and every value
+    # has six decimals, so each "-0.000000" is a whole value: _fmt's rule.
+    coords = ("%.6f,%.6f " * len(points) % tuple(v for pt in points for v in pt))[:-1]
+    coords = coords.replace("-0.000000", "0.000000")
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<polyline fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"'

@@ -289,7 +289,12 @@ def flux(data: WeierstrassData) -> FluxVector:
 
 
 class _Immersion:
-    """Cached antiderivatives and normalization shifts for one data set."""
+    """Cached antiderivatives and normalization shifts for one data set.
+
+    Its evaluators take complex points that are already checked (the public
+    ``height`` and ``immerse`` check them where they come in) and form 1/z
+    once per call.
+    """
 
     def __init__(self, data: WeierstrassData):
         self.data = data
@@ -311,18 +316,19 @@ class _Immersion:
         if abs(part.log_coefficient.imag) > COEFF_REL_TOL * self.scales[idx]:
             raise MultivaluedDataError(exc)
 
-    def coordinate(self, idx: int, z: np.ndarray) -> np.ndarray:
+    def coordinate(self, idx: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Coordinate idx at checked complex points z, with w = 1/z."""
         part = self.parts[idx]
-        val = part.poly_part.evaluate(z).real if not part.poly_part.is_zero else 0.0
+        val = part.poly_part._horner(z, w).real if not part.poly_part.is_zero else 0.0
         val = val + part.log_coefficient.real * np.log(np.abs(z))
         val = val - self.shifts[idx]
         if idx == 2:
             val = val + self.data.height_offset
         return val
 
-    def height(self, z) -> np.ndarray:
+    def height(self, z: np.ndarray) -> np.ndarray:
         self._check_single_valued(2, "the vertical log coefficient is not real")
-        return self.coordinate(2, np.asarray(z, dtype=complex))
+        return self.coordinate(2, z, 1.0 / z)
 
     def ray_modes(self, phase: np.ndarray):
         """The height on the rays z = e^{t + i theta_j} as real exponential sums in t.
@@ -342,12 +348,12 @@ class _Immersion:
         offset = self.data.height_offset - self.shifts[2]
         return exponents, amplitudes, part.log_coefficient.real, offset
 
-    def point(self, z) -> np.ndarray:
+    def point(self, z: np.ndarray) -> np.ndarray:
         self._check_single_valued(2, "the vertical log coefficient is not real")
         for idx in (0, 1):
             self._check_single_valued(idx, "a horizontal log coefficient is not real")
-        zarr = np.asarray(z, dtype=complex)
-        coords = [self.coordinate(idx, zarr) + np.zeros(zarr.shape) for idx in range(3)]
+        w = 1.0 / z
+        coords = [self.coordinate(idx, z, w) + np.zeros(z.shape) for idx in range(3)]
         return np.stack(coords, axis=-1)
 
     @cached_property

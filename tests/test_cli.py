@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from minann import SCENARIOS, catenoid_area, CatenoidParams, Slab, data_from_json, figure_eight
-from minann.cli import main, parse_complex, parse_param
+from minann import svgplot
+from minann.cli import load_data, main, parse_complex, parse_param
+from minann.measures import trace_levels
 
 def loads(text):
     """Parse CLI output as RFC 8259 JSON: a NaN or Infinity token fails."""
@@ -328,6 +330,53 @@ class TestTrace:
         assert first == second
         assert first.startswith(b'<?xml version="1.0"')
         assert b"<svg" in first
+
+
+def _csv_per_value(curves):
+    """The trace CSV written one node and one value at a time."""
+    lines = ["theta,r,x1,x2,x3"]
+    for curve in curves:
+        for t, rr, p in zip(curve.theta, curve.r, curve.points):
+            node = (float(t), float(rr), float(p[0]), float(p[1]), float(p[2]))
+            lines.append(",".join("%.17g" % v for v in node))
+    return "\n".join(lines) + "\n"
+
+
+def _polyline_per_value(points, stroke, width, dash=None):
+    coords = " ".join(f"{svgplot._fmt(x)},{svgplot._fmt(y)}" for x, y in points)
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<polyline fill="none" stroke="{stroke}" stroke-width="{svgplot._fmt(width)}"'
+        f'{dash_attr} points="{coords}" />'
+    )
+
+
+class TestTraceWriters:
+    @pytest.mark.parametrize("n_theta", [512, 4096])
+    def test_csv_equals_per_value_formatting(self, fig8_path, tmp_path, n_theta, capsys):
+        csv = tmp_path / "levels.csv"
+        heights = ["--height=-0.2", "--height=0.0", "--height=0.2"]
+        args = ["--theta-nodes", str(n_theta), "trace", "--data", fig8_path, *heights]
+        assert main(args + ["--csv", str(csv)]) == 0
+        curves = trace_levels(load_data(fig8_path), [-0.2, 0.0, 0.2], n_theta)
+        assert csv.read_text() == _csv_per_value(curves)
+
+    def test_polyline_equals_per_value_formatting_on_catalog_levels(self):
+        data = figure_eight(1.0, 1.0)
+        for curve in trace_levels(data, [-0.2, 0.0, 0.2], 4096):
+            pts = [(float(p[0]), float(p[1])) for p in curve.points]
+            assert svgplot._polyline(pts, "#1f77b4", 1.5) == _polyline_per_value(
+                pts, "#1f77b4", 1.5
+            )
+
+    def test_negative_zero_is_rewritten_in_every_position(self):
+        # Rounding to -0.000000 at the start, after a comma and after a space,
+        # next to values that only start with "-0." or end in "0.000000".
+        pts = [(-4e-7, -1e-9), (-0.0, 2.5), (-10.0, -0.0000004), (-0.5, 100.0000001)]
+        got = svgplot._polyline(pts, "#000000", 1.2, dash="4,3")
+        assert got == _polyline_per_value(pts, "#000000", 1.2, dash="4,3")
+        assert 'points="0.000000,0.000000 0.000000,2.500000 -10.000000,0.000000 ' in got
+        assert svgplot._polyline([], "#000000", 1.0) == _polyline_per_value([], "#000000", 1.0)
 
 
 class TestCompare:
@@ -657,3 +706,36 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestHighCovers:
+    def test_curvature_overflow_exits_3_without_warnings(self, tmp_path):
+        proc = _cli_under_limit(tmp_path, *COVER_ARGS, "1000", "--out", "cover.json")
+        assert proc.returncode == 0, proc.stderr
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "minann.cli",
+             "measure", "--data", "cover.json", "--kind", "curvature"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("minann: numerical failure: ")
+        assert "not finite" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_undersampled_cover_level_fails_cleanly_in_one_gib(self, tmp_path):
+        # At 4096 nodes a 2047-fold level is a star polygon of 8.4 million
+        # crossings about 1e-10 apart near its centre: the candidate sweep
+        # fits in the limit, and the merge refuses instead of running on.
+        proc = _cli_under_limit(tmp_path, *COVER_ARGS, "2047", "--out", "cover.json")
+        assert proc.returncode == 0, proc.stderr
+        proc = _cli_under_limit(tmp_path, "trace", "--data", "cover.json", "--height", "0")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("minann: numerical failure: ")
+        assert "too densely" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""

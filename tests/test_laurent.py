@@ -31,6 +31,7 @@ from minann.laurent import (
 )
 
 from fd_oracle import circle_l2
+from horner_oracle import split_horner
 
 
 # Quadrature oracles: the closed forms of the package are checked against
@@ -139,6 +140,53 @@ class TestAlgebra:
 
 def _bits(values):
     return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
+
+
+class TestInPlaceHorner:
+    # Only positive, only negative, one term each way, a constant, and mixed
+    # exponents with gaps and a zero top coefficient of the z part.
+    CASES = {
+        "positive": LaurentPoly({0: 1 - 2j, 1: 0.5, 3: -3 + 1j, 4: 2j}),
+        "positive_no_constant": LaurentPoly({2: 1.5, 5: -1j}),
+        "negative": LaurentPoly({-1: 2 + 1j, -2: -0.25, -4: 3j}),
+        "one_positive_term": LaurentPoly({3: 1 + 1j}),
+        "one_negative_term": LaurentPoly({-2: -2 + 0.5j}),
+        "constant": LaurentPoly.constant(0.75 - 0.5j),
+        "mixed": LaurentPoly({-3: 1j, -1: -0.5, 0: 2.0, 2: 1 - 1j, 6: 0.125j}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_the_reference_split_horner_bit_for_bit(self, name):
+        p = self.CASES[name]
+        rng = np.random.default_rng(7)
+        # One-element arrays included: numpy multiplies them in place by its
+        # scalar rule, which can differ from its array loop in the last bit.
+        for shape in ((), (1,), (1, 1), (2,), (37,), (3, 512)):
+            mag = np.exp(rng.uniform(-2.0, 2.0, shape))
+            z = np.asarray(mag * np.exp(1j * rng.uniform(0.0, TWO_PI, shape)))
+            w = 1.0 / z
+            want = split_horner(p, z, w)
+            got = p._horner(z, w)
+            assert np.shape(got) == np.shape(want)
+            assert _bits(np.ravel(got)) == _bits(np.ravel(want))
+            value = p.evaluate(z if shape else complex(z))
+            assert _bits(np.ravel(value)) == _bits(np.ravel(want))
+
+    @given(
+        terms=st.dictionaries(
+            st.integers(-6, 6),
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_polynomials_match_bit_for_bit(self, terms, seed):
+        p = LaurentPoly(terms)
+        rng = np.random.default_rng(seed)
+        z = np.exp(rng.uniform(-1.0, 1.0, 64) + 1j * rng.uniform(0.0, TWO_PI, 64))
+        assert _bits(p._horner(z, 1.0 / z)) == _bits(split_horner(p, z, 1.0 / z))
 
 
 class TestDenseRows:

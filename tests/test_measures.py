@@ -2,6 +2,12 @@
 
 import cmath
 import math
+import os
+import resource
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +21,10 @@ from minann.errors import (
     HeightRangeError,
     MultivaluedDataError,
     NonMonotoneRayError,
+    NumericalError,
 )
 from minann.experiments import (
+    SCENARIOS,
     classify_levels,
     compare_lengths,
     random_even_vertical_flux,
@@ -57,11 +65,13 @@ from minann.weierstrass import (
     flux,
     from_g_pair,
     height,
+    immerse,
     period_check,
     metric_lambda_samples,
     winding_class,
 )
 
+from crossing_oracle import crossings_reference, greedy_merge
 from fd_oracle import circle_length_dd_fd
 from golden_oracle import waist_height_sequential
 from level_solve_oracle import level_radii_reference
@@ -280,16 +290,6 @@ class TestLevels:
             f3 = flux(data).f3
             for h in (-0.2, -0.05, 0.1, 0.25):
                 assert trace_level(data, h, 512).length >= f3 * (1.0 - 1e-12)
-
-    def test_nodes_schema(self):
-        data = figure_eight(1.0, 1.0)
-        curve = trace_level(data, 0.05, 64)
-        nodes = curve.nodes
-        assert len(nodes) == 64
-        theta, r, x1, x2, x3 = nodes[0]
-        assert theta == pytest.approx(0.0)
-        pt = np.array([x1, x2, x3])
-        assert np.allclose(pt[2], 0.05, atol=1e-8)
 
 
 class TestAreas:
@@ -659,6 +659,14 @@ def _all_pairs_crossings(xy, merge_tol=measures.CROSSING_MERGE_TOL):
     return len(merged), merged
 
 
+def _as_lists(crossings):
+    """planar_self_intersections' (count, (count, 2) array) in the reference's
+    (count, list of (x, y) tuples) form, every float kept."""
+    count, points = crossings
+    assert points.shape == (count, 2)
+    return count, [tuple(p) for p in points.tolist()]
+
+
 # Small integer grids give many crossings, repeated points, and collinear or
 # touching segments; the scaled variant moves them off exact binary values.
 _grid_polylines = st.lists(
@@ -680,7 +688,7 @@ class TestCrossingKernel:
     @settings(max_examples=300, deadline=None)
     def test_matches_all_pairs_reference(self, polyline):
         xy = np.array(polyline, dtype=float)
-        assert planar_self_intersections(xy) == _all_pairs_crossings(xy)
+        assert _as_lists(planar_self_intersections(xy)) == _all_pairs_crossings(xy)
 
     @pytest.mark.parametrize("n_theta", [512, 4096])
     def test_matches_reference_on_figure_eight_traces(self, n_theta):
@@ -689,7 +697,7 @@ class TestCrossingKernel:
             xy = trace_level(data, h, n_theta).points[:, :2]
             count, points = planar_self_intersections(xy)
             assert count == 1
-            assert (count, points) == _all_pairs_crossings(xy)
+            assert _as_lists((count, points)) == _all_pairs_crossings(xy)
 
 
 class TestLazyCrossings:
@@ -1019,12 +1027,21 @@ class TestLevelSolve:
     )
     @pytest.mark.parametrize(
         "data",
-        [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, TWO_PI)[0]],
-        ids=["figure_eight", "perturbed_two_cover", "catenoid_2_cover"],
+        [
+            figure_eight(1.0, 1.0),
+            perturbed_two_cover(1.0, 0.05),
+            perturbed_two_cover(1.0, 0.2),
+            catenoid_cover(2, TWO_PI)[0],
+            _offset_figure_eight(),
+        ],
+        ids=["figure_eight", "perturbed_two_cover", "perturbed_two_cover_0.2",
+             "catenoid_2_cover", "figure_eight_offset"],
     )
     def test_equals_the_reference_loop_bit_for_bit(self, data, slope_factor, monkeypatch):
         # The figure-eight's and the 2-cover's log spans lie in [-1, 1], the
-        # perturbed cover's does not.  Heights on and 1e-7 inside the range
+        # perturbed covers' do not (|t| up to 2.64 and 1.25).  The solve tests
+        # bracket width only on steps where some ray bisects, the reference
+        # on every step.  Heights on and 1e-7 inside the range
         # ends collapse brackets.  A slope shrunk by 0.3 makes Newton steps
         # overshoot, so rays mix Newton steps and bisection; a reversed slope
         # sends every Newton step out of its bracket, so every ray bisects
@@ -1431,3 +1448,192 @@ class TestAttainedRange:
         clip_to_slab(data, Slab(-0.2, 0.2))
         clip_to_slab(data, Slab(-5.0, 5.0))
         assert sorted(calls) == [data.window.r_inner, data.window.r_outer]
+
+
+def _immersion_calls(monkeypatch):
+    """A list that gets one entry per _Immersion.point call, with its shape."""
+    calls = []
+    point = weierstrass._Immersion.point
+
+    def counted(self, z):
+        calls.append(np.shape(z))
+        return point(self, z)
+
+    monkeypatch.setattr(weierstrass._Immersion, "point", counted)
+    return calls
+
+
+class TestTracedBatchPoints:
+    @pytest.mark.parametrize(
+        "data",
+        [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, TWO_PI)[0]],
+        ids=["figure_eight", "perturbed_two_cover", "catenoid_2_cover"],
+    )
+    @pytest.mark.parametrize("levels", [1, 8, 9])
+    def test_rows_equal_immerse_bit_for_bit(self, data, levels):
+        lo, hi = attained_height_range(data)
+        heights = np.linspace(lo, hi, levels + 2)[1:-1]
+        for curve in trace_levels(data, heights, 512):
+            want = immerse(data, curve.r * np.exp(1j * curve.theta))
+            assert curve.points.shape == (512, 3)
+            assert curve.points.tobytes() == want.tobytes()
+
+    def test_cli_trace_case_at_4096_nodes(self):
+        data = figure_eight(1.0, 1.0)
+        for curve in trace_levels(data, [-0.2, 0.0, 0.2], 4096):
+            want = immerse(data, curve.r * np.exp(1j * curve.theta))
+            assert curve.points.tobytes() == want.tobytes()
+
+    def test_one_immersion_call_per_trace_and_none_for_lengths(self, monkeypatch):
+        calls = _immersion_calls(monkeypatch)
+        data = figure_eight(1.0, 1.0)
+        curves = trace_levels(data, np.linspace(-0.2, 0.2, 9), 512)
+        assert calls == []
+        curves[-1].points
+        assert calls == [(9, 512)]
+        for curve in curves:
+            curve.points
+        assert calls == [(9, 512)]
+        # The waist search and the length comparisons read lengths only.
+        waist_height(data, Slab(-0.2, 0.2), n_theta=128)
+        cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=1)
+        compare_lengths(data, cat, Slab(-0.2, 0.2), 5, expect="above", n_theta=128)
+        assert calls == [(9, 512)]
+
+    def test_classify_levels_evaluates_its_nine_levels_once(self, monkeypatch):
+        calls = _immersion_calls(monkeypatch)
+        report = classify_levels(figure_eight(1.0, 1.0), Slab(-0.2, 0.2), 9, 1, 512)
+        assert report.all_pass
+        assert calls == [(9, 512)]
+
+
+class TestCurvatureOverflow:
+    def test_high_cover_raises_instead_of_returning_nan(self):
+        data, _ = catenoid_cover(1000, TWO_PI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="not finite"):
+                total_curvature(data)
+
+    def test_finite_covers_keep_their_value(self):
+        data, _ = catenoid_cover(500, TWO_PI)
+        assert total_curvature(data) == pytest.approx(-4.0 * math.pi * 500, rel=1e-9)
+
+
+def _catalog_polylines():
+    """The one-traversal polyline of every level the catalog counts crossings on."""
+    seen = []
+    kernel = measures.planar_self_intersections
+
+    def record(xy):
+        seen.append(np.array(xy))
+        return kernel(xy)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "planar_self_intersections", record)
+        for name in sorted(SCENARIOS):
+            run_scenario(name, n_theta=512)
+    return seen
+
+
+def _family_polylines():
+    """Nine levels across the attained range of each catalog family, at the
+    traced and the CLI node count, and of a 3-fold cover at 512 nodes, which
+    do not divide into its three traversals: 1024 crossings of near-copies."""
+    cases = [
+        (data, n_theta)
+        for data in (figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, 4.0)[0])
+        for n_theta in (512, 4096)
+    ]
+    polylines = []
+    for data, n_theta in cases + [(catenoid_cover(3, 4.0)[0], 512)]:
+        lo, hi = attained_height_range(data)
+        for curve in trace_levels(data, np.linspace(lo, hi, 11)[1:-1], n_theta):
+            polylines.append(curve.points[: n_theta // curve.multiplicity, :2])
+    return polylines
+
+
+def _bits2(points):
+    return [(x.hex(), y.hex()) for x, y in points]
+
+
+class TestBlockedCrossings:
+    def test_catalog_levels_equal_the_one_shot_kernel(self):
+        polylines = _catalog_polylines()
+        assert len(polylines) == 9  # classify_levels' levels
+        polylines += _family_polylines()
+        wants = [crossings_reference(xy) for xy in polylines]
+        for block in (measures.CROSSING_BLOCK_PAIRS, 1000, 61):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measures, "CROSSING_BLOCK_PAIRS", block)
+                for xy, (want_count, want) in zip(polylines, wants):
+                    count, points = planar_self_intersections(xy)
+                    assert count == want_count and points.shape == (count, 2)
+                    assert _bits2(points.tolist()) == _bits2(want)
+
+    @given(_polylines, st.sampled_from([1, 2, 5, 64]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_polylines_equal_the_one_shot_kernel(self, polyline, block):
+        xy = np.array(polyline, dtype=float)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "CROSSING_BLOCK_PAIRS", block)
+            count, points = planar_self_intersections(xy)
+        want_count, want = crossings_reference(xy)
+        assert count == want_count
+        assert _bits2(points.tolist()) == _bits2(want)
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_merge_equals_the_greedy_loop_on_clustered_points(self, seed, size):
+        # Chains of points about one tolerance apart, in shuffled order, so
+        # which points survive depends on the order of the greedy loop.
+        rng = np.random.default_rng(seed)
+        tol = measures.CROSSING_MERGE_TOL
+        steps = rng.uniform(-1.3 * tol, 1.3 * tol, (size, 2))
+        base = rng.integers(0, 3, (size, 1)) * 1e-6
+        pts = base + np.cumsum(steps, axis=0)
+        pts = pts[rng.permutation(size)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "CROSSING_BLOCK_PAIRS", 3)
+            kept = measures._merged(pts[:, 0], pts[:, 1])
+        want = greedy_merge(list(map(tuple, pts.tolist())))
+        assert _bits2(pts[kept].tolist()) == _bits2(want)
+
+    def test_merge_refuses_more_swept_pairs_than_its_limit(self, monkeypatch):
+        xs = np.zeros(4)
+        ys = np.arange(4.0)
+        assert measures._merged(xs, ys).all()  # 6 swept pairs, none close
+        monkeypatch.setattr(measures, "CROSSING_MERGE_PAIRS", 5)
+        with pytest.raises(NumericalError, match="too densely"):
+            measures._merged(xs, ys)
+
+
+_FAN_SCRIPT = """
+import numpy as np
+from minann.measures import planar_self_intersections
+# 4096 nodes between two slanted lines: every segment pair overlaps in x and
+# y, about 8.4 million candidates, and only the closing segment crosses.
+n = 4096
+up = np.arange(n) % 2
+xy = np.stack((up * 1.0, up + (np.arange(n) // 2) * 1e-6), axis=1)
+count, points = planar_self_intersections(xy)
+print(count, points.shape)
+"""
+
+
+def test_crossing_candidates_fit_in_one_gib():
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAN_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4093 (4093, 2)\n"
