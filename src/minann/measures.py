@@ -38,7 +38,7 @@ LEVEL_HEIGHT_TOL = 1e-9
 MAX_SOLVE_RAYS = 4096  # rays per batched level solve; bounds its peak memory
 CROSSING_MERGE_TOL = 1e-9
 CROSSING_BLOCK_PAIRS = 1 << 18  # candidate pairs per block of a crossing sweep
-CROSSING_MERGE_PAIRS = 1 << 24  # most swept pairs the crossing merge takes on
+MAX_CROSSINGS = 1 << 14  # crossings one polyline may hold before the merge
 TRAVERSAL_TOL = 1e-9  # node repeat distance, relative to the largest coordinate
 # Root distance, relative to the modulus, at which a zero of g_- and one of
 # g_+ count as one common zero; wide enough for the spread of a double root.
@@ -362,15 +362,17 @@ def _periodic_derivative(values: np.ndarray) -> np.ndarray:
 
 
 class _TracedPoints:
-    """A trace_levels call's z = r e^{i theta}, a row per level; immersed on first read."""
+    """A trace_levels call's radii, a row per level, and its ray phases
+    e^{i theta}; the points z = r e^{i theta} are immersed on first read."""
 
-    def __init__(self, data: WeierstrassData, z: np.ndarray):
+    def __init__(self, data: WeierstrassData, radii: np.ndarray, phase: np.ndarray):
         self.data = data
-        self.z = z
+        self.radii = radii
+        self.phase = phase
 
     @cached_property
     def rows(self) -> np.ndarray:  # shape (levels, n, 3)
-        return _immersion(self.data).point(self.z)
+        return _immersion(self.data).point(self.radii * self.phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,17 +405,18 @@ class LevelCurve:
         return traversal_multiplicity(self.points)
 
     @cached_property
-    def _crossings(self) -> np.ndarray:  # shape (count, 2)
+    def _crossings(self) -> tuple[int, tuple[tuple[float, float], ...]]:
         one_traversal = self.points[: len(self.points) // self.multiplicity, :2]
-        return planar_self_intersections(one_traversal)[1]
+        count, pts2d = planar_self_intersections(one_traversal)
+        return count, tuple(pts2d)
 
     @property
     def self_intersections(self) -> int:
-        return len(self._crossings)
+        return self._crossings[0]
 
-    @cached_property
+    @property
     def crossing_points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(map(tuple, self._crossings.tolist()))
+        return self._crossings[1]
 
 
 def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[LevelCurve]:
@@ -422,9 +425,9 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
     Each curve length integrates the conformal factor against the exact
     parameter speed sqrt(r'^2 + r^2); r' comes from spectral differentiation
     of the level_radii rows, taken per solve batch, row by row, so each curve
-    equals its one-height trace bit for bit.  The points z = r e^{i theta} of
-    all levels are formed once; the conformal factor reads them per solve
-    batch, and the first read of any curve's ``points`` immerses them all.
+    equals its one-height trace bit for bit.  The conformal factor reads the
+    points z = r e^{i theta} per solve batch; the first read of any curve's
+    ``points`` immerses the points of all levels in one call.
     Planar self-crossings are counted transversally when a curve is first
     asked for them.  The solve's residual check keeps every node within
     LEVEL_HEIGHT_TOL of its level.
@@ -438,12 +441,12 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
     grid = _theta_grid(n_theta)
     radii = level_radii(data, heights, grid)
     rays = _ray_setup(data, grid.tobytes())  # the entry level_radii just used
-    traced = _TracedPoints(data, radii * rays.phase)
+    traced = _TracedPoints(data, radii, rays.phase)
     step = _levels_per_solve(n_theta)
     curves = []
     for i in range(0, heights.size, step):
         batch = radii[i : i + step]
-        lam = metric_lambda_samples(data, traced.z[i : i + step])
+        lam = metric_lambda_samples(data, batch * rays.phase)
         dr = _periodic_derivative(batch)
         lengths = trapezoid_circle(lam * np.sqrt(dr**2 + batch**2))
         for row, (h, r, length) in enumerate(
@@ -475,9 +478,8 @@ def _swept_pairs(end: np.ndarray):
         k0 = k1
 
 
-def planar_self_intersections(xy: np.ndarray) -> tuple[int, np.ndarray]:
-    """Count transversal self-crossings of a closed polyline; returns the
-    count and the crossing points, shape (count, 2).
+def planar_self_intersections(xy: np.ndarray) -> tuple[int, list[tuple[float, float]]]:
+    """Count transversal self-crossings of a closed polyline.
 
     Candidate segment pairs come from a sort-and-sweep over x (Shamos & Hoey
     1976): with segments sorted by their lower x, the segments whose x-range
@@ -485,10 +487,11 @@ def planar_self_intersections(xy: np.ndarray) -> tuple[int, np.ndarray]:
     search.  The y-overlap, adjacency and strict orientation tests then run
     on the candidates only, so the cost is O(n log n + k) for k candidates
     instead of O(n^2), and the candidates are taken in blocks of at most
-    CROSSING_BLOCK_PAIRS, so memory grows with the crossings found, not with
-    k.  Crossings are visited in (i, j) order of their segment indices and
-    merged within CROSSING_MERGE_TOL (``_merged``), so a crossing shared by
-    neighbouring segment pairs counts once.
+    CROSSING_BLOCK_PAIRS, so memory does not grow with k.  Crossings are
+    visited in (i, j) order of their segment indices and merged within
+    CROSSING_MERGE_TOL, so a crossing shared by neighbouring segment pairs
+    counts once.  The merge is quadratic in the crossings, so more than
+    MAX_CROSSINGS of them raises NumericalError.
     """
     p = np.asarray(xy, dtype=float)
     n = len(p)
@@ -500,7 +503,12 @@ def planar_self_intersections(xy: np.ndarray) -> tuple[int, np.ndarray]:
     # Sorted position k overlaps in x every later position m < end[k]; the
     # reverse condition lo_x[k] <= hi_x[m] holds because lo_x is sorted.
     end = np.searchsorted(lo_x, hi[order, 0] + CROSSING_MERGE_TOL, side="right")
-    keys, xs, ys = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
+
+    def cross2(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+    hits = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 2]
+    count = 0
     for first, second in _swept_pairs(end):
         i_idx = np.minimum(order[first], order[second])
         j_idx = np.maximum(order[first], order[second])
@@ -508,66 +516,31 @@ def planar_self_intersections(xy: np.ndarray) -> tuple[int, np.ndarray]:
         keep &= lo[i_idx, 1] <= hi[j_idx, 1] + CROSSING_MERGE_TOL
         keep &= lo[j_idx, 1] <= hi[i_idx, 1] + CROSSING_MERGE_TOL
         i_idx, j_idx = i_idx[keep], j_idx[keep]
+
         a, b, c, d = p[i_idx], q[i_idx], p[j_idx], q[j_idx]
         ab = b - a
         cd = d - c
-        d1 = _cross2(ab, c - a)
-        d2 = _cross2(ab, d - a)
-        d3 = _cross2(cd, a - c)
-        d4 = _cross2(cd, b - c)
+        d1 = cross2(ab, c - a)
+        d2 = cross2(ab, d - a)
+        d3 = cross2(cd, a - c)
+        d4 = cross2(cd, b - c)
         hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        count += int(hit.sum())
+        if count > MAX_CROSSINGS:
+            raise NumericalError(
+                f"more than {MAX_CROSSINGS} crossing segment pairs on one polyline, "
+                "too many to merge"
+            )
         d1, d2, c, cd = d1[hit], d2[hit], c[hit], cd[hit]
         s = d1 / (d1 - d2)
-        keys.append(i_idx[hit] * n + j_idx[hit])
-        xs.append(c[:, 0] + s * cd[:, 0])
-        ys.append(c[:, 1] + s * cd[:, 1])
-    # Each segment pair is swept once, so the keys are distinct and this is
-    # the (i, j) order.
-    rank = np.argsort(np.concatenate(keys))
-    xs, ys = np.concatenate(xs)[rank], np.concatenate(ys)[rank]
-    kept = _merged(xs, ys)
-    return int(kept.sum()), np.stack((xs[kept], ys[kept]), axis=-1)
-
-
-def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-
-
-def _merged(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Mask of the points kept by the greedy merge: in order, a point is kept
-    unless math.hypot puts it within CROSSING_MERGE_TOL of a kept earlier one.
-
-    Only pairs within 2 * CROSSING_MERGE_TOL in both coordinates can be that
-    close; they come from a sweep over x as in planar_self_intersections,
-    and only they are measured, in order of their later point.  More than
-    CROSSING_MERGE_PAIRS pairs in the sweep raises NumericalError: points
-    that dense (millions of chords of an undersampled many-fold level) have
-    no exact merge in bounded time.
-    """
-    kept = np.ones(xs.size, dtype=bool)
-    order = np.argsort(xs, kind="stable")
-    sorted_x = xs[order]
-    box = 2.0 * CROSSING_MERGE_TOL
-    end = np.searchsorted(sorted_x, sorted_x + box, side="right")
-    swept = int(end.sum()) - xs.size * (xs.size + 1) // 2
-    if swept > CROSSING_MERGE_PAIRS:
-        raise NumericalError(
-            f"{xs.size} crossings lie too densely to merge: {swept} pairs within "
-            f"{box:g} in x, above the limit {CROSSING_MERGE_PAIRS}"
-        )
-    close = [np.empty((0, 2), dtype=np.intp)]
-    for first, second in _swept_pairs(end):
-        early = np.minimum(order[first], order[second])
-        late = np.maximum(order[first], order[second])
-        near = np.abs(ys[late] - ys[early]) <= box
-        close.append(np.stack((late[near], early[near]), axis=-1))
-    pairs = np.concatenate(close)
-    late, early = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
-    dx, dy = (xs[late] - xs[early]).tolist(), (ys[late] - ys[early]).tolist()
-    for k, m, gap in zip(late.tolist(), early.tolist(), map(math.hypot, dx, dy)):
-        if kept[m] and kept[k]:
-            kept[k] = gap > CROSSING_MERGE_TOL
-    return kept
+        hits.append((i_idx[hit], j_idx[hit], c[:, 0] + s * cd[:, 0], c[:, 1] + s * cd[:, 1]))
+    i_idx, j_idx, xs, ys = map(np.concatenate, zip(*hits))
+    rank = np.lexsort((j_idx, i_idx))
+    merged: list[tuple[float, float]] = []
+    for pt in zip(xs[rank].tolist(), ys[rank].tolist()):
+        if all(math.hypot(pt[0] - m[0], pt[1] - m[1]) > CROSSING_MERGE_TOL for m in merged):
+            merged.append(pt)
+    return len(merged), merged
 
 
 def traversal_multiplicity(points: np.ndarray) -> int:

@@ -731,11 +731,12 @@ class TestHighCovers:
     def test_undersampled_cover_level_fails_cleanly_in_one_gib(self, tmp_path):
         # At 4096 nodes a 2047-fold level is a star polygon of 8.4 million
         # crossings about 1e-10 apart near its centre: the candidate sweep
-        # fits in the limit, and the merge refuses instead of running on.
+        # fits in the limit, and the kernel refuses that many crossings
+        # before its quadratic merge.
         proc = _cli_under_limit(tmp_path, *COVER_ARGS, "2047", "--out", "cover.json")
         assert proc.returncode == 0, proc.stderr
         proc = _cli_under_limit(tmp_path, "trace", "--data", "cover.json", "--height", "0")
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("minann: numerical failure: ")
-        assert "too densely" in proc.stderr and "Traceback" not in proc.stderr
+        assert "too many to merge" in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""

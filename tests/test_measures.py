@@ -651,20 +651,9 @@ def _all_pairs_crossings(xy, merge_tol=measures.CROSSING_MERGE_TOL):
             d4 = cross2(cd, b - c)
             if d1 * d2 < 0 and d3 * d4 < 0:
                 s = d1 / (d1 - d2)
-                points.append((c[0] + s * cd[0], c[1] + s * cd[1]))
-    merged = []
-    for pt in points:
-        if all(math.hypot(pt[0] - m[0], pt[1] - m[1]) > merge_tol for m in merged):
-            merged.append((float(pt[0]), float(pt[1])))
+                points.append((float(c[0] + s * cd[0]), float(c[1] + s * cd[1])))
+    merged = greedy_merge(points, merge_tol)
     return len(merged), merged
-
-
-def _as_lists(crossings):
-    """planar_self_intersections' (count, (count, 2) array) in the reference's
-    (count, list of (x, y) tuples) form, every float kept."""
-    count, points = crossings
-    assert points.shape == (count, 2)
-    return count, [tuple(p) for p in points.tolist()]
 
 
 # Small integer grids give many crossings, repeated points, and collinear or
@@ -684,11 +673,14 @@ _polylines = st.one_of(
 
 
 class TestCrossingKernel:
-    @given(_polylines)
+    # Block sizes down to one candidate pair split every sweep into blocks.
+    @given(_polylines, st.sampled_from([measures.CROSSING_BLOCK_PAIRS, 64, 5, 2, 1]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_all_pairs_reference(self, polyline):
+    def test_matches_all_pairs_reference(self, polyline, block):
         xy = np.array(polyline, dtype=float)
-        assert _as_lists(planar_self_intersections(xy)) == _all_pairs_crossings(xy)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "CROSSING_BLOCK_PAIRS", block)
+            assert planar_self_intersections(xy) == _all_pairs_crossings(xy)
 
     @pytest.mark.parametrize("n_theta", [512, 4096])
     def test_matches_reference_on_figure_eight_traces(self, n_theta):
@@ -697,7 +689,7 @@ class TestCrossingKernel:
             xy = trace_level(data, h, n_theta).points[:, :2]
             count, points = planar_self_intersections(xy)
             assert count == 1
-            assert _as_lists((count, points)) == _all_pairs_crossings(xy)
+            assert (count, points) == _all_pairs_crossings(xy)
 
 
 class TestLazyCrossings:
@@ -1536,17 +1528,15 @@ def _catalog_polylines():
     return seen
 
 
-def _family_polylines():
-    """Nine levels across the attained range of each catalog family, at the
-    traced and the CLI node count, and of a 3-fold cover at 512 nodes, which
-    do not divide into its three traversals: 1024 crossings of near-copies."""
-    cases = [
-        (data, n_theta)
-        for data in (figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, 4.0)[0])
-        for n_theta in (512, 4096)
-    ]
+def _family_polylines(n_theta):
+    """Nine levels across the attained range of each catalog family at n_theta
+    nodes; at 512 nodes also of a 3-fold cover, whose nodes do not divide
+    into its three traversals: 1024 crossings of near-copies."""
+    families = [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, 4.0)[0]]
+    if n_theta == 512:
+        families.append(catenoid_cover(3, 4.0)[0])
     polylines = []
-    for data, n_theta in cases + [(catenoid_cover(3, 4.0)[0], 512)]:
+    for data in families:
         lo, hi = attained_height_range(data)
         for curve in trace_levels(data, np.linspace(lo, hi, 11)[1:-1], n_theta):
             polylines.append(curve.points[: n_theta // curve.multiplicity, :2])
@@ -1558,54 +1548,35 @@ def _bits2(points):
 
 
 class TestBlockedCrossings:
-    def test_catalog_levels_equal_the_one_shot_kernel(self):
-        polylines = _catalog_polylines()
-        assert len(polylines) == 9  # classify_levels' levels
-        polylines += _family_polylines()
-        wants = [crossings_reference(xy) for xy in polylines]
+    def _check(self, polylines, wants):
         for block in (measures.CROSSING_BLOCK_PAIRS, 1000, 61):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(measures, "CROSSING_BLOCK_PAIRS", block)
                 for xy, (want_count, want) in zip(polylines, wants):
                     count, points = planar_self_intersections(xy)
-                    assert count == want_count and points.shape == (count, 2)
-                    assert _bits2(points.tolist()) == _bits2(want)
+                    assert count == want_count
+                    assert _bits2(points) == _bits2(want)
 
-    @given(_polylines, st.sampled_from([1, 2, 5, 64]))
-    @settings(max_examples=200, deadline=None)
-    def test_random_polylines_equal_the_one_shot_kernel(self, polyline, block):
-        xy = np.array(polyline, dtype=float)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measures, "CROSSING_BLOCK_PAIRS", block)
-            count, points = planar_self_intersections(xy)
-        want_count, want = crossings_reference(xy)
-        assert count == want_count
-        assert _bits2(points.tolist()) == _bits2(want)
+    def test_catalog_levels_equal_the_all_pairs_reference(self):
+        polylines = _catalog_polylines()
+        assert len(polylines) == 9  # classify_levels' levels
+        polylines += _family_polylines(512)
+        self._check(polylines, [_all_pairs_crossings(xy) for xy in polylines])
 
-    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 60))
-    @settings(max_examples=200, deadline=None)
-    def test_merge_equals_the_greedy_loop_on_clustered_points(self, seed, size):
-        # Chains of points about one tolerance apart, in shuffled order, so
-        # which points survive depends on the order of the greedy loop.
-        rng = np.random.default_rng(seed)
-        tol = measures.CROSSING_MERGE_TOL
-        steps = rng.uniform(-1.3 * tol, 1.3 * tol, (size, 2))
-        base = rng.integers(0, 3, (size, 1)) * 1e-6
-        pts = base + np.cumsum(steps, axis=0)
-        pts = pts[rng.permutation(size)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measures, "CROSSING_BLOCK_PAIRS", 3)
-            kept = measures._merged(pts[:, 0], pts[:, 1])
-        want = greedy_merge(list(map(tuple, pts.tolist())))
-        assert _bits2(pts[kept].tolist()) == _bits2(want)
+    def test_cli_node_count_levels_equal_the_one_shot_kernel(self):
+        # The all-pairs loop is too slow at 4096 nodes.
+        polylines = _family_polylines(4096)
+        self._check(polylines, [crossings_reference(xy) for xy in polylines])
 
-    def test_merge_refuses_more_swept_pairs_than_its_limit(self, monkeypatch):
-        xs = np.zeros(4)
-        ys = np.arange(4.0)
-        assert measures._merged(xs, ys).all()  # 6 swept pairs, none close
-        monkeypatch.setattr(measures, "CROSSING_MERGE_PAIRS", 5)
-        with pytest.raises(NumericalError, match="too densely"):
-            measures._merged(xs, ys)
+    def test_refuses_more_crossings_than_its_limit(self, monkeypatch):
+        # The star polygon {7/3} crosses itself at 14 distinct points.
+        angles = 2.0 * math.pi * 3 * np.arange(7) / 7
+        xy = np.stack((np.cos(angles), np.sin(angles)), axis=1)
+        monkeypatch.setattr(measures, "MAX_CROSSINGS", 14)
+        assert planar_self_intersections(xy)[0] == 14
+        monkeypatch.setattr(measures, "MAX_CROSSINGS", 13)
+        with pytest.raises(NumericalError, match="too many to merge"):
+            planar_self_intersections(xy)
 
 
 _FAN_SCRIPT = """
@@ -1617,7 +1588,7 @@ n = 4096
 up = np.arange(n) % 2
 xy = np.stack((up * 1.0, up + (np.arange(n) // 2) * 1e-6), axis=1)
 count, points = planar_self_intersections(xy)
-print(count, points.shape)
+print(count, len(points))
 """
 
 
@@ -1636,4 +1607,4 @@ def test_crossing_candidates_fit_in_one_gib():
         preexec_fn=limit,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "4093 (4093, 2)\n"
+    assert proc.stdout == "4093 4093\n"
