@@ -453,8 +453,9 @@ def classify_levels(
     report.quantities["crossings_max"] = float(max(counts))
     report.quantities["multiplicity_max"] = float(max(multiplicities))
     if max(multiplicities) > 1:
-        # Doubly traversed levels: every point is a coincident pair, so the
-        # transversal count is taken on one traversal and flagged here.
+        # Multiply traversed levels (the data's rotation order): every point
+        # is covered more than once, so the transversal count is taken on
+        # one traversal and flagged here.
         report.quantities["degenerate_cover"] = 1.0
     if expected_crossings is not None:
         worst = max(abs(c - expected_crossings) for c in counts)

@@ -39,7 +39,6 @@ MAX_SOLVE_RAYS = 4096  # rays per batched level solve; bounds its peak memory
 CROSSING_MERGE_TOL = 1e-9
 CROSSING_BLOCK_PAIRS = 1 << 18  # candidate pairs per block of a crossing sweep
 MAX_CROSSINGS = 1 << 14  # crossings one polyline may hold before the merge
-TRAVERSAL_TOL = 1e-9  # node repeat distance, relative to the largest coordinate
 # Root distance, relative to the modulus, at which a zero of g_- and one of
 # g_+ count as one common zero; wide enough for the spread of a double root.
 COMMON_ROOT_TOL = 1e-6
@@ -379,9 +378,11 @@ class _TracedPoints:
 class LevelCurve:
     """A traced level: uniform theta nodes, solved radii, immersion points.
 
-    ``multiplicity`` is the number of identical traversals the node sequence
-    makes; crossings are counted on one traversal, so a k-fold cover of an
-    embedded circle reports multiplicity k and zero self-intersections.
+    ``multiplicity`` is the data's rotation order, read from its coefficients
+    by ``traversal_multiplicity``: the level is traversed that many times,
+    and crossings are counted on the nodes of one traversal, so a k-fold
+    cover of an embedded circle reports multiplicity k and zero
+    self-intersections at any node count.
     The immersion points, multiplicity and crossings are computed on first
     access and cached, so callers that read only ``length`` never pay for
     them.  ``points`` is row ``row`` of the immersion of the whole traced
@@ -402,11 +403,12 @@ class LevelCurve:
 
     @cached_property
     def multiplicity(self) -> int:
-        return traversal_multiplicity(self.points)
+        return traversal_multiplicity(self.data)
 
     @cached_property
     def _crossings(self) -> tuple[int, tuple[tuple[float, float], ...]]:
-        one_traversal = self.points[: len(self.points) // self.multiplicity, :2]
+        # The nodes with theta < 2 pi / multiplicity: one traversal.
+        one_traversal = self.points[: -(-len(self.points) // self.multiplicity), :2]
         count, pts2d = planar_self_intersections(one_traversal)
         return count, tuple(pts2d)
 
@@ -543,25 +545,15 @@ def planar_self_intersections(xy: np.ndarray) -> tuple[int, list[tuple[float, fl
     return len(merged), merged
 
 
-def traversal_multiplicity(points: np.ndarray) -> int:
-    """Largest m such that the closed node sequence repeats m times."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    scale = max(float(np.max(np.abs(pts))), 1.0)
-    bound = TRAVERSAL_TOL * scale
-    rows = pts.reshape(n, -1)
-    first = rows[0].tolist()
-    for m in range(n, 1, -1):
-        if n % m:
-            continue
-        shift = n // m
-        # Node 0 against node n - shift, its partner under the roll: one
-        # coordinate past the bound already fails the full check.
-        if any(abs(a - b) > bound for a, b in zip(first, rows[n - shift].tolist())):
-            continue
-        if np.max(np.abs(pts - np.roll(pts, shift, axis=0))) <= bound:
-            return m
-    return 1
+def traversal_multiplicity(data: WeierstrassData) -> int:
+    """The immersion's rotation order: the largest m such that turning z by
+    2 pi / m leaves every coordinate unchanged, so each level is traversed
+    m times.  Re sum c_n z^n is invariant under z -> zeta z exactly when
+    every c_n (zeta^n - 1) = 0, and the log term and the centring shifts are
+    rotation invariant, so m is the gcd of the exponents n + 1 of the terms
+    of phi1..phi3 with n != -1 (1 if there are none)."""
+    exponents = [n + 1 for p in (data.phi1, data.phi2, data.phi3) for n, _ in p.terms if n != -1]
+    return math.gcd(*exponents) or 1
 
 
 # -- slab areas -------------------------------------------------------------------

@@ -264,18 +264,16 @@ def period_checks(stack: Sequence[WeierstrassData]) -> list[PeriodVerdict]:
 def _dense_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the row-wise products of two (k, w)
     coefficient stacks, each slot summed from 0 in ascending order of a's
-    index.  Every coefficient product a_i b_j is formed first, with Python's
-    complex multiply written out."""
-    ar, ai = a.real[:, :, None], a.imag[:, :, None]
-    br, bi = b.real[:, None, :], b.imag[:, None, :]
-    terms_re = ar * br - ai * bi
-    terms_im = ar * bi + ai * br
+    index.  The products a_i b_j are formed one row of i at a time, with
+    Python's complex multiply written out, so memory grows with k w only."""
+    ar, ai = a.real, a.imag
+    br, bi = b.real, b.imag
     width = a.shape[1]
     re = np.zeros((a.shape[0], 2 * width - 1))
     im = np.zeros((a.shape[0], 2 * width - 1))
     for i in range(width):
-        re[:, i : i + width] += terms_re[:, i]
-        im[:, i : i + width] += terms_im[:, i]
+        re[:, i : i + width] += ar[:, i, None] * br - ai[:, i, None] * bi
+        im[:, i : i + width] += ar[:, i, None] * bi + ai[:, i, None] * br
     return re, im
 
 

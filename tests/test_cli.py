@@ -728,14 +728,29 @@ class TestHighCovers:
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_undersampled_cover_level_fails_cleanly_in_one_gib(self, tmp_path):
-        # At 4096 nodes a 2047-fold level is a star polygon of 8.4 million
-        # crossings about 1e-10 apart near its centre: the candidate sweep
-        # fits in the limit, and the kernel refuses that many crossings
-        # before its quadratic merge.
+    def test_undersampled_cover_level_traces_in_one_gib(self, tmp_path):
+        # At 4096 nodes a 2047-fold level has two nodes per turn; the
+        # crossings are counted on the nodes of one turn, read from the
+        # data's rotation order.
         proc = _cli_under_limit(tmp_path, *COVER_ARGS, "2047", "--out", "cover.json")
         assert proc.returncode == 0, proc.stderr
         proc = _cli_under_limit(tmp_path, "trace", "--data", "cover.json", "--height", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        (level,) = loads(proc.stdout)["levels"]
+        assert level["multiplicity"] == 2047 and level["self_intersections"] == 0
+        assert level["length"] == pytest.approx(2.0 * math.pi, rel=1e-9)
+
+    def test_star_polygon_of_order_one_fails_cleanly_in_one_gib(self, tmp_path):
+        # One more g- term leaves the cover's rotation order 1: its level at
+        # 4096 nodes is a star polygon of millions of crossings, and the
+        # kernel refuses that many before its quadratic merge.
+        proc = _cli_under_limit(tmp_path, *COVER_ARGS, "2047", "--out", "cover.json")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "cover.json").read_text())
+        doc["g_minus"].insert(0, [1022, 1e-3, 0])
+        (tmp_path / "star.json").write_text(json.dumps(doc))
+        proc = _cli_under_limit(tmp_path, "trace", "--data", "star.json", "--height", "0")
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("minann: numerical failure: ")
         assert "too many to merge" in proc.stderr and "Traceback" not in proc.stderr

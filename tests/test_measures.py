@@ -733,56 +733,105 @@ class TestLazyCrossings:
         assert calls == {"planar_self_intersections": 4, "traversal_multiplicity": 4}
 
 
+REPEAT_TOL = 1e-9  # node repeat distance, relative to the largest coordinate
+
+
 def _multiplicity_by_full_checks(points):
-    """The reference loop: a full rolled comparison for every divisor."""
+    """The reference loop: a full rolled comparison of the nodes for every
+    divisor of the node count, largest first."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     scale = max(float(np.max(np.abs(pts))), 1.0)
     for m in range(n, 1, -1):
         if n % m:
             continue
-        if np.max(np.abs(pts - np.roll(pts, n // m, axis=0))) <= measures.TRAVERSAL_TOL * scale:
+        if np.max(np.abs(pts - np.roll(pts, n // m, axis=0))) <= REPEAT_TOL * scale:
             return m
     return 1
 
 
 def _multiplicity_cases():
-    cases = {}
+    """Traced level points by case name, and each case's data by name."""
+    points, data = {}, {}
     for k in (1, 2, 3, 4):
-        data = catenoid_cover(k, TWO_PI)[0]
+        cover = catenoid_cover(k, TWO_PI)[0]
         for n in (240, 512):
-            cases[f"cover{k}-{n}"] = trace_level(data, 0.1, n).points
-    for i, curve in enumerate(trace_levels(figure_eight(1.0, 1.0), [-0.2, 0.0, 0.15], 512)):
-        cases[f"figure-eight-{i}"] = curve.points
-    # A 4-fold repeat nudged at one node: inside the tolerance, then past it
-    # at node 0 (the pre-check rejects) and at node 7 only (the full check does).
-    base = np.tile(np.random.default_rng(3).standard_normal((60, 3)), (4, 1))
-    tol = measures.TRAVERSAL_TOL * max(float(np.max(np.abs(base))), 1.0)
-    for label, node, size in (("inside", 0, 0.5), ("node0", 0, 2.0), ("node7", 7, 2.0),
-                              ("last", 239, 2.0)):
-        nudged = base.copy()
-        nudged[node, 1] += size * tol
-        cases[f"near-{label}"] = nudged
-    for node in (0, 7):
-        spoiled = base.copy()
-        spoiled[node, 2] = math.nan
-        cases[f"nan-{node}"] = spoiled
-    cases["flat"] = np.tile([0.5, -1.0, 2.0], (36, 1))
-    cases["one-dim"] = np.tile([1.0, 2.0, 3.0], 5)
-    return cases
+            points[f"cover{k}-{n}"] = trace_level(cover, 0.1, n).points
+            data[f"cover{k}-{n}"] = cover
+    eight = figure_eight(1.0, 1.0)
+    for i, curve in enumerate(trace_levels(eight, [-0.2, 0.0, 0.15], 512)):
+        points[f"figure-eight-{i}"] = curve.points
+        data[f"figure-eight-{i}"] = eight
+    return points, data
+
+
+_CASE_POINTS, _CASE_DATA = _multiplicity_cases()
+
+
+def _rotation_moves(data, turn, seed=5):
+    """Largest change of the immersion under z -> exp(i turn) z at random
+    points of the window, relative to the largest coordinate."""
+    rng = np.random.default_rng(seed)
+    lo, hi = data.window.log_span()
+    z = np.exp(rng.uniform(lo, hi, 64) + 1j * rng.uniform(0.0, TWO_PI, 64))
+    pts = weierstrass.immerse(data, z)
+    moved = weierstrass.immerse(data, z * cmath.exp(1j * turn))
+    return float(np.max(np.abs(moved - pts))) / max(float(np.max(np.abs(pts))), 1.0)
+
+
+_ROTATION_CASES = {
+    "figure-eight": (figure_eight(1.0, 1.0), 1),
+    "perturbed-0.05": (perturbed_two_cover(1.0, 0.05), 1),
+    "perturbed-0": (perturbed_two_cover(1.0, 0.0), 2),
+    **{f"cover{k}": (catenoid_cover(k, 4.0)[0], k) for k in (1, 2, 3, 4, 5)},
+}
 
 
 class TestTraversalMultiplicity:
-    @pytest.mark.parametrize("name, points", list(_multiplicity_cases().items()))
+    @pytest.mark.parametrize("name, points", list(_CASE_POINTS.items()))
     def test_equals_the_full_check_loop(self, name, points):
-        assert traversal_multiplicity(points) == _multiplicity_by_full_checks(points)
+        # The loop searches the divisors of the node count only: it finds the
+        # order where the order divides the nodes and reads 1 elsewhere.
+        order = traversal_multiplicity(_CASE_DATA[name])
+        assert _multiplicity_by_full_checks(points) == (order if len(points) % order == 0 else 1)
 
     def test_cases_cover_repeats_and_misses(self):
-        got = {name: traversal_multiplicity(pts) for name, pts in _multiplicity_cases().items()}
-        assert [got[f"cover{k}-240"] for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
-        assert got["near-inside"] == 4 and got["near-node0"] == 1 and got["near-node7"] == 1
-        assert got["nan-0"] == got["nan-7"] == 1
-        assert got["flat"] == 36 and got["one-dim"] == 5
+        got = {name: traversal_multiplicity(data) for name, data in _CASE_DATA.items()}
+        assert [got[f"cover{k}-{n}"] for k in (1, 2, 3, 4) for n in (240, 512)] == [1, 1, 2, 2, 3, 3, 4, 4]
+        assert got["figure-eight-0"] == got["figure-eight-1"] == got["figure-eight-2"] == 1
+        # 3 does not divide 512: the node search misses the 3-cover there.
+        assert _multiplicity_by_full_checks(_CASE_POINTS["cover3-240"]) == 3
+        assert _multiplicity_by_full_checks(_CASE_POINTS["cover3-512"]) == 1
+
+    @pytest.mark.parametrize("name", list(_ROTATION_CASES))
+    def test_order_is_the_immersions_rotation_symmetry(self, name):
+        # One turn of 2 pi / m fixes every point; half or a third of it does not.
+        data, expected = _ROTATION_CASES[name]
+        m = traversal_multiplicity(data)
+        assert m == expected
+        assert _rotation_moves(data, TWO_PI / m) <= 1e-12
+        assert _rotation_moves(data, TWO_PI / (2 * m)) > 1e-3
+        assert _rotation_moves(data, TWO_PI / (3 * m)) > 1e-3
+
+    def test_catalog_orders(self):
+        assert traversal_multiplicity(figure_eight(1.0, 1.0)) == 1
+        assert traversal_multiplicity(perturbed_two_cover(1.0, 0.05)) == 1
+        assert traversal_multiplicity(perturbed_two_cover(1.0, 0.0)) == 2
+        for k in (1, 2, 3, 4, 5, 2047):  # odd k has odd parity
+            assert traversal_multiplicity(catenoid_cover(k, 4.0)[0]) == k
+
+    @pytest.mark.parametrize("n_theta", [512, 4096])
+    def test_three_cover_counts_one_traversal(self, n_theta):
+        curve = trace_level(catenoid_cover(3, 4.0)[0], 0.0, n_theta)
+        assert curve.multiplicity == 3
+        assert curve.self_intersections == 0
+
+    @given(st.integers(1, 64), st.integers(16, 1024))
+    @settings(max_examples=60, deadline=None)
+    def test_covers_read_their_order_at_any_node_count(self, k, n_theta):
+        curve = trace_level(catenoid_cover(k, TWO_PI)[0], 0.0, n_theta)
+        assert curve.multiplicity == k
+        assert curve.self_intersections == 0
 
 
 def _bisection_radii(data, h, thetas, steps=60):
@@ -1529,9 +1578,9 @@ def _catalog_polylines():
 
 
 def _family_polylines(n_theta):
-    """Nine levels across the attained range of each catalog family at n_theta
-    nodes; at 512 nodes also of a 3-fold cover, whose nodes do not divide
-    into its three traversals: 1024 crossings of near-copies."""
+    """One traversal of nine levels across the attained range of each catalog
+    family at n_theta nodes; at 512 nodes also of a 3-fold cover, whose
+    nodes do not divide into its three traversals."""
     families = [figure_eight(1.0, 1.0), perturbed_two_cover(1.0, 0.05), catenoid_cover(2, 4.0)[0]]
     if n_theta == 512:
         families.append(catenoid_cover(3, 4.0)[0])
@@ -1539,7 +1588,7 @@ def _family_polylines(n_theta):
     for data in families:
         lo, hi = attained_height_range(data)
         for curve in trace_levels(data, np.linspace(lo, hi, 11)[1:-1], n_theta):
-            polylines.append(curve.points[: n_theta // curve.multiplicity, :2])
+            polylines.append(curve.points[: -(-n_theta // curve.multiplicity), :2])
     return polylines
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,19 @@ class TestPeriodKernel:
 
     def test_empty_stack(self):
         assert period_checks([]) == []
+
+    def test_widest_cover_checks_in_memory_linear_in_its_span(self):
+        # The k = 2047 cover spans 2049 slots: every product a_i b_j at once
+        # would take three (3, 2049, 2049) arrays, about 300 MB.
+        data = catenoid_cover(2047, TWO_PI)[0]
+        tracemalloc.start()
+        try:
+            verdict = period_checks((data,))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.well_defined
+        assert peak < 16 * 2**20
 
     def test_period_check_runs_the_kernel_once_per_data_set(self, monkeypatch):
         stacks = []
