@@ -85,75 +85,8 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
+# The public names are the import block's: every non-private name but the submodules.
 __all__ = [
-    "AnnulusWindow",
-    "CatenoidParams",
-    "DomainError",
-    "EmptySlabError",
-    "EmptyWindowError",
-    "FluxVector",
-    "GeometryError",
-    "HeightRangeError",
-    "InadmissibleParametersError",
-    "InadmissibleWindowError",
-    "LaurentPoly",
-    "LevelCurve",
-    "MeasureReport",
-    "NumericalError",
-    "Parity",
-    "PeriodVerdict",
-    "PreconditionError",
-    "SCENARIOS",
-    "Scenario",
-    "NonMonotoneRayError",
-    "SchemaError",
-    "Slab",
-    "ValidationError",
-    "Verdict",
-    "WeierstrassData",
-    "admissible_annulus",
-    "attained_height_range",
-    "catenoid_area",
-    "catenoid_cover",
-    "catenoid_level_length",
-    "circle_length",
-    "circle_length_dd",
-    "classify_levels",
-    "clip_to_slab",
-    "compare_areas",
-    "compare_lengths",
-    "data_from_json",
-    "data_to_json",
-    "family_from_spec",
-    "figure_eight",
-    "figure_eight_pair",
-    "flux",
-    "from_g_pair",
-    "gauss_winding",
-    "height",
-    "immerse",
-    "length_profile",
-    "level_radii",
-    "planar_self_intersections",
-    "profile_radii",
-    "random_even_vertical_flux",
-    "random_three_term_pair",
-    "traversal_multiplicity",
-    "marginal_waist_ratio",
-    "marginally_stable_waist",
-    "perturbed_two_cover",
-    "perturbed_two_cover_pair",
-    "period_check",
-    "run_scenario",
-    "sweep_scenario",
-    "roots",
-    "slab_area",
-    "symmetry_check",
-    "total_curvature",
-    "trace_level",
-    "trace_levels",
-    "trapezoid_circle",
-    "waist_height",
-    "winding_class",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if type(value).__name__ != "module" and not name.startswith("_")
+] + ["__version__"]

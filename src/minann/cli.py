@@ -1,9 +1,9 @@
 """Command-line front end: build families, measure, trace, compare, report.
 
 Exit status contract: 0 on success with all verdicts passing, 1 when any
-verdict fails, 2 on usage or validation errors, 3 on numerical failures.
-All file outputs are written atomically (temp file in the target directory,
-then rename).
+verdict fails, 2 on usage or validation errors, 3 on numerical failures
+and on running out of memory.  All file outputs are written atomically
+(temp file in the target directory, then rename).
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def _slab_from_args(data, args) -> Slab:
     if args.h_min is not None and args.h_max is not None:
         return Slab(args.h_min, args.h_max)
     if args.slab_half is not None:
-        return clip_to_slab(data, Slab(-args.slab_half, args.slab_half))
+        return clip_to_slab(data, Slab.symmetric(args.slab_half))
     raise ValidationError("provide --h-min/--h-max or --slab-half")
 
 
@@ -443,6 +443,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"minann: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"minann: numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except GeometryError as exc:  # pragma: no cover - defensive catch-all
         print(f"minann: {exc}", file=sys.stderr)

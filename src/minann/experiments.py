@@ -51,9 +51,11 @@ from .measures import (
     waist_height,
 )
 from .weierstrass import (
+    MAX_DENSE_WIDTH,
     Parity,
     Slab,
     WeierstrassData,
+    _dense_span,
     data_to_json,
     flux,
     from_g_pair,
@@ -313,7 +315,8 @@ def random_even_vertical_flux(
     rounds (``_draw``) with the bits and the stream of n single draws; every
     round is period-checked, and a draw that fails ``vertical_flux`` is
     rejected like an inadmissible one.  ``max_exponent`` must be an integer
-    of at least 1 and ``size`` an integer, else DomainError.
+    from 1 to 1023 (whose span fits MAX_DENSE_WIDTH) and ``size`` an
+    integer, else DomainError before ``rng`` is drawn from.
     """
     try:
         m = operator.index(max_exponent)
@@ -321,6 +324,12 @@ def random_even_vertical_flux(
         m = 0
     if m < 1:
         raise DomainError(f"max_exponent must be an integer of at least 1, got {max_exponent!r}")
+    lo, width = _dense_span(-m, m)
+    if width > MAX_DENSE_WIDTH:
+        raise DomainError(
+            f"max_exponent {m} spans z^{lo} to z^{m}, a dense width of {width} "
+            f"above the limit {MAX_DENSE_WIDTH}"
+        )
     return _draw(
         rng, size, 8 * m, lambda normals: _vertical_flux_rows(normals, m), "random data"
     )
@@ -508,8 +517,7 @@ def _build(family: str, params: dict) -> WeierstrassData:
 
 
 def _thin_slab(data: WeierstrassData, params: dict) -> Slab:
-    half = abs(params["slab_half"])
-    return clip_to_slab(data, Slab(-half, half))
+    return clip_to_slab(data, Slab.symmetric(params["slab_half"]))
 
 
 def _three_term_residual(stack, grid: int) -> tuple[np.ndarray, np.ndarray]:

@@ -673,11 +673,6 @@ class CatenoidParams:
         # growth rate of the level length in h
         return TWO_PI * self.cover / self.f3
 
-    @property
-    def neck_radius(self) -> float:
-        # neck radius of the underlying single catenoid
-        return self.f3 / (TWO_PI * self.cover)
-
 
 def catenoid_level_length(params: CatenoidParams, h: float) -> float:
     """Level length f3 * cosh(rate * (h - center)) of the cover."""

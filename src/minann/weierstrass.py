@@ -66,6 +66,11 @@ class Slab:
         if not self.h_minus < self.h_plus:
             raise DomainError(f"need h_minus < h_plus, got {self.h_minus}, {self.h_plus}")
 
+    @classmethod
+    def symmetric(cls, half_width: float) -> Slab:
+        """The slab -|half_width| < x3 < |half_width|."""
+        return cls(-abs(half_width), abs(half_width))
+
     @property
     def center(self) -> float:
         return 0.5 * (self.h_minus + self.h_plus)
@@ -181,10 +186,9 @@ def from_g_pair(
     """
     if g_minus.is_zero or g_plus.is_zero:
         raise DomainError("square-root factors must be nonzero")
-    # period_checks' dense span: the factors' terms with z^-1 and z^0
-    gm, gp = g_minus.terms, g_plus.terms
-    lo = min(-1, gm[0][0], gp[0][0])
-    width = max(0, gm[-1][0], gp[-1][0]) - lo + 1
+    lo, width = _dense_span(
+        min(g_minus.lowest, g_plus.lowest), max(g_minus.highest, g_plus.highest)
+    )
     if width > MAX_DENSE_WIDTH:
         raise DomainError(
             f"the factor pair spans z^{lo} to z^{lo + width - 1}, a dense width of "
@@ -226,9 +230,7 @@ def period_checks(stack: Sequence[WeierstrassData]) -> list[PeriodVerdict]:
         return []
     count = len(stack)
     factors = [d.g_minus for d in stack] + [d.g_plus for d in stack]
-    # The span holds z^-1 and z^0 of every product.
-    lo = min(-1, min(p.terms[0][0] for p in factors))
-    width = max(0, max(p.terms[-1][0] for p in factors)) - lo + 1
+    lo, width = _dense_span(min(p.lowest for p in factors), max(p.highest for p in factors))
     g = _dense_rows(factors, [lo] * len(factors), width)  # g- of every set, then g+
     # Product rows k, k + K and k + 2K are f-, f+ and psi3 of the k-th of K sets.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,6 +261,13 @@ def period_checks(stack: Sequence[WeierstrassData]) -> list[PeriodVerdict]:
         residues = (0j + 0.5 * m + -0.5 * p, 0j + 0.5j * m + 0.5j * p, complex(cr, ci))
         verdicts.append(PeriodVerdict(flux_k, log_k, residues))
     return verdicts
+
+
+def _dense_span(lowest: int, highest: int) -> tuple[int, int]:
+    """(lo, width) of the dense rows for exponents lowest..highest, widened
+    to hold z^-1 and z^0 so that every product has the slots a verdict reads."""
+    lo = min(-1, lowest)
+    return lo, max(0, highest) - lo + 1
 
 
 def _dense_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

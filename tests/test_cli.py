@@ -429,6 +429,19 @@ class TestCompare:
     def test_requires_slab(self, fig8_path):
         assert main(["compare", "--data", fig8_path]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure", "--kind", "area"], ["--theta-nodes", "256", "compare", "--expect", "below"]],
+        ids=["measure", "compare"],
+    )
+    def test_negative_slab_half_reads_as_its_size(self, fig8_path, argv, capsys):
+        # Slab.symmetric's rule, as for report --param slab_half=-0.25
+        outputs = []
+        for half in ("0.25", "-0.25"):
+            assert main(argv + ["--data", fig8_path, "--slab-half", half]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("grid", ["0", "-1"])
     def test_grid_below_one_is_usage_error(self, fig8_path, grid, capsys):
         args = ["compare", "--data", fig8_path, "--slab-half", "0.25", "--grid", grid]
@@ -651,7 +664,7 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _cli_under_limit(tmp_path, *argv):
+def _cli_under_limit(tmp_path, *argv, timeout=120):
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, "-m", "minann.cli", *argv],
@@ -659,7 +672,7 @@ def _cli_under_limit(tmp_path, *argv):
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         preexec_fn=_limit_address_space,
     )
 
@@ -686,6 +699,13 @@ class TestExponentSpanGate:
         proc = _cli_under_limit(tmp_path, *COVER_ARGS, "20000", "--out", "cover.json")
         self._refused(proc, tmp_path, [])
 
+    def test_report_refuses_an_ensemble_past_the_limit_before_drawing(self, tmp_path):
+        # max_exponent 1100 spans z^-1100..z^1100; the generator refuses it
+        # before it solves a root, instead of rejecting 64 rounds of draws.
+        argv = ["report", "--scenario", "lemma_3_1", "--param", "max_exponent=1100"]
+        proc = _cli_under_limit(tmp_path, *argv, "--out", "report.json", timeout=60)
+        self._refused(proc, tmp_path, [])
+
     def test_cover_of_order_2000_still_generates_and_checks(self, tmp_path):
         proc = _cli_under_limit(tmp_path, *COVER_ARGS, "2000", "--out", "cover.json")
         assert proc.returncode == 0, proc.stderr
@@ -693,6 +713,27 @@ class TestExponentSpanGate:
         assert proc.returncode == 0, proc.stderr
         verdict = loads(proc.stdout)
         assert verdict["well_defined"] and verdict["winding_class"] == 2000
+
+
+class TestOutOfMemory:
+    # Each command asks for more than the child's 1 GiB in one allocation:
+    # 400 million trace nodes, and lemma_3_1's stacked (200, 600, 600)
+    # companion matrices at max_exponent 300.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theta-nodes", "400000000", "trace", "--data", "FIG8", "--height", "0"],
+            ["report", "--scenario", "lemma_3_1", "--param", "max_exponent=300"],
+        ],
+        ids=["trace", "report"],
+    )
+    def test_allocation_failure_is_a_numerical_failure(self, fig8_path, tmp_path, argv):
+        argv = [fig8_path if arg == "FIG8" else arg for arg in argv]
+        proc = _cli_under_limit(tmp_path, *argv, "--out", "out.json")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("minann: numerical failure: out of memory: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and list(tmp_path.iterdir()) == []
 
 
 class TestTopLevel:

@@ -564,6 +564,21 @@ class TestEnsembleStream:
             random_even_vertical_flux(rng, max_exponent)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("max_exponent", [1024, 1100, 10**9])
+    def test_span_past_the_dense_limit_is_refused_before_drawing(self, max_exponent):
+        # The factors span z^-m..z^m, wider than MAX_DENSE_WIDTH from m = 1024
+        # on; from_g_pair would refuse every draw after its roots were solved.
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        width = 2 * max_exponent + 1
+        with pytest.raises(DomainError, match=f"a dense width of {width} above the limit 2048"):
+            random_even_vertical_flux(rng, max_exponent, size=2)
+        assert rng.bit_generator.state == state
+
+    def test_widest_span_below_the_limit_goes_on_to_draw(self, monkeypatch):
+        monkeypatch.setattr("minann.experiments._draw", lambda rng, size, width, *_: width)
+        assert random_even_vertical_flux(np.random.default_rng(1), 1023) == 8 * 1023
+
     @pytest.mark.parametrize("size", [1.5, "3", 2.0])
     @pytest.mark.parametrize("generator", [random_even_vertical_flux, random_three_term_pair])
     def test_non_integer_size_is_refused_before_drawing(self, generator, size):

@@ -515,10 +515,11 @@ class TestCatenoidReferences:
         u = marginal_waist_ratio()
         assert params.cover == 1
         assert params.center == pytest.approx(0.0)
-        assert params.neck_radius == pytest.approx(0.4 / u, rel=1e-12)
+        # neck radius of the underlying single catenoid
+        rho = params.f3 / (2.0 * math.pi * params.cover)
+        assert rho == pytest.approx(0.4 / u, rel=1e-12)
         # tangency: the ray from the slab center through the boundary circle
         # has the profile's slope there, rho(H) = H * rho'(H)
-        rho = params.neck_radius
         profile_at_top = rho * math.cosh(0.4 / rho)
         slope_at_top = math.sinh(0.4 / rho)
         assert profile_at_top == pytest.approx(0.4 * slope_at_top, rel=1e-9)

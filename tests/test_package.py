@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +19,18 @@ def test_all_lists_exactly_the_imported_public_names():
         if not inspect.ismodule(value) and (not name.startswith("_") or name == "__version__")
     }
     assert set(minann.__all__) == imported
+    assert len(minann.__all__) == len(imported)
+
+
+def test_star_import_binds_exactly_all_with_the_version_and_no_submodule():
     namespace: dict = {}
     exec("from minann import *", namespace)
-    assert "sweep_scenario" in namespace
+    del namespace["__builtins__"]
+    assert set(namespace) == set(minann.__all__)
+    assert "__version__" in namespace and "sweep_scenario" in namespace
+    submodules = {info.name for info in pkgutil.iter_modules(minann.__path__)}
+    assert {"laurent", "measures", "weierstrass", "cli"} <= submodules
+    assert submodules.isdisjoint(minann.__all__)
 
 
 def _run_with_perfbench(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minann import weierstrass
 from minann.errors import (
@@ -27,6 +28,7 @@ from minann.weierstrass import (
     PeriodVerdict,
     Slab,
     WeierstrassData,
+    _dense_span,
     _immersion,
     data_from_json,
     data_to_json,
@@ -120,6 +122,25 @@ class TestAssembly:
     def test_refuses_a_wider_span(self, gm, gp):
         with pytest.raises(DomainError, match="dense width of 2049 above the limit 2048"):
             from_g_pair(LaurentPoly.monomial(gm), LaurentPoly.monomial(gp), Parity.EVEN, WINDOW)
+
+    # Factor exponent ranges (lowest, highest), many of them without z^-1 or z^0.
+    @given(
+        st.lists(
+            st.lists(st.integers(-3000, 3000), min_size=2, max_size=2).map(sorted),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dense_span_equals_the_pair_and_stack_formulas(self, ranges):
+        lows, highs = [r[0] for r in ranges], [r[1] for r in ranges]
+        # from_g_pair's former gate, on the first two factors
+        pair_lo = min(-1, lows[0], lows[1])
+        pair = (pair_lo, max(0, highs[0], highs[1]) - pair_lo + 1)
+        assert _dense_span(min(lows[:2]), max(highs[:2])) == pair
+        # period_checks' former row layout, on the whole stack
+        stack_lo = min(-1, min(lows))
+        assert _dense_span(min(lows), max(highs)) == (stack_lo, max(0, max(highs)) - stack_lo + 1)
 
     def test_refuses_a_wide_span_before_solving_roots(self, monkeypatch):
         def no_roots(p):
@@ -567,3 +588,13 @@ class TestSlab:
         assert s.half_width == pytest.approx(1.0)
         with pytest.raises(DomainError):
             Slab(1.0, 1.0)
+
+    @pytest.mark.parametrize("half", [0.25, 1e-300, 3.0])
+    def test_symmetric_reads_the_half_width_unsigned(self, half):
+        assert Slab.symmetric(-half) == Slab.symmetric(half) == Slab(-half, half)
+        assert Slab.symmetric(-half).half_width == half
+
+    @pytest.mark.parametrize("half", [0.0, -0.0, math.nan, math.inf])
+    def test_symmetric_refuses_an_empty_or_unbounded_slab(self, half):
+        with pytest.raises(DomainError):
+            Slab.symmetric(half)
