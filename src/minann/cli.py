@@ -3,7 +3,9 @@
 Exit status contract: 0 on success with all verdicts passing, 1 when any
 verdict fails, 2 on usage or validation errors, 3 on numerical failures
 and on running out of memory.  All file outputs are written atomically
-(temp file in the target directory, then rename).
+(temp file in the target directory, then rename), and a command that
+writes several renders them all first and, when one write fails, gives
+each target it already wrote its former content, or removes it if new.
 """
 
 from __future__ import annotations
@@ -95,13 +97,13 @@ def parse_param(text: str) -> tuple[str, object]:
     return key.strip(), value
 
 
-def atomic_write(path: str, content: str) -> None:
+def atomic_write(path: str, content: str | bytes) -> None:
     """Write through a temp file in the target directory; ValidationError if that fails."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minann-", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "wb" if isinstance(content, bytes) else "w") as handle:
                 handle.write(content)
             os.replace(tmp, path)
         except BaseException:
@@ -110,6 +112,31 @@ def atomic_write(path: str, content: str) -> None:
             raise
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
+def _write_all(files) -> None:
+    """atomic_write each (path, content) in turn.  When one fails, each
+    target already written gets back the bytes it held, or is removed if it
+    did not exist, so the failed command leaves its targets as it found them."""
+    written = []  # (path, its bytes before the write, or None)
+    try:
+        for path, content in files:
+            try:
+                with open(path, "rb") as handle:
+                    before = handle.read()
+            except FileNotFoundError:
+                before = None
+            except OSError as exc:
+                raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+            atomic_write(path, content)
+            written.append((path, before))
+    except ValidationError:
+        for path, before in reversed(written):
+            if before is None:
+                os.unlink(path)
+            else:
+                atomic_write(path, before)
+        raise
 
 
 def _finite_or_null(doc):
@@ -123,8 +150,12 @@ def _finite_or_null(doc):
     return doc
 
 
+def _json_text(doc) -> str:
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def emit_json(doc, path: str | None) -> None:
-    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(doc)
     if path:
         atomic_write(path, text)
     else:
@@ -248,16 +279,19 @@ _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 def cmd_trace(args) -> int:
     data = load_data(args.data)
     curves = trace_levels(data, args.height, args.theta_nodes)
+    # Every output is rendered before the first is written, and a failed
+    # write takes back the ones before it.
+    files = []
     if args.csv:
         parts = ["theta,r,x1,x2,x3\n"]
         for curve in curves:
             rows = np.column_stack((curve.theta, curve.r, curve.points))
             parts.append(_CSV_ROW * len(rows) % tuple(rows.ravel().tolist()))
-        atomic_write(args.csv, "".join(parts))
+        files.append((args.csv, "".join(parts)))
     if args.svg:
         profile = length_profile(data, n_grid=64) if args.inset else None
-        atomic_write(args.svg, level_curves_svg(curves, profile))
-    doc = {
+        files.append((args.svg, level_curves_svg(curves, profile)))
+    summary = _json_text({
         "levels": [
             {
                 "height": curve.h,
@@ -267,8 +301,12 @@ def cmd_trace(args) -> int:
             }
             for curve in curves
         ]
-    }
-    emit_json(doc, args.out)
+    })
+    if args.out:
+        files.append((args.out, summary))
+    _write_all(files)
+    if not args.out:
+        sys.stdout.write(summary)
     return 0
 
 

@@ -372,8 +372,24 @@ def compare_lengths(
     margin (closed-form circle lengths compared under the t = (2pi/F3)h
     substitution) is reported alongside the traced margins.
     """
+    sign = _expect_sign(expect)
+    heights = _length_heights(sigma, cat, slab, grid)
+    waist, *curves = trace_levels(sigma, [cat.center, *heights], n_theta)
+    return _compare_lengths(sigma, cat, waist.length, curves, sign)
+
+
+def _expect_sign(expect: str) -> float:
+    """+1 for "below" (the surface's quantity below the catenoid's), -1 for "above"."""
     if expect not in ("below", "above"):
         raise PreconditionError(f"expect must be 'below' or 'above', got {expect!r}")
+    return 1.0 if expect == "below" else -1.0
+
+
+def _length_heights(
+    sigma: WeierstrassData, cat: CatenoidParams, slab: Slab, grid: int
+) -> list[float]:
+    """compare_lengths' preconditions, then its ``grid`` slab heights
+    without those at the catenoid's waist."""
     if not symmetry_check(sigma):
         raise PreconditionError("length comparison requires reflection-symmetric data")
     f3 = flux(sigma).f3
@@ -381,11 +397,6 @@ def compare_lengths(
         raise PreconditionError(
             f"catenoid flux {cat.f3!r} does not match the surface flux {f3!r}"
         )
-    report = MeasureReport("compare_lengths")
-    report.quantities["f3"] = f3
-    report.quantities["cat_f3"] = cat.f3
-    sign = 1.0 if expect == "below" else -1.0
-
     if grid < 1:
         raise PreconditionError(f"grid must be at least 1, got {grid!r}")
     heights = np.linspace(slab.h_minus, slab.h_plus, grid)
@@ -396,11 +407,22 @@ def compare_lengths(
     kept = [h for h in heights if abs(h - cat.center) > skip]
     if not kept:
         raise PreconditionError("height grid contains no nonzero heights")
-    waist, *curves = trace_levels(sigma, [cat.center, *kept], n_theta)
-    waist_len = waist.length
+    return kept
+
+
+def _compare_lengths(
+    sigma: WeierstrassData, cat: CatenoidParams, waist_len: float, curves, sign: float
+) -> MeasureReport:
+    """compare_lengths from the traced length at the catenoid's waist and
+    the traced levels at its _length_heights."""
+    f3 = flux(sigma).f3
+    report = MeasureReport("compare_lengths")
+    report.quantities["f3"] = f3
+    report.quantities["cat_f3"] = cat.f3
     report.quantities["traced_waist_length"] = waist_len
     report.add_check("waist_equals_flux", WAIST_FLUX_TOL - abs(waist_len - f3) / f3)
 
+    kept = [curve.h for curve in curves]
     l_cat = np.array([catenoid_level_length(cat, h) for h in kept])
     traced_margins = sign * (l_cat - [curve.length for curve in curves])
     radii = np.exp(TWO_PI / f3 * (np.array(kept) - cat.center))
@@ -422,12 +444,17 @@ def compare_areas(
     n_theta: int = measures.DEFAULT_THETA_NODES,
 ) -> MeasureReport:
     """Slab area of sigma against the catenoid-cover closed form."""
-    if expect not in ("below", "above"):
-        raise PreconditionError(f"expect must be 'below' or 'above', got {expect!r}")
-    report = MeasureReport("compare_areas")
+    sign = _expect_sign(expect)
     area_sigma = slab_area(sigma, slab, n_theta)
+    return _compare_areas(cat, slab, area_sigma, sign, include_marginal=include_marginal)
+
+
+def _compare_areas(
+    cat: CatenoidParams, slab: Slab, area_sigma: float, sign: float, include_marginal=False
+) -> MeasureReport:
+    """compare_areas from the surface's slab area."""
+    report = MeasureReport("compare_areas")
     area_cat = catenoid_area(cat, slab)
-    sign = 1.0 if expect == "below" else -1.0
     margin = sign * (area_cat - area_sigma)
     report.quantities["area_sigma"] = area_sigma
     report.quantities["area_catenoid"] = area_cat
@@ -440,6 +467,13 @@ def compare_areas(
         report.quantities["marginal_f3"] = waist.f3
         report.add_check("area_above_marginal", area_sigma - area_marg)
     return report
+
+
+def _traced_slab_area(sigma: WeierstrassData, slab: Slab, curves) -> float:
+    """slab_area from traced levels among which are the slab's two ends."""
+    ends = {curve.h: curve for curve in curves}
+    lower, upper = ends[slab.h_minus], ends[slab.h_plus]
+    return measures._slab_area(sigma, lower.theta, lower.r, upper.r)
 
 
 def classify_levels(
@@ -716,19 +750,30 @@ def _corollary_4_2(report: MeasureReport, data, params: dict, n_theta: int):
 def _theorem_4_3(report: MeasureReport, data, params: dict, n_theta: int):
     """figure-eight area above matched and marginally stable catenoids"""
     slab = _thin_slab(data, params)
-    h0, waist_len = waist_height(data, slab, n_theta=n_theta)
+    # The waist scan and the length grid, slab ends included, in one trace;
+    # each row has the bits of its one-height trace.  The union is a set, not
+    # np.union1d, whose np.unique imports numpy.ma (1.1 MB) on first use.
+    grid = np.linspace(slab.h_minus, slab.h_plus, params["grid"])
+    heights = sorted({*measures._waist_scan(slab).tolist(), *grid.tolist()})
+    traced = {curve.h: curve for curve in trace_levels(data, heights, n_theta)}
+    h0, waist_len = waist_height(
+        data, slab, n_theta, _lengths={h: curve.length for h, curve in traced.items()}
+    )
     report.quantities["waist_height"] = h0
     report.quantities["waist_length"] = waist_len
 
+    # The sign -1.0 claims the surface's lengths and area above the catenoid's.
     cat = CatenoidParams(f3=flux(data).f3, center=h0, cover=1)
+    curves = [traced[h] for h in _length_heights(data, cat, slab, params["grid"])]
     report.merge(
-        compare_lengths(data, cat, slab, params["grid"], expect="above", n_theta=n_theta),
+        _compare_lengths(data, cat, waist_len, curves, -1.0),
         quantities={"traced_margin_min": "length_margin_min"},
         verdicts=("traced_level_lengths",),
     )
     report.merge(
-        compare_areas(
-            data, cat, slab, expect="above", include_marginal=True, n_theta=n_theta
+        _compare_areas(
+            cat, slab, _traced_slab_area(data, slab, traced.values()), -1.0,
+            include_marginal=True,
         ),
         quantities={
             "area_sigma": "area_sigma",
@@ -751,11 +796,12 @@ def _step_two(report: MeasureReport, data, params: dict, n_theta: int):
     """figure-eight levels and area below the matched doubled catenoid"""
     slab = _thin_slab(data, params)
     cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=2)
+    heights = _length_heights(data, cat, slab, params["grid"])
+    waist, *curves = trace_levels(data, [cat.center, *heights], n_theta)
+    # The sign 1.0 claims the surface's lengths and area below the catenoid's.
+    report.merge(_compare_lengths(data, cat, waist.length, curves, 1.0))
     report.merge(
-        compare_lengths(data, cat, slab, params["grid"], expect="below", n_theta=n_theta)
-    )
-    report.merge(
-        compare_areas(data, cat, slab, expect="below", n_theta=n_theta),
+        _compare_areas(cat, slab, _traced_slab_area(data, slab, curves), 1.0),
         quantities=("area_sigma", "area_catenoid"),
         verdicts={"area_comparison": "area_below_cover"},
     )

@@ -596,7 +596,12 @@ def slab_area(
     level radii); only the outer theta integral is quadrature.
     """
     thetas = _theta_grid(n_theta)
-    r_a, r_b = level_radii(data, [slab.h_minus, slab.h_plus], thetas)
+    return _slab_area(data, thetas, *level_radii(data, [slab.h_minus, slab.h_plus], thetas))
+
+
+def _slab_area(data: WeierstrassData, thetas: np.ndarray, r_a, r_b) -> float:
+    """slab_area from the radii r_a and r_b of its two levels on the rays
+    ``thetas``, as solved by level_radii or held by traced curves."""
     # Both level radii in one pass, so each phase e^{i(m-n)theta} is formed once.
     lower, upper = _area_antiderivative(
         data, thetas, np.stack((np.minimum(r_a, r_b), np.maximum(r_a, r_b)))
@@ -750,10 +755,29 @@ def _probes_ahead(bracket: tuple, probe: float, depth: int) -> list[float]:
     return probes
 
 
+def _waist_scan(slab: Slab) -> np.ndarray:
+    """The heights of the waist search's coarse scan."""
+    return np.linspace(slab.h_minus, slab.h_plus, WAIST_COARSE_HEIGHTS)
+
+
+def _look_ahead_depth(n_theta: int) -> int:
+    """Golden-section steps traced per look-ahead: the largest depth whose
+    2^depth - 1 probes fill at most half a solve, and at least 1.
+
+    Looking d steps ahead traces 2^d - 1 probes and compares d of them, so
+    a deeper look-ahead saves solves but traces probes that are never
+    compared; filling only half a solve timed faster than filling it all
+    (2 at 512 nodes, 3 at 256).
+    """
+    return max(1, (_levels_per_solve(n_theta) // 2 + 1).bit_length() - 1)
+
+
 def waist_height(
     data: WeierstrassData,
     slab: Slab,
     n_theta: int = 256,
+    *,
+    _lengths: dict | None = None,
 ) -> tuple[float, float]:
     """Height minimizing the traced level length, by scan + golden section.
 
@@ -761,25 +785,31 @@ def waist_height(
     (Kiefer 1953) traces ``depth`` steps ahead: each step's probe is known
     once its comparison is, and only the step after it branches two ways, so
     when a probe is untraced, it is traced in one trace_levels batch with the
-    2^depth - 2 probes the next depth - 1 steps could take, depth the largest
-    with 2^depth - 1 whole levels in one solve.  Every probe comes from the
-    same expressions and every row of a batch equals its one-height trace,
-    so the search visits the heights, and returns the bits, of the one-probe
-    search.  Returns the minimizing height and the length there.
+    2^depth - 2 probes the next depth - 1 steps could take (depth from
+    _look_ahead_depth).  Every probe comes from the same expressions and
+    every row of a batch equals its one-height trace, so the search visits
+    the heights, and returns the bits, of the one-probe search.  Returns the
+    minimizing height and the length there.
     Raises ConvergenceError if the final bracket still holds a slab endpoint:
     the length then falls toward that edge, and the edge is not a waist.
+
+    ``_lengths`` is for a scenario that traced the scan among its own
+    levels: it maps height to traced length and holds at least the scan
+    heights, and no height in it is traced again.
     """
-    heights = np.linspace(slab.h_minus, slab.h_plus, WAIST_COARSE_HEIGHTS)
-    lengths = [curve.length for curve in trace_levels(data, heights, n_theta)]
-    i = int(np.argmin(lengths))
+    heights = _waist_scan(slab)
+    if _lengths is None:
+        _lengths = {curve.h: curve.length for curve in trace_levels(data, heights, n_theta)}
+    traced = dict(_lengths)
+    i = int(np.argmin([traced[h] for h in heights]))
     a = heights[max(i - 1, 0)]
     b = heights[min(i + 1, len(heights) - 1)]
     bracket = (a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-    depth = (_levels_per_solve(n_theta) + 1).bit_length() - 1
-    traced: dict[float, float] = {}
+    depth = _look_ahead_depth(n_theta)
 
     def trace(probes):
-        for curve in trace_levels(data, probes, n_theta):
+        untraced = [h for h in probes if h not in traced]
+        for curve in trace_levels(data, untraced, n_theta):
             traced[curve.h] = curve.length
 
     trace(bracket[2:])

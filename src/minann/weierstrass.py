@@ -68,7 +68,9 @@ class Slab:
 
     @classmethod
     def symmetric(cls, half_width: float) -> Slab:
-        """The slab -|half_width| < x3 < |half_width|."""
+        """The slab -|half_width| < x3 < |half_width|; DomainError if half_width is 0."""
+        if half_width == 0:
+            raise DomainError(f"a symmetric slab needs a nonzero half-width, got {half_width!r}")
         return cls(-abs(half_width), abs(half_width))
 
     @property

@@ -331,6 +331,35 @@ class TestTrace:
         assert first.startswith(b'<?xml version="1.0"')
         assert b"<svg" in first
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            ["--csv", "a.csv", "--svg", "missing/b.svg"],
+            ["--svg", "b.svg", "--csv", "missing/a.csv"],
+            ["--csv", "a.csv", "--svg", "b.svg", "--out", "missing/c.json"],
+            ["--csv", "a.csv", "--svg", "taken"],
+            ["--svg", "b.svg", "--csv", "a.csv", "--out", "taken"],
+        ],
+        ids=["svg", "csv", "summary", "rename", "rename_last"],
+    )
+    def test_a_failed_write_leaves_the_targets_as_found(
+        self, fig8_path, tmp_path, outputs, existing
+    ):
+        # Every output is rendered first: when a write, or a rename onto a
+        # directory, fails after others are in place, the command removes
+        # the files it made, gives a.csv back the bytes it held, and exits 2.
+        (tmp_path / "taken").mkdir()
+        if existing:
+            (tmp_path / "a.csv").write_bytes(b"kept\xff\n")
+        before = {path: path.is_file() and path.read_bytes() for path in tmp_path.iterdir()}
+        argv = ["--theta-nodes", "256", "trace", "--data", fig8_path, "--height", "0", *outputs]
+        proc = _cli_under_limit(tmp_path, *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("minann: cannot write ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert {path: path.is_file() and path.read_bytes() for path in tmp_path.iterdir()} == before
+
 
 def _csv_per_value(curves):
     """The trace CSV written one node and one value at a time."""
@@ -441,6 +470,21 @@ class TestCompare:
             assert main(argv + ["--data", fig8_path, "--slab-half", half]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--data", "FIG8", "--kind", "area", "--slab-half", "0"],
+            ["report", "--scenario", "theorem_4_3", "--param", "slab_half=0"],
+        ],
+        ids=["measure", "report"],
+    )
+    def test_zero_slab_half_names_the_half_width(self, fig8_path, argv, capsys):
+        argv = [fig8_path if arg == "FIG8" else arg for arg in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "minann: a symmetric slab needs a nonzero half-width, got 0.0\n"
+        assert out == ""
 
     @pytest.mark.parametrize("grid", ["0", "-1"])
     def test_grid_below_one_is_usage_error(self, fig8_path, grid, capsys):

@@ -21,6 +21,7 @@ from minann import (
     compare_areas,
     compare_lengths,
     figure_eight,
+    flux,
     from_g_pair,
     height,
     period_check,
@@ -28,7 +29,9 @@ from minann import (
     random_three_term_pair,
     run_scenario,
     sweep_scenario,
+    waist_height,
 )
+from minann import measures
 from minann.errors import DomainError, MultivaluedDataError
 from minann.experiments import (
     ENSEMBLE_CHUNK,
@@ -314,6 +317,73 @@ class TestCompareAreasAndLevels:
         monkeypatch.setattr("minann.experiments.trace_levels", no_trace)
         with pytest.raises(PreconditionError, match=f"n_levels must be at least 1, got {n_levels}$"):
             classify_levels(figure_eight(1.0, 1.0), Slab(-0.2, 0.2), n_levels=n_levels)
+
+
+def _composed_report(name: str, data, n_theta: int, grid: int) -> MeasureReport:
+    """theorem_4_3 or step_two at the default slab, composed from the public
+    waist_height, compare_lengths and compare_areas, each tracing its own
+    levels."""
+    slab = clip_to_slab(data, Slab.symmetric(0.25))
+    report = MeasureReport(name)
+    if name == "step_two":
+        cat = CatenoidParams(f3=flux(data).f3, center=0.0, cover=2)
+        report.merge(compare_lengths(data, cat, slab, grid, "below", n_theta))
+        report.merge(
+            compare_areas(data, cat, slab, "below", n_theta=n_theta),
+            quantities=("area_sigma", "area_catenoid"),
+            verdicts={"area_comparison": "area_below_cover"},
+        )
+        return report
+    h0, waist_len = waist_height(data, slab, n_theta)
+    report.quantities.update(waist_height=h0, waist_length=waist_len)
+    cat = CatenoidParams(f3=flux(data).f3, center=h0, cover=1)
+    report.merge(
+        compare_lengths(data, cat, slab, grid, "above", n_theta),
+        quantities={"traced_margin_min": "length_margin_min"},
+        verdicts=("traced_level_lengths",),
+    )
+    report.merge(
+        compare_areas(data, cat, slab, "above", include_marginal=True, n_theta=n_theta),
+        quantities={
+            "area_sigma": "area_sigma",
+            "area_catenoid": "area_matched_catenoid",
+            "area_marginal_waist": "area_marginal_waist",
+        },
+        verdicts={
+            "area_comparison": "area_above_matched_catenoid",
+            "area_above_marginal": "area_above_marginal",
+        },
+    )
+    return report
+
+
+class TestSharedTraces:
+    @pytest.mark.parametrize("name", ["theorem_4_3", "step_two"])
+    def test_solves_each_height_once(self, name, monkeypatch):
+        solved = []
+        original = measures._solve_levels
+
+        def recording(data, hs, rays):
+            solved.extend(float(h + 0.0).hex() for h in hs)  # -0.0 is 0.0
+            return original(data, hs, rays)
+
+        monkeypatch.setattr(measures, "_solve_levels", recording)
+        run_scenario(name, n_theta=512)
+        assert solved and len(solved) == len(set(solved))
+
+    @pytest.mark.parametrize("grid", [33, 20, 8])
+    @pytest.mark.parametrize("n_theta", [256, 512])
+    @pytest.mark.parametrize("name", ["theorem_4_3", "step_two"])
+    def test_equals_the_public_composition(self, name, n_theta, grid):
+        # The scenario traces each height once and shares the curves; the
+        # composition traces the waist, the grid and the slab ends apiece.
+        data = figure_eight(1.0, 1.0)
+        got = run_scenario(name, {"grid": grid}, n_theta=n_theta, data=data)
+        want = _composed_report(name, data, n_theta, grid)
+        for key, value in want.quantities.items():
+            assert float(got.quantities[key]).hex() == float(value).hex(), key
+        for key, verdict in want.verdicts.items():
+            assert float(got.verdicts[key].margin).hex() == float(verdict.margin).hex(), key
 
 
 def _violating_figure_eight():

@@ -596,28 +596,39 @@ class TestWaistLookAhead:
         # The sequential search makes ceil(17 / k) coarse-scan solves for k
         # levels per solve, then one per probe: c, d, every step and the
         # polish.  The look-ahead traces c and d together and depth steps
-        # per solve.  512 rays hold eight levels per solve, so depth is 3:
-        # 3 + 2 + 33 + 1 = 39 solves against 3 + 1 + 11 + 1 = 16.
+        # per solve.  512 rays hold eight levels per solve, and depth 2 is
+        # the deepest whose three probes fill at most half of one:
+        # 3 + 2 + 33 + 1 = 39 solves against 3 + 1 + 17 + 1 = 22.
         per_solve = measures._levels_per_solve(512)
-        depth = (per_solve + 1).bit_length() - 1
+        depth = measures._look_ahead_depth(512)
         coarse = -(-measures.WAIST_COARSE_HEIGHTS // per_solve)
         sizes = []
+        solved = []
         original = measures._solve_levels
 
         def recording(data, hs, rays):
             sizes.append((hs.size, rays.theta.size))
+            solved.extend(hs.tolist())
             return original(data, hs, rays)
 
         monkeypatch.setattr(measures, "_solve_levels", recording)
         data, slab = _WAIST_CASES["figure_eight"]
         waist_height_sequential(data, slab, 512)
         steps = len(sizes) - coarse - 3
-        assert (per_solve, depth, coarse, steps) == (8, 3, 3, 33)
+        assert (per_solve, depth, coarse, steps) == (8, 2, 3, 33)
         assert len(sizes) == 39
         sizes.clear()
+        solved.clear()
         waist_height(data, slab, 512)
-        assert len(sizes) == coarse + 1 + -(-steps // depth) + 1 == 16
+        assert len(sizes) == coarse + 1 + -(-steps // depth) + 1 == 22
         assert all(k * n <= measures.MAX_SOLVE_RAYS for k, n in sizes)
+        assert len(solved) == len(set(solved))  # no probe is traced twice
+
+    @pytest.mark.parametrize("n_theta, depth", [(256, 3), (512, 2), (2048, 1), (4096, 1)])
+    def test_depth_fills_half_a_solve(self, n_theta, depth):
+        # The node counts the scenarios, waist_height's default and the CLI
+        # use; at 256 and 512 nodes the depth timed faster than one more.
+        assert measures._look_ahead_depth(n_theta) == depth
 
 
 def _all_pairs_crossings(xy, merge_tol=measures.CROSSING_MERGE_TOL):
