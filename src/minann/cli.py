@@ -244,11 +244,13 @@ def cmd_check(args) -> int:
 
 
 def _slab_from_args(data, args) -> Slab:
-    if args.h_min is not None and args.h_max is not None:
-        return Slab(args.h_min, args.h_max)
-    if args.slab_half is not None:
+    """The slab of --h-min with --h-max, or of --slab-half alone."""
+    bounds = (args.h_min, args.h_max)
+    if args.slab_half is None and None not in bounds:
+        return Slab(*bounds)
+    if args.slab_half is not None and bounds == (None, None):
         return clip_to_slab(data, Slab.symmetric(args.slab_half))
-    raise ValidationError("provide --h-min/--h-max or --slab-half")
+    raise ValidationError("provide --h-min with --h-max, or --slab-half alone")
 
 
 def cmd_measure(args) -> int:

@@ -35,7 +35,7 @@ from .families import (
     catenoid_cover,
     clip_to_slab,
 )
-from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, solve_roots
+from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, _count, solve_roots
 from .measures import (
     CatenoidParams,
     _profile_lengths,
@@ -164,7 +164,7 @@ def _provenance(name: str, params: dict, n_theta: int, data=None) -> dict:
     return {
         "scenario": name,
         "inputs": inputs,
-        "theta_nodes": int(n_theta),
+        "theta_nodes": n_theta,
         "tool": f"minann {__version__}",
     }
 
@@ -214,15 +214,7 @@ def _draw(
     it, and the accepted data sets come back in stream order.  64
     consecutive rejections raise PreconditionError.
     """
-    if size is None:
-        count = 1
-    else:
-        try:
-            count = operator.index(size)
-        except TypeError:
-            raise DomainError(f"size must be an integer, got {size!r}") from None
-        if count < 0:
-            raise DomainError(f"size must be non-negative, got {size!r}")
+    count = 1 if size is None else _count(size, "size", 0)
     accepted: list[WeierstrassData] = []
     rejected = 0
     while len(accepted) < count:
@@ -314,16 +306,11 @@ def random_even_vertical_flux(
     ``size=None`` returns one data set and ``size=n`` a list of n, drawn in
     rounds (``_draw``) with the bits and the stream of n single draws; every
     round is period-checked, and a draw that fails ``vertical_flux`` is
-    rejected like an inadmissible one.  ``max_exponent`` must be an integer
-    from 1 to 1023 (whose span fits MAX_DENSE_WIDTH) and ``size`` an
-    integer, else DomainError before ``rng`` is drawn from.
+    rejected like an inadmissible one.  ``max_exponent`` is at most 1023
+    (whose span fits MAX_DENSE_WIDTH), else DomainError before ``rng`` is
+    drawn from.
     """
-    try:
-        m = operator.index(max_exponent)
-    except TypeError:
-        m = 0
-    if m < 1:
-        raise DomainError(f"max_exponent must be an integer of at least 1, got {max_exponent!r}")
+    m = _count(max_exponent, "max_exponent", 1)
     lo, width = _dense_span(-m, m)
     if width > MAX_DENSE_WIDTH:
         raise DomainError(
@@ -390,6 +377,7 @@ def _length_heights(
 ) -> list[float]:
     """compare_lengths' preconditions, then its ``grid`` slab heights
     without those at the catenoid's waist."""
+    grid = _count(grid, "grid", 1)
     if not symmetry_check(sigma):
         raise PreconditionError("length comparison requires reflection-symmetric data")
     f3 = flux(sigma).f3
@@ -397,8 +385,6 @@ def _length_heights(
         raise PreconditionError(
             f"catenoid flux {cat.f3!r} does not match the surface flux {f3!r}"
         )
-    if grid < 1:
-        raise PreconditionError(f"grid must be at least 1, got {grid!r}")
     heights = np.linspace(slab.h_minus, slab.h_plus, grid)
     # At the waist the two lengths agree, so strictness is only meaningful
     # away from it; the skip width absorbs the tolerance of a numerically
@@ -484,10 +470,9 @@ def classify_levels(
     n_theta: int = 512,
 ) -> MeasureReport:
     """Self-intersection counts and traversal multiplicities per level."""
-    if n_levels < 1:
-        raise PreconditionError(f"n_levels must be at least 1, got {n_levels!r}")
+    n_levels = _count(n_levels, "n_levels", 1)
     report = MeasureReport("classify_levels")
-    heights = np.linspace(slab.h_minus, slab.h_plus, int(n_levels))
+    heights = np.linspace(slab.h_minus, slab.h_plus, n_levels)
     curves = trace_levels(sigma, heights, n_theta)
     counts = [curve.self_intersections for curve in curves]
     multiplicities = [curve.multiplicity for curve in curves]
@@ -750,12 +735,9 @@ def _corollary_4_2(report: MeasureReport, data, params: dict, n_theta: int):
 def _theorem_4_3(report: MeasureReport, data, params: dict, n_theta: int):
     """figure-eight area above matched and marginally stable catenoids"""
     slab = _thin_slab(data, params)
-    # The waist scan and the length grid, slab ends included, in one trace;
-    # each row has the bits of its one-height trace.  The union is a set, not
-    # np.union1d, whose np.unique imports numpy.ma (1.1 MB) on first use.
+    # The length grid, slab ends included; waist_height traces what it lacks.
     grid = np.linspace(slab.h_minus, slab.h_plus, params["grid"])
-    heights = sorted({*measures._waist_scan(slab).tolist(), *grid.tolist()})
-    traced = {curve.h: curve for curve in trace_levels(data, heights, n_theta)}
+    traced = {curve.h: curve for curve in trace_levels(data, grid, n_theta)}
     h0, waist_len = waist_height(
         data, slab, n_theta, _lengths={h: curve.length for h, curve in traced.items()}
     )
@@ -831,17 +813,18 @@ def _total_curvature_8pi(report: MeasureReport, data, params: dict, n_theta: int
 
 def _typed(name: str, key: str, value, kind: type):
     """``value`` as ``kind``: int (which takes an integral float), float or
-    complex.  An int must be at least 1 (a seed at least 0, a grid at least
-    2, the fewest points that span a window or a slab), and fd_step must be
-    positive."""
+    complex, but never a bool.  An int must be at least 1 (a seed at least
+    0, a grid at least 2, the fewest points that span a window or a slab),
+    and fd_step must be positive."""
+    refused = PreconditionError(f"{name} parameter {key} needs {kind.__name__}, got {value!r}")
+    if isinstance(value, bool):
+        raise refused
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     try:
         value = operator.index(value) if kind is int else kind(value)
     except (TypeError, ValueError):
-        raise PreconditionError(
-            f"{name} parameter {key} needs {kind.__name__}, got {value!r}"
-        ) from None
+        raise refused from None
     lowest = {"seed": 0, "grid": 2}.get(key, 1)
     if kind is int and value < lowest:
         raise PreconditionError(f"{name} parameter {key} must be at least {lowest}, got {value}")
@@ -867,6 +850,7 @@ def run_scenario(
         raise PreconditionError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
+    n_theta = measures._node_count(n_theta)
     scenario = SCENARIOS[name]
     params = dict(scenario.defaults)
     overrides = dict(overrides or {})
@@ -891,7 +875,7 @@ def run_scenario(
         if scenario.family is not None and data is None:
             data = _build(scenario.family, params)
         if scenario.family is None or _period_checks(report, data):
-            scenario.measure(report, data, params, int(n_theta))
+            scenario.measure(report, data, params, n_theta)
     except InadmissibleParametersError as exc:
         report = MeasureReport(name)
         report.add_check("constructible", -math.inf)

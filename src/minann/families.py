@@ -22,7 +22,7 @@ from .errors import (
     InadmissibleParametersError,
     SchemaError,
 )
-from .laurent import _FROM_JSON, TWO_PI, AnnulusWindow, LaurentPoly, roots
+from .laurent import _FROM_JSON, TWO_PI, AnnulusWindow, LaurentPoly, _count, roots
 from .measures import CatenoidParams
 from .weierstrass import Parity, Slab, WeierstrassData, _immersion, from_g_pair
 
@@ -116,9 +116,7 @@ def catenoid_cover(
     product channel is the constant c and the waist circle |z| = 1 sits at
     height ``center``.
     """
-    k = int(k)
-    if k < 1:
-        raise DomainError("cover order must be a positive integer")
+    k = _count(k, "k", 1)
     if not (math.isfinite(f3) and f3 > 0):
         raise DomainError("vertical flux must be positive")
     s = math.sqrt(f3 / TWO_PI)

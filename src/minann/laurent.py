@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,6 +82,18 @@ def _positive_radius(r) -> float:
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"radius must be finite and positive, got {r!r}")
     return r
+
+
+def _count(value, what: str, lowest: int) -> int:
+    """The one rule for every count: ``value`` as an int if it is an int or
+    numpy integer, not a bool, of at least ``lowest``; else DomainError."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < lowest:
+        raise DomainError(f"{what} must be an integer of at least {lowest}, got {value!r}")
+    return count
 
 
 class LaurentPoly:

@@ -21,7 +21,7 @@ from .errors import (
     HeightRangeError,
     NumericalError,
 )
-from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, roots, trapezoid_circle
+from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, _count, roots, trapezoid_circle
 from .weierstrass import (
     Parity,
     Slab,
@@ -49,10 +49,7 @@ WAIST_TOL = 1e-8  # golden-section bracket width, relative to its heights
 
 def _node_count(n_theta: int) -> int:
     """n_theta as an int; DomainError below MIN_THETA_NODES nodes."""
-    n_theta = int(n_theta)
-    if n_theta < MIN_THETA_NODES:
-        raise DomainError(f"need at least {MIN_THETA_NODES} circle nodes, got {n_theta}")
-    return n_theta
+    return _count(n_theta, "n_theta", MIN_THETA_NODES)
 
 
 def _theta_grid(n_theta: int) -> np.ndarray:
@@ -162,11 +159,9 @@ def profile_radii(window, n_grid: int, inset: float = 0.0) -> np.ndarray:
     windows, giving one row per window with the bits of its one-window call.
     An even n_grid straddles the central circle without sampling it, which is
     the right default for strict-convexity checks whose defect may vanish at
-    isolated radii.  Fewer than two radii cannot span the window: DomainError.
+    isolated radii.
     """
-    n_grid = int(n_grid)
-    if n_grid < 2:
-        raise DomainError(f"a profile needs at least 2 radii, got {n_grid}")
+    n_grid = _count(n_grid, "n_grid", 2)
     if isinstance(window, AnnulusWindow):
         lo, hi = window.log_span()
     else:
@@ -195,7 +190,7 @@ def length_profile(data: WeierstrassData, n_grid: int = 32) -> list[tuple[float,
 
 def _levels_per_solve(n_rays: int) -> int:
     """Whole levels per Newton solve: at most MAX_SOLVE_RAYS rays, at least one level."""
-    return max(1, MAX_SOLVE_RAYS // max(int(n_rays), 1))
+    return max(1, MAX_SOLVE_RAYS // max(n_rays, 1))
 
 
 def level_radii(
@@ -668,8 +663,7 @@ class CatenoidParams:
     def __post_init__(self):
         if not (math.isfinite(self.f3) and self.f3 > 0):
             raise DomainError("vertical flux must be positive")
-        if int(self.cover) < 1 or int(self.cover) != self.cover:
-            raise DomainError("cover must be a positive integer")
+        object.__setattr__(self, "cover", _count(self.cover, "cover", 1))
         if not math.isfinite(self.center):
             raise DomainError("center must be finite")
 
@@ -755,11 +749,6 @@ def _probes_ahead(bracket: tuple, probe: float, depth: int) -> list[float]:
     return probes
 
 
-def _waist_scan(slab: Slab) -> np.ndarray:
-    """The heights of the waist search's coarse scan."""
-    return np.linspace(slab.h_minus, slab.h_plus, WAIST_COARSE_HEIGHTS)
-
-
 def _look_ahead_depth(n_theta: int) -> int:
     """Golden-section steps traced per look-ahead: the largest depth whose
     2^depth - 1 probes fill at most half a solve, and at least 1.
@@ -781,7 +770,7 @@ def waist_height(
 ) -> tuple[float, float]:
     """Height minimizing the traced level length, by scan + golden section.
 
-    The coarse scan traces its heights in one batch.  The golden section
+    The scan traces its untraced heights in one batch.  The golden section
     (Kiefer 1953) traces ``depth`` steps ahead: each step's probe is known
     once its comparison is, and only the step after it branches two ways, so
     when a probe is untraced, it is traced in one trace_levels batch with the
@@ -793,25 +782,24 @@ def waist_height(
     Raises ConvergenceError if the final bracket still holds a slab endpoint:
     the length then falls toward that edge, and the edge is not a waist.
 
-    ``_lengths`` is for a scenario that traced the scan among its own
-    levels: it maps height to traced length and holds at least the scan
-    heights, and no height in it is traced again.
+    ``_lengths`` maps heights already traced at ``n_theta`` to their
+    lengths, and no height in it is traced again.
     """
-    heights = _waist_scan(slab)
-    if _lengths is None:
-        _lengths = {curve.h: curve.length for curve in trace_levels(data, heights, n_theta)}
-    traced = dict(_lengths)
-    i = int(np.argmin([traced[h] for h in heights]))
-    a = heights[max(i - 1, 0)]
-    b = heights[min(i + 1, len(heights) - 1)]
-    bracket = (a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-    depth = _look_ahead_depth(n_theta)
+    n_theta = _node_count(n_theta)
+    traced = dict(_lengths or {})
 
     def trace(probes):
         untraced = [h for h in probes if h not in traced]
         for curve in trace_levels(data, untraced, n_theta):
             traced[curve.h] = curve.length
 
+    heights = np.linspace(slab.h_minus, slab.h_plus, WAIST_COARSE_HEIGHTS)
+    trace(heights)
+    i = int(np.argmin([traced[h] for h in heights]))
+    a = heights[max(i - 1, 0)]
+    b = heights[min(i + 1, len(heights) - 1)]
+    bracket = (a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+    depth = _look_ahead_depth(n_theta)
     trace(bracket[2:])
     while _bracket_open(bracket):
         bracket, probe = _golden_step(bracket, traced[bracket[2]] < traced[bracket[3]])

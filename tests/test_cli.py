@@ -215,6 +215,17 @@ class TestCheck:
         assert leftovers == []
 
 
+# Slab flags that name no one slab: --h-min with --h-max, or --slab-half
+# alone, are the two accepted forms.
+_MIXED_SLAB_FLAGS = [
+    ["--h-min", "-0.1", "--h-max", "0.1", "--slab-half", "0.25"],
+    ["--h-min", "-0.1", "--slab-half", "0.25"],
+    ["--h-max", "0.1", "--slab-half", "0.25"],
+    ["--h-min", "-0.1"],
+    ["--h-max", "0.1"],
+]
+
+
 class TestMeasure:
     def test_length_on_catenoid(self, catenoid_path, capsys):
         args = ["measure", "--data", catenoid_path, "--kind", "length", "--r", "1.2"]
@@ -247,7 +258,7 @@ class TestMeasure:
     )
     def test_too_few_theta_nodes_is_usage_error(self, fig8_path, argv, capsys):
         assert main(argv + ["--data", fig8_path]) == 2
-        assert "at least 16 circle nodes" in capsys.readouterr().err
+        assert "n_theta must be an integer of at least 16" in capsys.readouterr().err
 
     def test_area_matches_closed_form(self, catenoid_path, capsys):
         args = [
@@ -263,6 +274,14 @@ class TestMeasure:
 
     def test_area_requires_slab(self, catenoid_path):
         assert main(["measure", "--data", catenoid_path, "--kind", "area"]) == 2
+
+    @pytest.mark.parametrize("flags", _MIXED_SLAB_FLAGS)
+    def test_area_takes_one_slab(self, catenoid_path, flags, capsys):
+        argv = ["measure", "--data", catenoid_path, "--kind", "area", *flags]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "minann: provide --h-min with --h-max, or --slab-half alone\n"
+        assert out == ""
 
     def test_unattainable_slab_is_numerical_failure(self, catenoid_path, capsys):
         args = [
@@ -458,6 +477,13 @@ class TestCompare:
     def test_requires_slab(self, fig8_path):
         assert main(["compare", "--data", fig8_path]) == 2
 
+    @pytest.mark.parametrize("flags", _MIXED_SLAB_FLAGS)
+    def test_takes_one_slab(self, fig8_path, flags, capsys):
+        assert main(["compare", "--data", fig8_path, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err == "minann: provide --h-min with --h-max, or --slab-half alone\n"
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [["measure", "--kind", "area"], ["--theta-nodes", "256", "compare", "--expect", "below"]],
@@ -490,7 +516,7 @@ class TestCompare:
     def test_grid_below_one_is_usage_error(self, fig8_path, grid, capsys):
         args = ["compare", "--data", fig8_path, "--slab-half", "0.25", "--grid", grid]
         assert main(args) == 2
-        assert "grid must be at least 1" in capsys.readouterr().err
+        assert f"grid must be an integer of at least 1, got {grid}\n" in capsys.readouterr().err
 
 
 class TestReport:
@@ -527,7 +553,7 @@ class TestReport:
 
     def test_too_few_theta_nodes_is_usage_error(self, capsys):
         assert main(["--theta-nodes", "0", "report", "--scenario", "total_curvature_8pi"]) == 2
-        assert "at least 16 circle nodes" in capsys.readouterr().err
+        assert "n_theta must be an integer of at least 16" in capsys.readouterr().err
 
     def test_one_profile_radius_is_usage_error(self, capsys):
         # One radius cannot span the window: every convexity verdict would

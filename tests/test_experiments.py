@@ -1,34 +1,47 @@
 """Tests for the scenario catalog, comparison operations, and sweeps."""
 
 import dataclasses
+import functools
 import json
 import math
+import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from minann import (
+    AnnulusWindow,
     CatenoidParams,
+    LevelCurve,
     MeasureReport,
     Parity,
     PreconditionError,
     SCENARIOS,
     Slab,
     Verdict,
+    WeierstrassData,
     catenoid_cover,
     classify_levels,
     clip_to_slab,
     compare_areas,
     compare_lengths,
+    data_to_json,
     figure_eight,
     flux,
     from_g_pair,
     height,
     period_check,
+    length_profile,
+    profile_radii,
     random_even_vertical_flux,
     random_three_term_pair,
     run_scenario,
+    slab_area,
     sweep_scenario,
+    total_curvature,
+    trace_level,
+    trace_levels,
     waist_height,
 )
 from minann import measures
@@ -229,7 +242,7 @@ class TestCompareLengths:
     @pytest.mark.parametrize("grid", [0, -1])
     def test_rejects_grid_below_one(self, grid):
         data, cat = catenoid_cover(2, 5.0)
-        with pytest.raises(PreconditionError, match="grid must be at least 1"):
+        with pytest.raises(DomainError, match=f"grid must be an integer of at least 1, got {grid}$"):
             compare_lengths(data, cat, Slab(-0.1, 0.1), grid=grid)
 
     def test_rejects_grid_with_only_the_waist(self):
@@ -315,7 +328,7 @@ class TestCompareAreasAndLevels:
             raise AssertionError("traced before the level count was checked")
 
         monkeypatch.setattr("minann.experiments.trace_levels", no_trace)
-        with pytest.raises(PreconditionError, match=f"n_levels must be at least 1, got {n_levels}$"):
+        with pytest.raises(DomainError, match=f"n_levels must be an integer of at least 1, got {n_levels}$"):
             classify_levels(figure_eight(1.0, 1.0), Slab(-0.2, 0.2), n_levels=n_levels)
 
 
@@ -358,8 +371,11 @@ def _composed_report(name: str, data, n_theta: int, grid: int) -> MeasureReport:
 
 
 class TestSharedTraces:
+    @pytest.mark.parametrize("grid", [33, 20, 8])
     @pytest.mark.parametrize("name", ["theorem_4_3", "step_two"])
-    def test_solves_each_height_once(self, name, monkeypatch):
+    def test_solves_each_height_once(self, name, grid, monkeypatch):
+        # At grid 33 the waist scan is every other grid height; at 20 and 8
+        # the waist search traces the scan heights the grid lacks.
         solved = []
         original = measures._solve_levels
 
@@ -368,7 +384,7 @@ class TestSharedTraces:
             return original(data, hs, rays)
 
         monkeypatch.setattr(measures, "_solve_levels", recording)
-        run_scenario(name, n_theta=512)
+        run_scenario(name, {"grid": grid}, n_theta=512)
         assert solved and len(solved) == len(set(solved))
 
     @pytest.mark.parametrize("grid", [33, 20, 8])
@@ -623,7 +639,7 @@ class TestEnsembleStream:
                 draw(np.random.default_rng(20260814))
 
     def test_negative_size_is_refused(self):
-        with pytest.raises(DomainError, match="non-negative"):
+        with pytest.raises(DomainError, match="size must be an integer of at least 0, got -1$"):
             random_three_term_pair(np.random.default_rng(1), size=-1)
 
     @pytest.mark.parametrize("max_exponent", [0, -1, 1.5, "2", None])
@@ -796,6 +812,108 @@ class TestVerdictContract:
             assert 0.0 < margin <= COEFF_REL_TOL
 
 
+class _CountSurfaces(NamedTuple):
+    f8: object
+    slab: Slab
+    cover: object
+    cat: CatenoidParams
+
+
+@functools.cache
+def _count_surfaces() -> _CountSurfaces:
+    """The figure-eight with its clipped slab and a 2-cover with its
+    catenoid, built once, before any test wraps the level solve."""
+    f8 = figure_eight(1.0, 1.0)
+    return _CountSurfaces(f8, clip_to_slab(f8, Slab.symmetric(0.25)), *catenoid_cover(2, 5.0))
+
+
+# Each count the package takes, as call(value, rng, surfaces) and a valid value.
+_COUNTS = {
+    "trace_levels.n_theta": (lambda v, rng, s: trace_levels(s.f8, [-0.1, 0.1], v), 64),
+    "trace_level.n_theta": (lambda v, rng, s: trace_level(s.f8, 0.1, v), 64),
+    "waist_height.n_theta": (lambda v, rng, s: waist_height(s.f8, s.slab, v), 64),
+    "slab_area.n_theta": (lambda v, rng, s: slab_area(s.f8, s.slab, v), 64),
+    "total_curvature.n_theta": (lambda v, rng, s: total_curvature(s.f8, n_theta=v), 64),
+    "profile_radii.n_grid": (lambda v, rng, s: profile_radii(AnnulusWindow(0.5, 2.0), v), 8),
+    "length_profile.n_grid": (lambda v, rng, s: length_profile(s.f8, v), 8),
+    "CatenoidParams.cover": (lambda v, rng, s: CatenoidParams(4.0, 0.0, v), 2),
+    "catenoid_cover.k": (lambda v, rng, s: catenoid_cover(v, 4.0), 2),
+    "compare_lengths.grid": (
+        lambda v, rng, s: compare_lengths(s.cover, s.cat, Slab(-0.1, 0.1), v, n_theta=64), 5
+    ),
+    "classify_levels.n_levels": (
+        lambda v, rng, s: classify_levels(s.f8, s.slab, v, n_theta=64), 3
+    ),
+    "random_three_term_pair.size": (lambda v, rng, s: random_three_term_pair(rng, size=v), 2),
+    "random_even_vertical_flux.size": (
+        lambda v, rng, s: random_even_vertical_flux(rng, size=v), 2
+    ),
+    "random_even_vertical_flux.max_exponent": (
+        lambda v, rng, s: random_even_vertical_flux(rng, v), 2
+    ),
+    "run_scenario.n_theta": (
+        lambda v, rng, s: run_scenario("total_curvature_8pi", n_theta=v), 64
+    ),
+}
+
+
+def _bits(value):
+    """``value`` with every float as its hex form, every array as its bytes
+    and every integer with its type, so == compares bits."""
+    if isinstance(value, WeierstrassData):
+        value = data_to_json(value)
+    elif isinstance(value, MeasureReport):
+        value = value.to_json()
+    elif isinstance(value, LevelCurve):
+        value = (value.h, value.length, value.r)
+    elif dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (int, np.integer)):
+        return type(value).__name__, int(value)
+    return value
+
+
+class TestCountRule:
+    """Every count is an int or numpy integer, not a bool, at or above its
+    least value; anything else is a DomainError before any work."""
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "64"])
+    @pytest.mark.parametrize("entry", sorted(_COUNTS))
+    def test_non_integers_are_refused_before_any_work(self, entry, value, monkeypatch):
+        surfaces = _count_surfaces()
+        solved = []
+        original = measures._solve_levels
+
+        def recording(data, hs, rays):
+            solved.append(hs)
+            return original(data, hs, rays)
+
+        monkeypatch.setattr(measures, "_solve_levels", recording)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        call, _ = _COUNTS[entry]
+        message = f"must be an integer of at least \\d+, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message):
+            call(value, rng, surfaces)
+        assert not solved
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("entry", sorted(_COUNTS))
+    def test_numpy_integers_give_the_bits_of_ints(self, entry):
+        call, value = _COUNTS[entry]
+        want = _bits(call(value, np.random.default_rng(7), _count_surfaces()))
+        got = _bits(call(np.int64(value), np.random.default_rng(7), _count_surfaces()))
+        assert got == want
+
+
 class TestOverrideTypes:
     def test_overrides_take_the_default_type(self):
         report = run_scenario("lemma_3_1", {"count": 2.0, "seed": 3, "grid": 8})
@@ -817,6 +935,9 @@ class TestOverrideTypes:
             ("step_two", {"grid": 33.5}),
             ("theorem_3_5", {"eps1": "abc"}),
             ("theorem_4_1", {"a_1": None}),
+            ("theorem_4_1", {"levels": True}),
+            ("lemma_3_1", {"seed": False}),
+            ("step_two", {"slab_half": True}),
         ]
         for name, overrides in cases:
             with pytest.raises(PreconditionError, match="parameter"):

@@ -198,7 +198,7 @@ class TestCircleLength:
 
     @pytest.mark.parametrize("n_grid", [-1, 0, 1])
     def test_profile_needs_two_radii(self, n_grid):
-        with pytest.raises(DomainError, match="at least 2 radii"):
+        with pytest.raises(DomainError, match=f"n_grid must be an integer of at least 2, got {n_grid}$"):
             profile_radii(AnnulusWindow(0.5, 2.0), n_grid)
 
     def test_closed_form_matches_quadrature_oracle(self, monkeypatch):
@@ -492,7 +492,7 @@ class TestNodeCounts:
             lambda: total_curvature(data, n_theta=n_theta),
         )
         for call in calls:
-            with pytest.raises(DomainError, match="at least 16 circle nodes"):
+            with pytest.raises(DomainError, match="n_theta must be an integer of at least 16"):
                 call()
 
     def test_sixteen_nodes_suffice(self):
@@ -1345,7 +1345,7 @@ class TestRayCache:
         data = figure_eight(1.0, 1.0)
         misses = measures._ray_setup.cache_info().misses
         for heights in ([0.1], []):
-            with pytest.raises(DomainError, match="at least 16 circle nodes"):
+            with pytest.raises(DomainError, match="n_theta must be an integer of at least 16"):
                 trace_levels(data, heights, measures.MIN_THETA_NODES - 1)
         assert measures._ray_setup.cache_info().misses == misses
 
