@@ -36,6 +36,7 @@ from .families import (
     clip_to_slab,
     family_from_spec,
 )
+from .laurent import _count
 from .measures import (
     DEFAULT_THETA_NODES,
     CatenoidParams,
@@ -168,7 +169,7 @@ def load_data(path: str):
             doc = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read data file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, 4300+ digits, deep nesting
         raise ValidationError(f"data file {path!r} is not valid JSON: {exc}") from exc
     return data_from_json(doc)
 
@@ -359,9 +360,7 @@ def cmd_sweep(args) -> int:
     else:
         if args.start is None or args.stop is None:
             raise ValidationError("provide --values or --start/--stop/--count")
-        if args.count < 1:
-            raise ValidationError("--count must be at least 1")
-        values = list(np.linspace(args.start, args.stop, args.count))
+        values = list(np.linspace(args.start, args.stop, _count(args.count, "--count", 1)))
     rows = sweep_scenario(
         args.scenario, args.param, values, overrides, n_theta=args.theta_nodes, data=data
     )

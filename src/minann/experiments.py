@@ -19,7 +19,6 @@ visible.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ from .families import (
     catenoid_cover,
     clip_to_slab,
 )
-from .laurent import TWO_PI, AnnulusWindow, LaurentPoly, _count, solve_roots
+from .laurent import _FROM_JSON, TWO_PI, AnnulusWindow, LaurentPoly, _count, solve_roots
 from .measures import (
     CatenoidParams,
     _profile_lengths,
@@ -811,28 +810,6 @@ def _total_curvature_8pi(report: MeasureReport, data, params: dict, n_theta: int
     report.add_check("catenoid_4pi", 0.001 - rel_ctrl)
 
 
-def _typed(name: str, key: str, value, kind: type):
-    """``value`` as ``kind``: int (which takes an integral float), float or
-    complex, but never a bool.  An int must be at least 1 (a seed at least
-    0, a grid at least 2, the fewest points that span a window or a slab),
-    and fd_step must be positive."""
-    refused = PreconditionError(f"{name} parameter {key} needs {kind.__name__}, got {value!r}")
-    if isinstance(value, bool):
-        raise refused
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    try:
-        value = operator.index(value) if kind is int else kind(value)
-    except (TypeError, ValueError):
-        raise refused from None
-    lowest = {"seed": 0, "grid": 2}.get(key, 1)
-    if kind is int and value < lowest:
-        raise PreconditionError(f"{name} parameter {key} must be at least {lowest}, got {value}")
-    if key == "fd_step" and not value > 0.0:
-        raise PreconditionError(f"{name} parameter {key} must be positive, got {value!r}")
-    return value
-
-
 def run_scenario(
     name: str, overrides: dict | None = None, n_theta: int = 512, data=None
 ) -> MeasureReport:
@@ -865,10 +842,16 @@ def run_scenario(
             raise PreconditionError(
                 f"{name} runs on the given data and would ignore {sorted(ignored)}"
             )
-    # Overrides take their default's type.
-    params.update(
-        (key, _typed(name, key, value, type(params[key]))) for key, value in overrides.items()
-    )
+    # Each override is decoded as a JSON number of its default's kind.  An
+    # int is a count: at least 1, a seed at least 0, and a grid at least 2,
+    # the fewest points that span a window or a slab.
+    for key, value in overrides.items():
+        what = f"{name} parameter {key}"
+        value = params[key] = _FROM_JSON[type(params[key])](value, what)
+        if type(value) is int:
+            _count(value, what, {"seed": 0, "grid": 2}.get(key, 1))
+        elif key == "fd_step" and not value > 0.0:
+            raise DomainError(f"{what} must be positive, got {value!r}")
     provenance = _provenance(name, params, n_theta, data)
     report = MeasureReport(name)
     try:

@@ -310,9 +310,11 @@ def family_from_spec(spec) -> WeierstrassData:
     if not isinstance(params, dict):
         raise SchemaError("family params must be an object")
     margin = _FROM_JSON[float](spec.get("margin", DEFAULT_MARGIN), "margin")
-    symmetric = bool(spec.get("symmetric", True))
+    symmetric = spec.get("symmetric", True)
+    if not isinstance(symmetric, bool):
+        raise SchemaError(f"symmetric must be a boolean, got {symmetric!r}")
     kind = "symmetric" if symmetric else "asymmetric"
-    family = FAMILIES.get(name)
+    family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None or not (symmetric or family.pair):
         raise SchemaError(f"unknown {kind} family {name!r}")
     second = () if symmetric else family.pair_params

@@ -84,15 +84,17 @@ def _positive_radius(r) -> float:
     return r
 
 
-def _count(value, what: str, lowest: int) -> int:
-    """The one rule for every count: ``value`` as an int if it is an int or
-    numpy integer, not a bool, of at least ``lowest``; else DomainError."""
+def _count(value, what: str, lowest: int | None = None) -> int:
+    """The one integer rule: ``value`` as an int if ``operator.index`` takes
+    it (an int or a numpy integer) and it is not a bool, of at least
+    ``lowest`` if given; else DomainError.  Every count and exponent takes it."""
     try:
         count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = None
-    if count is None or count < lowest:
-        raise DomainError(f"{what} must be an integer of at least {lowest}, got {value!r}")
+    if count is None or lowest is not None and count < lowest:
+        least = "" if lowest is None else f" of at least {lowest}"
+        raise DomainError(f"{what} must be an integer{least}, got {value!r}")
     return count
 
 
@@ -105,10 +107,9 @@ class LaurentPoly:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, complex] = {}
         for n, c in items:
-            ni = int(n)
-            if ni != n:
-                raise DomainError(f"exponent must be an integer, got {n!r}")
-            # _finite_complex inlined: construction is the hottest call site.
+            # Construction is the hottest call site: an int exponent skips
+            # _count, and _finite_complex is inlined.
+            ni = n if type(n) is int else _count(n, "exponent")
             z = complex(c)
             if not cmath.isfinite(z):
                 raise DomainError(f"coefficient of z^{ni} must be finite, got {c!r}")
@@ -225,7 +226,7 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by z**k (exact exponent shift)."""
-        k = int(k)
+        k = _count(k, "exponent")
         return LaurentPoly(tuple((n + k, c) for n, c in self.terms))
 
     def derivative(self) -> "LaurentPoly":
@@ -459,25 +460,38 @@ def poly_to_triples(p: LaurentPoly) -> list[list[float]]:
 
 
 def _real_from_json(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite float from an int, a float or a numpy real scalar, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise SchemaError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(f"{what} must be a finite number, got {x!r}")
+    return x
 
 
 def _int_from_json(value, what: str) -> int:
+    """An int from an integral float, or as ``_count`` reads it."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
+    try:
+        return _count(value, what)
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def _complex_from_json(value, what: str) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_real_from_json(value[0], what), _real_from_json(value[1], what))
-    if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
+    """A complex with finite parts from a real, a Python or numpy complex,
+    or an [re, im] pair of reals."""
+    if isinstance(value, (complex, np.complexfloating)):
+        value = (value.real, value.imag)
+    elif not isinstance(value, (list, tuple)):
+        value = (value, 0.0)
+    if len(value) != 2:
         raise SchemaError(f"{what} must be a number or an [re, im] pair, got {value!r}")
-    return complex(value)
+    return complex(_real_from_json(value[0], what), _real_from_json(value[1], what))
 
 
 # The decoder of each kind of JSON number, keyed by the type it returns.

@@ -178,6 +178,18 @@ class TestCheck:
         assert main(["check", "--data", str(bad)]) == 2
 
     @pytest.mark.parametrize(
+        "content",
+        [b"[" * 200000, b'{"window": {"r_inner": 1, "r_outer": 1' + b"0" * 5000 + b"}}", b"\xff\xfe"],
+        ids=["deep_nesting", "long_integer", "not_utf8"],
+    )
+    def test_unreadable_json_is_validation_error(self, tmp_path, content, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["check", "--data", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("minann: data file") and "is not valid JSON" in captured.err
+
+    @pytest.mark.parametrize(
         "where, raw",
         [
             ("r_inner", '"x"'),
@@ -186,6 +198,8 @@ class TestCheck:
             ("triple", "[1, null, 0]"),
             ("triple", "[1e400, 1, 0]"),
             ("triple", "[true, 1, 0]"),
+            ("height_offset", "NaN"),
+            ("r_outer", "1" + "0" * 400),
         ],
     )
     def test_malformed_data_document_is_validation_error(
@@ -194,8 +208,8 @@ class TestCheck:
         # Each value is well-formed JSON that data_from_json must refuse; an
         # uncaught exception would escape main() with its traceback.
         doc = json.loads(Path(fig8_path).read_text())
-        if where == "r_inner":
-            doc["window"]["r_inner"] = "@"
+        if where in ("r_inner", "r_outer"):
+            doc["window"][where] = "@"
         elif where == "height_offset":
             doc["height_offset"] = "@"
         else:
@@ -559,7 +573,8 @@ class TestReport:
         # One radius cannot span the window: every convexity verdict would
         # pass on the inner end alone.
         assert main(["report", "--scenario", "theorem_4_1", "--param", "grid=1"]) == 2
-        assert "theorem_4_1 parameter grid must be at least 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "theorem_4_1 parameter grid must be an integer of at least 2, got 1" in err
 
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -659,7 +674,7 @@ class TestSweep:
         assert not doc["rows"][1]["all_pass"]
         assert doc["rows"][1]["sign_changes"]
 
-    def test_requires_values_or_range(self):
+    def test_requires_values_or_range(self, capsys):
         args = ["sweep", "--scenario", "step_two", "--param", "slab_half"]
         assert main(args) == 2
         for extra in (
@@ -670,6 +685,7 @@ class TestSweep:
             ["--start", "0.1", "--stop", "0.3", "--count", "-1"],
         ):
             assert main(args + extra) == 2, extra
+        assert "--count must be an integer of at least 1, got -1" in capsys.readouterr().err
 
     def test_badly_typed_values_are_usage_errors(self, capsys):
         cases = [
@@ -682,8 +698,8 @@ class TestSweep:
             assert main(["sweep", *extra]) == 2, extra
         err = capsys.readouterr().err
         assert "--values must be numbers" in err
-        assert "count needs int, got 2.5" in err
-        assert "seed needs int, got 'abc'" in err
+        assert "lemma_3_1 parameter count must be an integer, got 2.5" in err
+        assert "lemma_3_1 parameter seed must be an integer, got 'abc'" in err
 
     def test_linear_range(self, capsys):
         args = [

@@ -26,7 +26,9 @@ from minann import (
     clip_to_slab,
     compare_areas,
     compare_lengths,
+    data_from_json,
     data_to_json,
+    family_from_spec,
     figure_eight,
     flux,
     from_g_pair,
@@ -45,7 +47,7 @@ from minann import (
     waist_height,
 )
 from minann import measures
-from minann.errors import DomainError, MultivaluedDataError
+from minann.errors import DomainError, MultivaluedDataError, SchemaError, ValidationError
 from minann.experiments import (
     ENSEMBLE_CHUNK,
     _ensemble_chunks,
@@ -940,7 +942,7 @@ class TestOverrideTypes:
             ("step_two", {"slab_half": True}),
         ]
         for name, overrides in cases:
-            with pytest.raises(PreconditionError, match="parameter"):
+            with pytest.raises(SchemaError, match="parameter"):
                 run_scenario(name, overrides)
 
     @pytest.mark.parametrize(
@@ -958,7 +960,7 @@ class TestOverrideTypes:
         ],
     )
     def test_out_of_domain_overrides_are_rejected(self, name, key, value):
-        with pytest.raises(PreconditionError, match=f"{name} parameter {key} must be"):
+        with pytest.raises(DomainError, match=f"{name} parameter {key} must be"):
             run_scenario(name, {key: value})
 
     def test_domain_edges_are_accepted(self):
@@ -970,6 +972,99 @@ class TestOverrideTypes:
         rows = sweep_scenario("theorem_3_5", "eps1", [0.05j, 0.04 + 0.01j], n_theta=128)
         assert [row["value"] for row in rows] == [[0.0, 0.05], [0.04, 0.01]]
         assert all(row["all_pass"] for row in rows)
+
+
+def _decoded(call) -> bool:
+    """False if ``call`` raises SchemaError; True if it returns or raises
+    another ValidationError, since the value then passed its decoder and
+    met the door's own domain."""
+    try:
+        call()
+    except SchemaError:
+        return False
+    except ValidationError:
+        pass
+    return True
+
+
+_FIG8_DOC = data_to_json(figure_eight(1, 1))
+_COVER4_DOC = data_to_json(catenoid_cover(4, 2.0 * math.pi)[0])
+
+
+class TestOneDecoder:
+    """A value from outside reads alike through a data file, a family spec
+    and a scenario override."""
+
+    @staticmethod
+    def _doors(kind: str, value) -> list:
+        if kind == "real":
+            return [
+                lambda: data_from_json({**_FIG8_DOC, "height_offset": value}),
+                lambda: family_from_spec({"family": "catenoid_cover", "params": {"center": value}}),
+                lambda: run_scenario("theorem_3_8", {"slab_half": value}, n_theta=16),
+            ]
+        if kind == "int":
+            (_, re, im), = _COVER4_DOC["g_minus"]
+            return [
+                lambda: data_from_json({**_COVER4_DOC, "g_minus": [[value, re, im]]}),
+                lambda: family_from_spec({"family": "catenoid_cover", "params": {"k": value}}),
+                lambda: run_scenario("lemma_3_4_identity", {"count": value}, n_theta=16),
+            ]
+        # A data file holds a coefficient only as its [re, im] pair.
+        return [
+            lambda: family_from_spec({"family": "figure_eight", "params": {"a_1": value}}),
+            lambda: run_scenario("theorem_3_5", {"eps1": value}, n_theta=16),
+        ]
+
+    @pytest.mark.parametrize(
+        "value, as_real, as_int, as_complex",
+        [
+            ("0.3", False, False, False),
+            ("abc", False, False, False),
+            (None, False, False, False),
+            (True, False, False, False),
+            (math.nan, False, False, False),
+            (math.inf, False, False, False),
+            # An int of any size is an int; what it counts is each door's domain.
+            (10**400, False, None, False),
+            (2.5, True, False, True),
+            (0.25j, False, False, True),
+            ([0.05], False, False, False),
+            ([0.05, "x"], False, False, False),
+            (np.int64(2), True, True, True),
+            (np.float32(0.25), True, False, True),
+            (np.complex64(0.05), False, False, True),
+        ],
+    )
+    def test_every_door_decodes_alike(self, value, as_real, as_int, as_complex):
+        for kind, expected in (("real", as_real), ("int", as_int), ("complex", as_complex)):
+            if expected is not None:
+                doors = self._doors(kind, value)
+                assert [_decoded(door) for door in doors] == [expected] * len(doors), kind
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_provenance_inputs_rerun_the_report(self, name):
+        report = run_scenario(name, n_theta=128)
+        again = run_scenario(name, report.provenance["inputs"], n_theta=128)
+        assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(
+            report.to_json(), sort_keys=True
+        )
+
+    def test_decoded_overrides_keep_their_bits(self):
+        pair = run_scenario("theorem_3_5", {"eps1": [0.05, 0.0]}, n_theta=128)
+        assert pair.to_json() == run_scenario("theorem_3_5", {"eps1": 0.05}, n_theta=128).to_json()
+        count = run_scenario("lemma_3_4_identity", {"count": np.int64(2)}, n_theta=128)
+        assert count.to_json() == run_scenario("lemma_3_4_identity", {"count": 2}, n_theta=128).to_json()
+        assert type(count.provenance["inputs"]["count"]) is int
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [("step_two", "slab_half", "0.3"), ("theorem_3_5", "eps1", "0.05+0j"),
+         ("corollary_4_2", "fd_step", "0.01")],
+    )
+    def test_strings_are_not_numbers(self, name, key, value):
+        with pytest.raises(SchemaError, match=f"{name} parameter {key} must be a number"):
+            run_scenario(name, {key: value})
 
 
 class TestReportPrimitives:

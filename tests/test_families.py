@@ -508,6 +508,11 @@ class TestFamilyFromSpec:
             {"family": "figure_eight", "params": {"a_1": True}},
             {"family": "figure_eight", "margin": "x"},
             {"family": "figure_eight", "margin": None},
+            {"family": ["x"]},
+            {"family": "figure_eight", "symmetric": "false"},
+            {"family": "figure_eight", "symmetric": 0},
+            {"family": "catenoid_cover", "params": {"f3": math.nan}},
+            {"family": "catenoid_cover", "params": {"center": 10**400}},
         ],
     )
     def test_schema_rejections(self, spec):

@@ -119,6 +119,17 @@ class TestAlgebra:
         with pytest.raises(DomainError, match=r"coefficient of z\^-2 must be finite, got inf$"):
             LaurentPoly({-2: math.inf})
 
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5, None, "2", np.float64(2.0)])
+    def test_exponents_follow_the_one_integer_rule(self, n):
+        with pytest.raises(DomainError, match="exponent must be an integer, got"):
+            LaurentPoly({n: 1.0})
+        with pytest.raises(DomainError, match="exponent must be an integer, got"):
+            LaurentPoly({0: 1.0}).shifted(n)
+
+    def test_numpy_integer_exponents_read_as_ints(self):
+        p = LaurentPoly({np.int64(2): 1.0}).shifted(np.int32(-1))
+        assert p.terms == ((1, 1 + 0j),) and type(p.terms[0][0]) is int
+
     def test_zero_has_no_extremal_exponents(self):
         with pytest.raises(DomainError):
             _ = LaurentPoly().lowest
