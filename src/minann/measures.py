@@ -53,12 +53,18 @@ def _node_count(n_theta: int) -> int:
 
 
 def _theta_grid(n_theta: int) -> np.ndarray:
-    """The uniform circle nodes 2 pi j / n_theta, j = 0 .. n_theta - 1.
+    """The uniform circle nodes 2 pi j / n_theta, j = 0 .. n_theta - 1,
+    read-only.  Raises DomainError below MIN_THETA_NODES nodes."""
+    return _node_grid(_node_count(n_theta))[0]
 
-    Raises DomainError below MIN_THETA_NODES nodes.
-    """
-    n_theta = _node_count(n_theta)
-    return TWO_PI * np.arange(n_theta) / n_theta
+
+@lru_cache(maxsize=16)
+def _node_grid(n_theta: int) -> tuple[np.ndarray, bytes, np.ndarray]:
+    """Read-only nodes of a checked count, their bytes and the rfft multiplier i k."""
+    theta = TWO_PI * np.arange(n_theta) / n_theta
+    spectral = 1j * np.arange(n_theta // 2 + 1)
+    theta.flags.writeable = spectral.flags.writeable = False
+    return theta, theta.tobytes(), spectral
 
 
 # -- circle length and its convexity -------------------------------------------
@@ -204,10 +210,10 @@ def level_radii(
     heights, giving shape (len(h), len(thetas)).  Heights are solved together
     in batches of whole levels of at most MAX_SOLVE_RAYS rays; every ray
     iterates on its own, so each row equals its single-height solve bit for
-    bit.  It is the one entry to the solve.  Its rays are set up once per
-    data set and angles (_ray_setup), and the sign of d(height)/dr is
-    certified once per data set on the whole closed window (``ray_sign`` of
-    the cached immersion).
+    bit.  It and trace_levels iterate _solve_batches, the one solve entry.
+    Rays are set up once per data set and angles (_ray_setup), and the sign
+    of d(height)/dr is certified once per data set on the whole closed
+    window (``ray_sign`` of the cached immersion).
 
     Bracket-safeguarded Newton in t = log r on the height's ray modes (see
     _Immersion.ray_modes): every ray starts from the window's bracket at the
@@ -225,19 +231,21 @@ def level_radii(
     heights = np.asarray(h, dtype=float)
     if heights.ndim > 1:
         raise DomainError("level heights must be a number or a 1-D array")
-    if not np.all(np.isfinite(heights)):
-        raise DomainError("level height must be finite")
+    _check_finite(heights)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim > 1:
         raise DomainError("ray angles must be a number or a 1-D array")
     rows = np.atleast_1d(heights)
     out = np.empty((rows.size, thetas.size))
     if rows.size:
-        rays = _ray_setup(data, thetas.tobytes())
-        step = _levels_per_solve(thetas.size)
-        for i in range(0, rows.size, step):
-            out[i : i + step] = _solve_levels(data, rows[i : i + step], rays)
+        for i, r, _, _ in _solve_batches(data, rows, _ray_setup(data, thetas.tobytes())):
+            out[i : i + len(r)] = r
     return out if heights.ndim else out[0]
+
+
+def _check_finite(heights: np.ndarray) -> None:
+    if not np.all(np.isfinite(heights)):
+        raise DomainError("level height must be finite")
 
 
 class _Rays(NamedTuple):
@@ -276,36 +284,43 @@ def _ray_height(modes, t: np.ndarray):
 
     Both sums share one array of e^{n t}, in real arithmetic; its row n turns
     into A_n e^{n t}, then n A_n e^{n t}, in place.  Every element adds its
-    terms in the same order, so a row never depends on its batch.
+    terms in one order, the log slope first, so a row never depends on its batch.
     """
     exponents, amplitudes, log_slope, offset = modes
     powers = np.exp(exponents[:, None, None] * t)
     value = log_slope * t + offset
-    slope = np.full(t.shape, log_slope)
+    slope = None
     for n, a, e in zip(exponents, amplitudes, powers):
         e *= a
         value += e
         e *= n
-        slope += e
-    return value, slope
+        slope = e + log_slope if slope is None else np.add(slope, e, out=slope)
+    return value, np.full(t.shape, log_slope) if slope is None else slope
+
+
+def _solve_batches(data: WeierstrassData, rows: np.ndarray, rays: _Rays):
+    """The one entry to the level solve: per batch of whole levels of at
+    most MAX_SOLVE_RAYS rays, (first row, r, z = r e^{i theta}, w = 1/z)."""
+    step = _levels_per_solve(rays.theta.size)
+    for i in range(0, rows.size, step):
+        yield (i, *_solve_levels(data, rows[i : i + step], rays))
 
 
 def _solve_levels(data: WeierstrassData, hs: np.ndarray, rays: _Rays):
-    """One batched Newton solve: radii of shape (len(hs), len(rays.theta))."""
+    """One batched Newton solve: radii r of shape (len(hs), len(rays.theta)),
+    and their certified points z = r e^{i theta} and w = 1/z."""
     sign, modes = rays.sign, rays.modes
     lo, hi = data.window.log_span()
     target = hs[:, None]
-    f_in = sign * (rays.ends[0] - target)
-    f_out = sign * (rays.ends[1] - target)
+    # sign * (a - b) for sign = +-1 is a - b or b - a, exactly.
+    f_in, f_out = rays.ends[:, None] - target if sign > 0 else target - rays.ends[:, None]
     # The ends of the attained range are levels that touch the closed window.
     tol = LEVEL_HEIGHT_TOL * np.maximum(1.0, np.abs(target))
-    missed = np.any(f_in > tol, axis=1) | np.any(f_out < -tol, axis=1)
-    if np.any(missed):
+    if (f_in > tol).any() or (f_out < -tol).any():
+        missed = np.any(f_in > tol, axis=1) | np.any(f_out < -tol, axis=1)
         raise HeightRangeError(f"height {float(hs[missed][0])!r} is not attained on every ray")
     t = np.clip(lo + (hi - lo) * f_in / (f_in - f_out), lo, hi)
-    tlo = np.full(t.shape, lo)
-    thi = np.full(t.shape, hi)
-    active = np.ones(t.shape, dtype=bool)
+    tlo, thi, active = lo, hi, None
     # Every iterate stays in [lo, hi]; inside [-1, 1] the freeze scale
     # max(1, |t|) is exactly 1 on every ray, so its tolerances are numbers.
     unit_scale = -1.0 <= lo and hi <= 1.0
@@ -313,26 +328,30 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, rays: _Rays):
     # Every ray is evaluated at every step but only active rays move, so a
     # frozen ray keeps the bits it had when its own test froze it.
     for _ in range(LEVEL_SOLVE_MAX_STEPS):
-        value, slope = _ray_height(modes, t)
-        resid = value - target
-        above = resid > 0 if sign > 0 else resid < 0
+        step, slope = _ray_height(modes, t)
+        step -= target  # the residual, then the Newton step
+        above = step > 0 if sign > 0 else step < 0
         tlo = np.where(above, tlo, t)
         thi = np.where(above, t, thi)
-        step = resid / slope
+        step /= slope
         t_new = t - step
         newton = (t_new >= tlo) & (t_new <= thi)
         if not unit_scale:
             scale = np.maximum(1.0, np.abs(t))
             step_tol = LEVEL_SOLVE_TOL * scale
-        done = newton & (np.abs(step) <= step_tol)
-        if not newton.all():
-            # On a step where every ray takes Newton, t is an end of its
-            # bracket and t_new lies in it, so |step| <= thi - tlo: a bracket
-            # 4 ulps narrow has frozen its ray on the step test already.
-            done |= thi - tlo <= 4.0 * np.spacing(scale)
+        if newton.all():
+            # t is an end of its bracket and t_new lies in it, so
+            # |step| <= thi - tlo: a bracket 4 ulps narrow has frozen its ray
+            # on the step test already.  A NaN step fails newton.
+            moving = np.abs(step) > step_tol
+        else:
+            moving = ~(newton & (np.abs(step) <= step_tol) | (thi - tlo <= 4.0 * np.spacing(scale)))
             t_new = np.where(newton, t_new, 0.5 * (tlo + thi))
-        np.copyto(t, t_new, where=active)
-        active &= ~done
+        if active is None:  # every ray moves on the first step
+            t, active = t_new, moving
+        else:
+            np.copyto(t, t_new, where=active)
+            active &= moving
         if not active.any():
             break
     else:
@@ -341,23 +360,17 @@ def _solve_levels(data: WeierstrassData, hs: np.ndarray, rays: _Rays):
             f"{LEVEL_SOLVE_MAX_STEPS} steps"
         )
     r = np.exp(t)
-    resid = np.abs(_immersion(data).height(r * rays.phase) - target)
+    z = r * rays.phase
+    w = 1.0 / z
+    resid = np.abs(_immersion(data).height(z, w) - target)
     if np.any(resid > tol):
         raise NumericalError("level solve failed to reach its height tolerance")
-    return r
-
-
-def _periodic_derivative(values: np.ndarray) -> np.ndarray:
-    """Spectral d/d theta of uniformly sampled periodic signals (last axis)."""
-    n = values.shape[-1]
-    spec = np.fft.rfft(values, axis=-1)
-    spec *= 1j * np.arange(spec.shape[-1])
-    return np.fft.irfft(spec, n, axis=-1)
+    return r, z, w
 
 
 class _TracedPoints:
     """A trace_levels call's radii, a row per level, and its ray phases
-    e^{i theta}; the points z = r e^{i theta} are immersed on first read."""
+    e^{i theta}, read-only; the points z = r e^{i theta} are immersed on first read."""
 
     def __init__(self, data: WeierstrassData, radii: np.ndarray, phase: np.ndarray):
         self.data = data
@@ -366,7 +379,9 @@ class _TracedPoints:
 
     @cached_property
     def rows(self) -> np.ndarray:  # shape (levels, n, 3)
-        return _immersion(self.data).point(self.radii * self.phase)
+        rows = _immersion(self.data).point(self.radii * self.phase)
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,10 +436,11 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
 
     Each curve length integrates the conformal factor against the exact
     parameter speed sqrt(r'^2 + r^2); r' comes from spectral differentiation
-    of the level_radii rows, taken per solve batch, row by row, so each curve
-    equals its one-height trace bit for bit.  The conformal factor reads the
-    points z = r e^{i theta} per solve batch; the first read of any curve's
-    ``points`` immerses the points of all levels in one call.
+    of the solved radii, taken per solve batch (_solve_batches), row by row,
+    so each curve equals its one-height trace bit for bit.  The conformal
+    factor reads the points z = r e^{i theta} and 1/z that the batch's solve
+    formed and certified; the first read of any curve's ``points`` immerses
+    the points of all levels in one call.  ``r`` and ``points`` are read-only.
     Planar self-crossings are counted transversally when a curve is first
     asked for them.  The solve's residual check keeps every node within
     LEVEL_HEIGHT_TOL of its level.
@@ -433,24 +449,26 @@ def trace_levels(data: WeierstrassData, heights, n_theta: int = 512) -> list[Lev
     heights = np.asarray(heights, dtype=float)
     if heights.ndim != 1:
         raise DomainError("level heights must be a 1-D sequence")
+    _check_finite(heights)
     if not heights.size:
         return []
-    grid = _theta_grid(n_theta)
-    radii = level_radii(data, heights, grid)
-    rays = _ray_setup(data, grid.tobytes())  # the entry level_radii just used
+    _, key, spectral = _node_grid(n_theta)
+    rays = _ray_setup(data, key)
+    radii = np.empty((heights.size, n_theta))
+    lengths = []
+    for i, r, z, w in _solve_batches(data, heights, rays):
+        radii[i : i + len(r)] = r
+        lam = metric_lambda_samples(data, z, _inverse=w)
+        spec = np.fft.rfft(r)
+        spec *= spectral
+        dr = np.fft.irfft(spec, n_theta)
+        lengths += trapezoid_circle(lam * np.sqrt(dr**2 + r**2)).tolist()
+    radii.flags.writeable = False
     traced = _TracedPoints(data, radii, rays.phase)
-    step = _levels_per_solve(n_theta)
-    curves = []
-    for i in range(0, heights.size, step):
-        batch = radii[i : i + step]
-        lam = metric_lambda_samples(data, batch * rays.phase)
-        dr = _periodic_derivative(batch)
-        lengths = trapezoid_circle(lam * np.sqrt(dr**2 + batch**2))
-        for row, (h, r, length) in enumerate(
-            zip(heights[i : i + step].tolist(), batch, lengths.tolist()), start=i
-        ):
-            curves.append(LevelCurve(h, rays.theta, r, length, data, traced, row))
-    return curves
+    return [
+        LevelCurve(h, rays.theta, r, length, data, traced, row)
+        for row, (h, r, length) in enumerate(zip(heights.tolist(), radii, lengths))
+    ]
 
 
 def trace_level(data: WeierstrassData, h: float, n_theta: int = 512) -> LevelCurve:

@@ -302,7 +302,7 @@ class _Immersion:
 
     Its evaluators take complex points that are already checked (the public
     ``height`` and ``immerse`` check them where they come in) and form 1/z
-    once per call.
+    once per call, unless ``height`` is given it.
     """
 
     def __init__(self, data: WeierstrassData):
@@ -335,9 +335,9 @@ class _Immersion:
             val = val + self.data.height_offset
         return val
 
-    def height(self, z: np.ndarray) -> np.ndarray:
+    def height(self, z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         self._check_single_valued(2, "the vertical log coefficient is not real")
-        return self.coordinate(2, z, 1.0 / z)
+        return self.coordinate(2, z, 1.0 / z if w is None else w)
 
     def ray_modes(self, phase: np.ndarray):
         """The height on the rays z = e^{t + i theta_j} as real exponential sums in t.
@@ -450,16 +450,18 @@ def immerse(data: WeierstrassData, z):
     return _immersion(data).point(arr)
 
 
-def metric_lambda_samples(data: WeierstrassData, z: np.ndarray) -> np.ndarray:
+def metric_lambda_samples(data: WeierstrassData, z: np.ndarray, *, _inverse=None) -> np.ndarray:
     """Vectorized conformal factor for tracing and quadrature.
 
-    The points are checked and inverted once for all three differentials.
+    The points are checked and inverted once for all three differentials;
+    ``_inverse`` is 1/z of points a certified level solve formed, not checked again.
     """
-    arr = _check_points(z)
-    w = 1.0 / arr
-    total = np.zeros(arr.shape, dtype=float)
-    for p in (data.phi1, data.phi2, data.phi3):
-        total += np.abs(p._horner(arr, w)) ** 2
+    if _inverse is None:
+        z = _check_points(z)
+        _inverse = 1.0 / z
+    total = np.abs(data.phi1._horner(z, _inverse)) ** 2
+    for p in (data.phi2, data.phi3):
+        total += np.abs(p._horner(z, _inverse)) ** 2
     return np.sqrt(0.5 * total)
 
 

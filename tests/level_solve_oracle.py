@@ -1,18 +1,43 @@
-"""Reference loop for ``measures._solve_levels``, bookkeeping spelled out.
+"""Reference kernels for the level solve and the traced lengths.
 
-Every step multiplies the residual by the ray sign, takes the scale
-max(1, |t|) and its ulp, and forms the bisection midpoint on every ray.
-The solve in ``measures`` skips what it can prove redundant, so its radii
-must equal these bit for bit.  The ray heights come from
-``measures._ray_height`` at call time, so a test that patches it patches
-both solves.
+``_solve`` is ``measures._solve_levels`` with its bookkeeping spelled out:
+every step multiplies the residual by the ray sign, takes the scale
+max(1, |t|) and its ulp, forms new arrays for the residual and the step, and
+forms the bisection midpoint on every ray.  The solve in ``measures`` skips
+what it can prove redundant and works in place, so its radii must equal
+these bit for bit.  The ray heights come from ``measures._ray_height`` at
+call time, so a test that patches it patches both solves; ``ray_height``
+checks that kernel itself.  ``metric_lambda`` checks the conformal factor.
 """
 
 import numpy as np
 
 from minann import measures
 from minann.errors import ConvergenceError
+from minann.laurent import _check_points
 from minann.measures import LEVEL_SOLVE_MAX_STEPS, LEVEL_SOLVE_TOL, _levels_per_solve, _ray_setup
+
+
+def ray_height(modes, t):
+    """Height and d(height)/dt on the rays: both sums start from the log
+    terms, a full array for the slope, and add each term A_n e^{n t} and
+    n A_n e^{n t} in a new array, in the order of the modes."""
+    exponents, amplitudes, log_slope, offset = modes
+    value = log_slope * t + offset
+    slope = np.full(t.shape, log_slope)
+    for n, a in zip(exponents, amplitudes):
+        term = np.exp(n * t) * a
+        value = value + term
+        slope = slope + term * n
+    return value, slope
+
+
+def metric_lambda(data, z):
+    """The conformal factor sqrt((|phi1|^2 + |phi2|^2 + |phi3|^2) / 2) at
+    freshly checked points, summed from an array of zeros."""
+    arr = _check_points(z)
+    squares = [np.abs(p.evaluate(arr)) ** 2 for p in (data.phi1, data.phi2, data.phi3)]
+    return np.sqrt(0.5 * (np.zeros(arr.shape) + squares[0] + squares[1] + squares[2]))
 
 
 def _solve(data, hs, rays):

@@ -74,7 +74,7 @@ from minann.weierstrass import (
 from crossing_oracle import crossings_reference, greedy_merge
 from fd_oracle import circle_length_dd_fd
 from golden_oracle import waist_height_sequential
-from level_solve_oracle import level_radii_reference
+from level_solve_oracle import level_radii_reference, metric_lambda, ray_height
 
 
 class TestCircleLength:
@@ -1029,10 +1029,7 @@ class TestLevelSolve:
                 if n_theta % 2 == 0:
                     spec[-1] = 0.0
                 dr = np.fft.irfft(spec, n_theta)
-                z = r * np.exp(1j * thetas)
-                lam = np.sqrt(
-                    0.5 * sum(np.abs(p.evaluate(z)) ** 2 for p in (data.phi1, data.phi2, data.phi3))
-                )
+                lam = metric_lambda(data, r * np.exp(1j * thetas))
                 assert np.array_equal(curve.theta, thetas)
                 assert np.array_equal(curve.r, r)
                 assert curve.length == float(trapezoid_circle(lam * np.sqrt(dr**2 + r**2)).real)
@@ -1048,6 +1045,8 @@ class TestLevelSolve:
             trace_levels(data, heights, 512)
         with pytest.raises(DomainError):
             level_radii(data, [0.0, math.nan], thetas)
+        with pytest.raises(DomainError, match="level height must be finite"):
+            trace_levels(data, [0.0, math.inf], 512)
         with pytest.raises(DomainError):  # rays are not flattened
             level_radii(data, 0.0, thetas.reshape(2, -1))
 
@@ -1118,6 +1117,49 @@ class TestLevelSolve:
             for per_solve in (1, 5) if n_theta < 4096 else ():  # one level per solve at 4096
                 other = level_radii_reference(data, heights, thetas, per_solve)
                 assert [x.hex() for x in other.ravel().tolist()] == bits
+            one_level = np.stack([level_radii(data, float(h), thetas) for h in heights])
+            assert [x.hex() for x in one_level.ravel().tolist()] == bits
+        # One ray, and rays off every uniform grid: a one-level, one-ray solve
+        # runs every step on one-element arrays.
+        for thetas in (np.array([1.1]), np.array([0.3, 1.1, 2.0, 5.9])):
+            want = level_radii_reference(data, heights, thetas)
+            bits = [x.hex() for x in want.ravel().tolist()]
+            assert [x.hex() for x in level_radii(data, heights, thetas).ravel().tolist()] == bits
+            one_level = np.stack([level_radii(data, float(h), thetas) for h in heights])
+            assert [x.hex() for x in one_level.ravel().tolist()] == bits
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_ray_height_equals_the_reference_kernel(self, name):
+        # The catenoid covers' heights have no exponential term, only the log term.
+        data = _ORACLE_CASES[name]()
+        rng = np.random.default_rng(3)
+        lo, hi = data.window.log_span()
+        for n_rays in (1, 7, 512):
+            modes = _immersion(data).ray_modes(np.exp(1j * rng.uniform(0.0, TWO_PI, n_rays)))
+            for levels in (1, 5):
+                t = rng.uniform(lo, hi, (levels, n_rays))
+                got, want = measures._ray_height(modes, t), ray_height(modes, t)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert (modes[0].size == 0) == name.startswith("catenoid")
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_solve_points_and_lambda_equal_the_references(self, name):
+        # The solve's z and w are r e^{i theta} and 1 / (r e^{i theta}); lambda
+        # at them, with or without the solve's w, is the reference factor at
+        # freshly checked points.
+        data = _ORACLE_CASES[name]()
+        lo, hi = attained_height_range(data)
+        heights = np.linspace(lo, hi, 11)
+        for thetas in (np.array([1.1]), TWO_PI * np.arange(16) / 16, TWO_PI * np.arange(512) / 512):
+            rays = measures._ray_setup(data, thetas.tobytes())
+            for levels in (heights, heights[5:6]):
+                for i, r, z, w in measures._solve_batches(data, levels, rays):
+                    points = r * np.exp(1j * thetas)
+                    assert z.tobytes() == points.tobytes()
+                    assert w.tobytes() == (1.0 / points).tobytes()
+                    want = metric_lambda(data, points).tobytes()
+                    assert metric_lambda_samples(data, z, _inverse=w).tobytes() == want
+                    assert metric_lambda_samples(data, points).tobytes() == want
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
     def test_matches_the_complex_newton_oracle(self, name):
@@ -1360,7 +1402,7 @@ class TestRayCache:
         assert np.array_equal(rays.theta, thetas)
         assert not rays.theta.flags.writeable and not rays.ends.flags.writeable
         uncached = measures._ray_setup.__wrapped__(data, thetas.tobytes())
-        want = [measures._solve_levels(data, np.array([h]), uncached)[0] for h in heights]
+        want = [measures._solve_levels(data, np.array([h]), uncached)[0][0] for h in heights]
         for _ in range(2):  # both traces read the entry
             curves = trace_levels(data, heights, n_theta)
             for h, curve, r in zip(heights, curves, want):
@@ -1388,7 +1430,7 @@ class TestRayCache:
         thetas[::3] += 0.05
         after = level_radii(data, 0.1, thetas)
         uncached = measures._ray_setup.__wrapped__(data, thetas.tobytes())
-        assert np.array_equal(after, measures._solve_levels(data, np.array([0.1]), uncached)[0])
+        assert np.array_equal(after, measures._solve_levels(data, np.array([0.1]), uncached)[0][0])
         assert not np.array_equal(after, before)
         info = measures._ray_setup.cache_info()
         assert np.array_equal(level_radii(data, 0.1, thetas.copy()), after)
@@ -1412,9 +1454,9 @@ class TestRayCache:
         slab_area(data, slab, 512)
         assert calls == []
 
-    def test_every_solve_runs_inside_level_radii(self, monkeypatch):
+    def test_every_solve_runs_inside_the_one_solve_entry(self, monkeypatch):
         depth, outside, solves = [0], [], []
-        solve, radii = measures._solve_levels, measures.level_radii
+        solve, batches = measures._solve_levels, measures._solve_batches
 
         def recording_solve(data, hs, rays):
             solves.append(hs.size)
@@ -1422,17 +1464,18 @@ class TestRayCache:
                 outside.append(hs.size)
             return solve(data, hs, rays)
 
-        def recording_radii(*args):
+        def recording_batches(*args):
             depth[0] += 1
             try:
-                return radii(*args)
+                yield from batches(*args)
             finally:
                 depth[0] -= 1
 
         monkeypatch.setattr(measures, "_solve_levels", recording_solve)
-        monkeypatch.setattr(measures, "level_radii", recording_radii)
+        monkeypatch.setattr(measures, "_solve_batches", recording_batches)
         for name in ("prop_3_7", "theorem_4_1", "corollary_4_2", "theorem_4_3", "step_two"):
             run_scenario(name, n_theta=512)
+        slab_area(figure_eight(1.0, 1.0), Slab(-0.2, 0.2), 512)
         assert solves and outside == []
 
 
@@ -1530,6 +1573,20 @@ class TestTracedBatchPoints:
             want = immerse(data, curve.r * np.exp(1j * curve.theta))
             assert curve.points.shape == (512, 3)
             assert curve.points.tobytes() == want.tobytes()
+
+    def test_traced_radii_and_points_are_read_only(self):
+        # A write into one curve would corrupt its batch: the points of every
+        # level are immersed from the batch's radii on first read.
+        data = figure_eight(1.0, 1.0)
+        curves = trace_levels(data, [0.0, 0.1], 64)
+        with pytest.raises(ValueError):
+            curves[1].r[:] = curves[1].r * 1.5
+        assert curves[1].points[:, 2].mean() == pytest.approx(0.1, abs=1e-9)
+        (curve,) = trace_levels(data, [0.0], 512)
+        with pytest.raises(ValueError):
+            curve.points[:, 0] = np.abs(curve.points[:, 0])
+        assert curve.self_intersections == 1
+        assert not curve.theta.flags.writeable
 
     def test_cli_trace_case_at_4096_nodes(self):
         data = figure_eight(1.0, 1.0)
